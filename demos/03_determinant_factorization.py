@@ -16,6 +16,7 @@ from sdke import (
     perm_via_sachs,
     random_matchable_graph,
     sachs_cut_disjointness,
+    sd_ke_partition,
 )
 
 g = random_matchable_graph(12, 0.25, seed=7)
@@ -31,7 +32,7 @@ census = {}
 for s in enumerate_sachs(g):
     census[s.num_cycles] = census.get(s.num_cycles, 0) + 1
 print("Sachs subgraphs by cycle count:", dict(sorted(census.items())))
-ok, _ = sachs_cut_disjointness(g)
+ok, _ = sachs_cut_disjointness(g, sd_ke_partition(g).cut)
 print("no Sachs subgraph touches the cut:", ok)
 print()
 

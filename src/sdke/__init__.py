@@ -55,10 +55,7 @@ from .decomposition import (
     SdKePartition,
     StabilityReport,
     check_stability_under_deletion,
-    ke_part,
-    sd_ke_cut,
     sd_ke_partition,
-    sd_part,
     sd_vertices_of,
 )
 from .configurations import (

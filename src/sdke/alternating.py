@@ -103,16 +103,19 @@ def _require_perfect(graph: Graph, matching: Matching) -> None:
 
 
 def _state_search(
-    graph: Graph, pairing: tuple[int, ...], start: tuple[int, bool]
+    graph: Graph, pairing: tuple[int, ...], starts: list[tuple[int, bool]]
 ) -> dict[tuple[int, bool], tuple[int, bool] | None]:
     """BFS over (vertex, matched_last) states; returns parent map.
 
-    The pairing may leave vertices unsaturated (pairing[x] == x); such a
-    vertex simply has no outgoing transition from its False state.  The
-    start state maps to None.
+    This is the package's one search of the state graph.  Every start
+    state maps to None.  The pairing may leave vertices unsaturated
+    (pairing[x] == x); such a vertex simply has no outgoing transition
+    from its False state.  Backward reach needs no search of its own: the
+    state graph is skew-symmetric under the parity flip, so the states
+    that reach (x, p) are the flips of those reached from (x, not p).
     """
-    parents: dict[tuple[int, bool], tuple[int, bool] | None] = {start: None}
-    queue = deque([start])
+    parents: dict[tuple[int, bool], tuple[int, bool] | None] = dict.fromkeys(starts)
+    queue = deque(parents)
     while queue:
         state = queue.popleft()
         x, matched_last = state
@@ -143,8 +146,7 @@ def reachable_set(graph: Graph, matching: Matching, v: int) -> frozenset[int]:
     _require_perfect(graph, matching)
     if not (0 <= v < graph.n):
         raise GraphError(f"vertex {v} out of range")
-    start = (matching.pairing[v], True)
-    parents = _state_search(graph, matching.pairing, start)
+    parents = _state_search(graph, matching.pairing, [(matching.pairing[v], True)])
     return frozenset(x for (x, matched_last) in parents if matched_last)
 
 
@@ -165,8 +167,7 @@ def semi_jposy_witness(
     _require_perfect(graph, matching)
     if not (0 <= v < graph.n):
         raise GraphError(f"vertex {v} out of range")
-    start = (matching.pairing[v], True)
-    parents = _state_search(graph, matching.pairing, start)
+    parents = _state_search(graph, matching.pairing, [(matching.pairing[v], True)])
     target = (v, True)
     if target not in parents:
         return None

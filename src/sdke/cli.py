@@ -21,7 +21,6 @@ from .determinantal import (
     det_adjacency,
     det_via_sachs,
     enumerate_sachs,
-    factorization_report,
     perm_adjacency,
     perm_via_sachs,
 )
@@ -35,7 +34,7 @@ from .matching import (
     maximum_matching,
     parse_matching,
 )
-from .verification import random_matchable_graph, run_theorem_suite
+from .verification import DEFAULT_SUITE_ORDER, random_matchable_graph, run_theorem_suite
 
 
 class _UsageError(Exception):
@@ -74,7 +73,6 @@ def _base_report(command: str, graph: Graph) -> dict[str, Any]:
         "version": __version__,
         "command": command,
         "graph": _graph_block(graph),
-        "seeds": {},
     }
 
 
@@ -157,7 +155,7 @@ def _cmd_verify(args) -> int:
             entry["counterexample"] = c.counterexample
         checks.append(entry)
     payload["checks"] = checks
-    report = factorization_report(graph)
+    report = suite.factorization
     payload["determinants"] = {
         "det_g": str(report.det_g),
         "det_sd": str(report.det_sd),
@@ -253,7 +251,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("verify", help="run the theorem suite")
     p.add_argument("input")
-    p.add_argument("--max-n", type=int, default=12)
+    p.add_argument("--max-n", type=int, default=DEFAULT_SUITE_ORDER)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("sachs", help="enumerate Sachs subgraphs")

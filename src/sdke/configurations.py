@@ -13,16 +13,18 @@ M, it lies on
 An M-blossom is an odd cycle of length 2k+1 containing exactly k matching
 edges; its base is the one cycle vertex not matched along the cycle.
 
-Walk existence and walk membership are decided on the (vertex, parity)
-state digraph, so only the simple-cycle enumeration is exponential; a
+Walk existence and walk membership are decided by the alternating
+module's one (vertex, parity) state search, backward reach through its
+skew symmetry, so only the simple-cycle enumeration is exponential; a
 cycle-count cap guards against dense inputs.  On matchable graphs this
 agrees with the fast pair-wise separation, which the test suite exercises.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 
+from .alternating import _state_search
 from .errors import BoundExceededError
 from .graph import Graph
 from .matching import Matching, enumerate_maximum_matchings
@@ -92,42 +94,6 @@ def blossoms(
     return found
 
 
-def _forward_reach(graph: Graph, pairing: tuple[int, ...], starts: list[State]) -> set[State]:
-    seen = set(starts)
-    queue = deque(starts)
-    while queue:
-        x, matched_last = queue.popleft()
-        if matched_last:
-            for y in graph.adjacency[x]:
-                if y != pairing[x] and (y, False) not in seen:
-                    seen.add((y, False))
-                    queue.append((y, False))
-        else:
-            y = pairing[x]
-            if y != x and (y, True) not in seen:
-                seen.add((y, True))
-                queue.append((y, True))
-    return seen
-
-
-def _backward_reach(graph: Graph, pairing: tuple[int, ...], target: State) -> set[State]:
-    seen = {target}
-    queue = deque([target])
-    while queue:
-        x, matched_last = queue.popleft()
-        if matched_last:
-            y = pairing[x]
-            if y != x and (y, False) not in seen:
-                seen.add((y, False))
-                queue.append((y, False))
-        else:
-            for z in graph.adjacency[x]:
-                if z != pairing[x] and (z, True) not in seen:
-                    seen.add((z, True))
-                    queue.append((z, True))
-    return seen
-
-
 def configuration_vertices(
     graph: Graph,
     matching: Matching,
@@ -146,15 +112,20 @@ def configuration_vertices(
     exposed = [v for v in range(graph.n) if pairing[v] == v]
 
     fwd_base = {
-        b: _forward_reach(graph, pairing, [(pairing[b], True)])
+        b: _state_search(graph, pairing, [(pairing[b], True)])
         for b in bases
         if pairing[b] != b
     }
-    bwd_base = {b: _backward_reach(graph, pairing, (b, True)) for b in bases}
+    # By skew symmetry, the states reaching (b, True) are the flips of
+    # the states reached from (b, False).
+    bwd_base = {
+        b: {(x, not p) for (x, p) in _state_search(graph, pairing, [(b, False)])}
+        for b in bases
+    }
     covered: set[int] = set()
 
-    def add_walk_vertices(fwd: set[State], bwd: set[State]) -> None:
-        covered.update(w for (w, _p) in fwd & bwd)
+    def add_walk_vertices(fwd: dict[State, State | None], bwd: set[State]) -> None:
+        covered.update(w for (w, _p) in fwd.keys() & bwd)
 
     for i, b1 in enumerate(bases):
         if b1 not in fwd_base:
@@ -167,7 +138,7 @@ def configuration_vertices(
 
     for r in exposed:
         stem_starts = [(y, False) for y in graph.adjacency[r]]
-        fwd = _forward_reach(graph, pairing, stem_starts) if stem_starts else set()
+        fwd = _state_search(graph, pairing, stem_starts)
         for b in bases:
             if b == r:
                 covered |= by_base[b]

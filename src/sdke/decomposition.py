@@ -22,7 +22,6 @@ from .graph import Edge, Graph, as_edge, delete_edge, induced_subgraph
 from .matching import (
     Matching,
     exists_max_matching_avoiding,
-    is_matchable,
     maximum_matching,
 )
 
@@ -96,31 +95,15 @@ def sd_ke_partition(graph: Graph, matching: Matching | None = None) -> SdKeParti
     )
 
 
-def sd_part(graph: Graph) -> Graph:
-    """Induced subgraph on the SD vertices, via a computed maximum matching."""
-    return sd_ke_partition(graph).sd_part
-
-
-def ke_part(graph: Graph) -> Graph:
-    """Induced subgraph on the KE vertices, via a computed maximum matching."""
-    return sd_ke_partition(graph).ke_part
-
-
-def sd_ke_cut(graph: Graph) -> frozenset[Edge]:
-    """Edges with one endpoint on each side of the separation."""
-    return sd_ke_partition(graph).cut
-
-
 def sd_vertices_of(graph: Graph, **bounds) -> frozenset[int]:
     """SD vertex set of an arbitrary graph.
 
     Matchable graphs use the fast separation; other graphs fall back to
     the exhaustive configuration search over all maximum matchings.
     """
-    if graph.n == 0:
-        return frozenset()
-    if is_matchable(graph):
-        return sd_ke_partition(graph).sd_vertices
+    matching = maximum_matching(graph)
+    if matching.is_perfect:
+        return sd_ke_partition(graph, matching).sd_vertices
     return configurations.sd_vertices_bruteforce(graph, **bounds)
 
 

@@ -21,10 +21,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import BoundExceededError, NotMatchableError
+from .errors import BoundExceededError
 from .graph import Edge, Graph
 from .decomposition import SdKePartition, sd_ke_partition
-from .matching import is_matchable
 
 DEFAULT_SACHS_ORDER = 20
 DEFAULT_PERMANENT_ORDER = 30
@@ -289,9 +288,8 @@ def factorization_report(
 
     An empty part contributes the multiplicative identity 1.  The
     permanent can be skipped for orders where Ryser is impractical.
+    A graph without a perfect matching raises NotMatchableError.
     """
-    if not is_matchable(graph):
-        raise NotMatchableError("factorization requires a graph with a perfect matching")
     part = sd_ke_partition(graph)
 
     def det_of(g: Graph) -> int:
@@ -325,14 +323,14 @@ def factorization_report(
 
 
 def sachs_cut_disjointness(
-    graph: Graph, *, max_order: int = DEFAULT_SACHS_ORDER
+    graph: Graph, cut: frozenset[Edge], *, max_order: int = DEFAULT_SACHS_ORDER
 ) -> tuple[bool, tuple[SachsSubgraph, Edge] | None]:
-    """Check that no Sachs subgraph uses an edge of the SD-KE cut.
+    """Check that no Sachs subgraph uses an edge of the given cut.
 
+    The cut is normally the SD-KE cut, sd_ke_partition(graph).cut.
     Returns (True, None) when the separation property holds; otherwise the
     offending subgraph and edge come back as a counterexample witness.
     """
-    cut = sd_ke_partition(graph).cut
     if cut:
         for s in enumerate_sachs(graph, max_order=max_order):
             hit = s.edges() & cut

@@ -14,18 +14,13 @@ from typing import Any
 from .alternating import reachable_set, verify_walk
 from .decomposition import sd_ke_partition, check_stability_under_deletion
 from .determinantal import (
-    det_adjacency,
-    perm_adjacency,
+    FactorizationReport,
+    factorization_report,
     sachs_cut_disjointness,
 )
 from .errors import BoundExceededError, NotMatchableError, SdkeError
 from .graph import Graph, build_graph, connected_components
-from .matching import (
-    enumerate_maximum_matchings,
-    enumerate_perfect_matchings,
-    is_matchable,
-    matching_number,
-)
+from .matching import enumerate_perfect_matchings, matching_number
 
 DEFAULT_ALPHA_ORDER = 30
 DEFAULT_SUITE_ORDER = 12
@@ -105,6 +100,9 @@ class CheckResult:
 
 @dataclass
 class TheoremReport:
+    """The suite's check results and the factorization they were run on."""
+
+    factorization: FactorizationReport
     checks: list[CheckResult] = field(default_factory=list)
 
     @property
@@ -244,8 +242,8 @@ def _check_full_reachability(graph, part, matching) -> CheckResult:
     return CheckResult("full_reachability_when_ke_empty", True)
 
 
-def _check_sachs_cut(graph) -> CheckResult:
-    ok, witness = sachs_cut_disjointness(graph)
+def _check_sachs_cut(graph, part) -> CheckResult:
+    ok, witness = sachs_cut_disjointness(graph, part.cut)
     if ok:
         return CheckResult("sachs_cut_disjointness", True)
     s, e = witness
@@ -256,24 +254,18 @@ def _check_sachs_cut(graph) -> CheckResult:
     )
 
 
-def _check_multiplicativity(graph, part) -> CheckResult:
-    det_g = det_adjacency(graph)
-    det_s = det_adjacency(part.sd_part)
-    det_k = det_adjacency(part.ke_part)
-    if det_g != det_s * det_k:
+def _check_multiplicativity(r: FactorizationReport) -> CheckResult:
+    if not r.det_product_ok:
         return CheckResult(
             "det_multiplicativity",
             False,
-            {"det": det_g, "det_sd": det_s, "det_ke": det_k},
+            {"det": r.det_g, "det_sd": r.det_sd, "det_ke": r.det_ke},
         )
-    perm_g = perm_adjacency(graph)
-    perm_s = perm_adjacency(part.sd_part)
-    perm_k = perm_adjacency(part.ke_part)
-    if perm_g != perm_s * perm_k:
+    if not r.perm_product_ok:
         return CheckResult(
             "det_multiplicativity",
             False,
-            {"perm": perm_g, "perm_sd": perm_s, "perm_ke": perm_k},
+            {"perm": r.perm_g, "perm_sd": r.perm_sd, "perm_ke": r.perm_ke},
         )
     return CheckResult("det_multiplicativity", True)
 
@@ -314,22 +306,23 @@ def run_theorem_suite(
         raise BoundExceededError(
             f"graph order {graph.n} exceeds theorem-suite bound {max_order}"
         )
-    if not is_matchable(graph):
-        raise NotMatchableError("graph is not matchable")
     matchings = enumerate_perfect_matchings(graph, max_order=max_order)
-    maximum = enumerate_maximum_matchings(graph, max_order=max_order)
-    part = sd_ke_partition(graph)
-    report = TheoremReport()
+    if not matchings:
+        raise NotMatchableError("graph is not matchable")
+    factorization = factorization_report(graph)
+    part = factorization.partition
+    report = TheoremReport(factorization)
     report.checks.append(_check_reachability_invariance(graph, matchings))
     report.checks.append(_check_partner_reachable(graph, part.matching))
     report.checks.append(_check_partition_matching_independence(graph, matchings))
     report.checks.append(_check_witnesses(graph, part))
-    report.checks.append(_check_cut_unmatched(graph, part, maximum))
+    # On a matchable graph the maximum matchings are the perfect ones.
+    report.checks.append(_check_cut_unmatched(graph, part, matchings))
     report.checks.append(_check_mu_additivity(graph, part))
-    report.checks.extend(_check_ke_status(graph, part, max_order=max(max_order, graph.n)))
+    report.checks.extend(_check_ke_status(graph, part, max_order=max_order))
     report.checks.append(_check_full_reachability(graph, part, part.matching))
-    report.checks.append(_check_sachs_cut(graph))
-    report.checks.append(_check_multiplicativity(graph, part))
+    report.checks.append(_check_sachs_cut(graph, part))
+    report.checks.append(_check_multiplicativity(factorization))
     report.checks.append(_check_stability(graph, part, max_order))
     return report
 

@@ -7,6 +7,7 @@ checked against.
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import combinations, permutations
 
 from sdke import Graph
@@ -220,3 +221,28 @@ def enumerate_mm_walks_tiny(g: Graph, pairing, v: int, max_edges: int) -> set[tu
     if pairing[v] != v:
         extend((v, pairing[v]), True)
     return out
+
+
+def states_reaching_bfs(g: Graph, pairing, target: tuple[int, bool]) -> set[tuple[int, bool]]:
+    """(vertex, matched_last) states that reach target, by predecessor BFS.
+
+    Walks the state transitions backwards literally: (x, True) is entered
+    from (M(x), False), and (x, False) from (z, True) for every
+    non-matching neighbour z.  Unsaturated vertices (pairing[x] == x) have
+    no matching edge to walk back along.
+    """
+    seen = {target}
+    queue = deque([target])
+    while queue:
+        x, matched_last = queue.popleft()
+        if matched_last:
+            y = pairing[x]
+            if y != x and (y, False) not in seen:
+                seen.add((y, False))
+                queue.append((y, False))
+        else:
+            for z in g.adjacency[x]:
+                if z != pairing[x] and (z, True) not in seen:
+                    seen.add((z, True))
+                    queue.append((z, True))
+    return seen

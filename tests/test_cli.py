@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -112,6 +113,27 @@ def test_verify_passes_on_matchable(files, capsys):
     assert data["determinants"]["ok"] is True
     assert data["permanents"]["ok"] is True
     assert data["determinants"]["det_ke"] == "-1"
+
+
+def test_verify_runs_each_permanent_once(files, capsys, monkeypatch):
+    # Wrap perm_adjacency in every sdke namespace that binds it, so a call
+    # through any import path is counted.
+    from sdke.determinantal import perm_adjacency
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].n)
+        return perm_adjacency(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "sdke" or name.startswith("sdke."):
+            for attr, value in vars(module).items():
+                if value is perm_adjacency:
+                    monkeypatch.setattr(module, attr, counted)
+    code, data = run_json(capsys, ["verify", files["posy12"]])
+    assert code == 0 and data["permanents"]["ok"] is True
+    assert sorted(calls) == [2, 10, 12]  # G, its SD part and its KE part
 
 
 def test_verify_not_matchable_is_domain_error(files, capsys):

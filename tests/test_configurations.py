@@ -5,13 +5,15 @@ from sdke import (
     blossoms,
     build_graph,
     configuration_vertices,
+    enumerate_maximum_matchings,
     matching_from_edges,
     maximum_matching,
     sd_ke_partition,
     sd_vertices_bruteforce,
     simple_odd_cycles,
 )
-from conftest import matchable_corpus
+from sdke.alternating import _state_search
+from conftest import matchable_corpus, mixed_corpus
 from fixtures import (
     FLOWER9_M,
     complete_graph,
@@ -21,6 +23,7 @@ from fixtures import (
     label_matching,
     path_graph,
 )
+from oracles import states_reaching_bfs
 
 
 def test_odd_cycles_triangle_and_c5():
@@ -105,3 +108,21 @@ def test_posy_via_triangle_pair():
     m = matching_from_edges(8, [(0, 1), (2, 3), (4, 5)])  # 6, 7 exposed
     covered = configuration_vertices(g, m)
     assert label_ids(g, [0, 1, 2]) <= covered
+
+
+def test_backward_reach_by_skew_symmetry_matches_predecessor_bfs():
+    # The configuration search gets the states reaching (x, p) as the
+    # parity flips of the states reached from (x, not p).  Check that
+    # identity against a literal backward search, unsaturated vertices
+    # included.
+    cases = 0
+    for seed, g in mixed_corpus(72, max_n=12):
+        for m in enumerate_maximum_matchings(g):
+            for x in range(g.n):
+                for p in (True, False):
+                    reached = _state_search(g, m.pairing, [(x, not p)])
+                    flipped = {(y, not q) for (y, q) in reached}
+                    want = states_reaching_bfs(g, m.pairing, (x, p))
+                    assert flipped == want, f"seed {seed} state {(x, p)}"
+                    cases += 1
+    assert cases > 10_000

@@ -10,12 +10,9 @@ from sdke import (
     delete_edge,
     disjoint_union,
     enumerate_perfect_matchings,
-    ke_part,
     matching_from_edges,
     matching_number,
-    sd_ke_cut,
     sd_ke_partition,
-    sd_part,
     sd_vertices_of,
     verify_walk,
 )
@@ -80,15 +77,6 @@ def test_partition_requires_perfect_matching():
     g = build_graph(4, [(0, 1), (2, 3)])
     with pytest.raises(NotMatchableError):
         sd_ke_partition(g, matching_from_edges(4, [(0, 1)]))
-
-
-def test_parts_and_cut_wrappers():
-    g = posy12()
-    assert sd_part(g).n == 10
-    assert ke_part(g).n == 2
-    assert sd_ke_cut(g) == frozenset({(8, 10)})
-    with pytest.raises(NotMatchableError):
-        sd_part(cycle_graph(5))
 
 
 def test_partition_sd_pairs_closed_under_matching():

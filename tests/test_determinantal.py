@@ -13,6 +13,7 @@ from sdke import (
     perm_adjacency,
     perm_via_sachs,
     sachs_cut_disjointness,
+    sd_ke_partition,
 )
 from conftest import matchable_corpus, mixed_corpus
 from fixtures import (
@@ -189,17 +190,13 @@ def test_multiplicativity_on_corpus():
 
 
 def test_cut_disjointness_fixtures():
-    assert sachs_cut_disjointness(ladder8()) == (True, None)
-    assert sachs_cut_disjointness(tangle8()) == (True, None)
-    ok, witness = sachs_cut_disjointness(posy12())
-    assert ok and witness is None
+    for g in (ladder8(), tangle8(), posy12()):
+        assert sachs_cut_disjointness(g, sd_ke_partition(g).cut) == (True, None)
 
 
 def test_cut_disjointness_would_catch_a_violation():
     # Feed the checker a doctored cut that a Sachs subgraph does use.
-    from sdke.determinantal import enumerate_sachs as enum
-
-    g = cycle_graph(4)
-    cut = {(0, 1)}
-    hits = [s for s in enum(g) if s.edges() & cut]
-    assert hits  # the doctored cut is used, so a genuine cut must differ
+    ok, witness = sachs_cut_disjointness(cycle_graph(4), frozenset({(0, 1)}))
+    assert not ok
+    s, e = witness
+    assert e == (0, 1) and (0, 1) in s.edges()
