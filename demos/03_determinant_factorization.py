@@ -24,7 +24,7 @@ print(f"random matchable graph: {g.n} vertices, {g.num_edges} edges")
 
 print("det  via elimination :", det_adjacency(g))
 print("det  via Sachs census:", det_via_sachs(g))
-print("perm via Ryser       :", perm_adjacency(g))
+print("perm via Glynn       :", perm_adjacency(g))
 print("perm via Sachs census:", perm_via_sachs(g))
 print()
 

@@ -175,16 +175,18 @@ def _cmd_verify(args) -> int:
 def _cmd_sachs(args) -> int:
     graph = _load_graph(args.input)
     payload = _base_report("sachs", graph)
-    subgraphs = list(enumerate_sachs(graph))
-    payload["count"] = len(subgraphs)
     if args.list:
-        payload["subgraphs"] = [
+        subgraphs = [
             {
                 "k2": [graph.labels_of(e) for e in s.k2_edges],
                 "cycles": [graph.labels_of(c) for c in s.cycles],
             }
-            for s in subgraphs
+            for s in enumerate_sachs(graph)
         ]
+        payload["count"] = len(subgraphs)
+        payload["subgraphs"] = subgraphs
+    else:
+        payload["count"] = sum(1 for _ in enumerate_sachs(graph))
     _emit(payload)
     return 0
 
@@ -223,6 +225,16 @@ def _cmd_export_dot(args) -> int:
     else:
         sys.stdout.write(export_dot(graph))
     return 0
+
+
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative int, got {text!r}")
+    return value
 
 
 def _build_parser() -> _Parser:
@@ -266,7 +278,7 @@ def _build_parser() -> _Parser:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--perfect", action="store_true")
     group.add_argument("--maximum", action="store_true")
-    p.add_argument("--limit", type=int, default=None)
+    p.add_argument("--limit", type=_non_negative_int, default=None)
     p.set_defaults(func=_cmd_matchings)
 
     p = sub.add_parser("gen", help="generate a seeded random matchable graph")

@@ -1,11 +1,11 @@
 """Exact determinants and permanents of adjacency matrices.
 
 Two independent routes are kept for each quantity: direct exact linear
-algebra (fraction-free elimination for the determinant, Ryser's
-inclusion-exclusion for the permanent) and the component-census sum over
-spanning subgraphs whose components are single edges or cycles.  For such
-a spanning subgraph S with c(S) cycle components and k_e(S) components of
-even order,
+algebra (fraction-free elimination for the determinant, Glynn's form of
+the inclusion-exclusion sum for the permanent) and the component-census
+sum over spanning subgraphs whose components are single edges or cycles.
+For such a spanning subgraph S with c(S) cycle components and k_e(S)
+components of even order,
 
     det(A(G))  = sum over S of (-1)^(k_e(S)) * 2^(c(S)),
     perm(A(G)) = sum over S of 2^(c(S)).
@@ -17,9 +17,8 @@ package is literal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from typing import Iterator
-
-import numpy as np
 
 from .errors import BoundExceededError
 from .graph import Edge, Graph
@@ -27,10 +26,6 @@ from .decomposition import SdKePartition, sd_ke_partition
 
 DEFAULT_SACHS_ORDER = 20
 DEFAULT_PERMANENT_ORDER = 30
-
-# Ryser row sums are at most n-1 for a 0/1 adjacency row, so products fit
-# in int64 exactly while (n-1)^n < 2^63, i.e. through n = 16.
-_RYSER_NUMPY_MAX = 16
 
 
 @dataclass(frozen=True)
@@ -190,11 +185,16 @@ def _bareiss_det(matrix: list[list[int]]) -> int:
 
 
 def perm_adjacency(graph: Graph, *, max_order: int = DEFAULT_PERMANENT_ORDER) -> int:
-    """Exact permanent via Ryser's formula.
+    """Exact permanent via Glynn's form of the inclusion-exclusion sum.
 
-    Small orders run vectorized on int64 (exactness guaranteed by the
-    row-sum bound noted above); larger orders fall back to a pure-Python
-    Gray-code loop over arbitrary-precision integers.
+    perm(A) = 2^(1-n) * sum over signs d with d_0 = +1 of
+    (prod_j d_j) * prod_i (sum_j d_j a_ij), which has 2^(n-1) terms where
+    Ryser's formula has 2^n.  The signs d_1..d_(n-1) are walked in
+    Gray-code order, so each step negates one column; A is a symmetric 0/1
+    matrix, so only the row sums of that vertex's neighbours change.  All
+    arithmetic is on Python integers, so the value is exact at every order.
+    This is the route that the method name "ryser" (``sdke perm --method
+    ryser``, ``FactorizationReport.perm_method``) selects.
     """
     n = graph.n
     if n > max_order:
@@ -203,55 +203,23 @@ def perm_adjacency(graph: Graph, *, max_order: int = DEFAULT_PERMANENT_ORDER) ->
         )
     if n == 0:
         return 1
-    a = adjacency_matrix(graph)
-    if n <= _RYSER_NUMPY_MAX:
-        return _ryser_numpy(a)
-    return _ryser_gray(a)
-
-
-def _ryser_numpy(a: list[list[int]]) -> int:
-    n = len(a)
-    cols = np.array(a, dtype=np.int64)
-    size = 1 << n
-    idx = np.arange(size, dtype=np.int64)
-    sums = np.zeros((size, n), dtype=np.int64)
-    parity = np.zeros(size, dtype=bool)
-    for j in range(n):
-        bit = ((idx >> j) & 1).astype(bool)
-        sums[bit] += cols[:, j]
-        parity ^= bit
-    prods = sums.prod(axis=1)
-    # Accumulate in Python ints: the signed total can exceed int64.
-    plus = sum(prods[parity == (n % 2 == 1)].tolist())
-    minus = sum(prods[parity == (n % 2 == 0)].tolist())
-    return plus - minus
-
-
-def _ryser_gray(a: list[list[int]]) -> int:
-    n = len(a)
-    row_sums = [0] * n
-    total = 0
-    sign = 1 if n % 2 == 0 else -1
-    gray = 0
-    for k in range(1, 1 << n):
-        j = (k & -k).bit_length() - 1
-        bit = 1 << j
-        if gray & bit:
-            for i in range(n):
-                row_sums[i] -= a[i][j]
-        else:
-            for i in range(n):
-                row_sums[i] += a[i][j]
-        gray ^= bit
-        prod = 1
-        for s in row_sums:
-            if s == 0:
-                prod = 0
-                break
-            prod *= s
-        subset_sign = -1 if (bin(gray).count("1") % 2) else 1
-        total += subset_sign * prod
-    return sign * total
+    adj = graph.adjacency
+    row_sums = [len(nbrs) for nbrs in adj]  # every d_j = +1
+    steps = [-2] * n  # the change to column j's rows when d_j next flips
+    total = 0 if 0 in row_sums else prod(row_sums)
+    for k in range(1, 1 << (n - 1)):
+        j = (k & -k).bit_length()  # Gray code: d_j flips, j in 1..n-1
+        step = steps[j]
+        steps[j] = -step
+        for i in adj[j]:
+            row_sums[i] += step
+        if 0 not in row_sums:
+            # One sign flips per step, so prod_j d_j = (-1)^k.
+            if k & 1:
+                total -= prod(row_sums)
+            else:
+                total += prod(row_sums)
+    return total >> (n - 1)  # exact: the sum is a multiple of 2^(n-1)
 
 
 @dataclass

@@ -88,6 +88,25 @@ def brute_perm(g: Graph) -> int:
     return total
 
 
+def column_subset_perm(g: Graph) -> int:
+    """Permanent by dynamic programming over sets of used columns (n <= 16).
+
+    Rows are assigned in order; ways[mask] counts the assignments of rows
+    0..|mask|-1 to exactly the columns in mask, one column per row.
+    """
+    n = g.n
+    a = [[1 if g.has_edge(i, j) else 0 for j in range(n)] for i in range(n)]
+    ways = {0: 1}
+    for i in range(n):
+        nxt: dict[int, int] = {}
+        for mask, count in ways.items():
+            for j in range(n):
+                if a[i][j] and not mask & (1 << j):
+                    nxt[mask | (1 << j)] = nxt.get(mask | (1 << j), 0) + count
+        ways = nxt
+    return ways.get((1 << n) - 1, 0)
+
+
 def _perm_sign(perm) -> int:
     sign = 1
     seen = [False] * len(perm)

@@ -1,11 +1,15 @@
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from sdke import AlternatingWalk, parse_edge_list, serialize_edge_list, verify_walk
 from sdke.cli import run_cli
 from fixtures import cycle_graph, ladder8, posy12, tangle8
+from oracles import brute_sachs_count
 
 
 @pytest.fixture
@@ -150,6 +154,13 @@ def test_sachs_count_and_list(files, capsys):
     assert data["subgraphs"] == [{"k2": [[0, 1]], "cycles": []}]
 
 
+def test_sachs_count_streams_without_listing(files, capsys):
+    code, data = run_json(capsys, ["sachs", files["tangle8"], "--count"])
+    assert code == 0
+    assert data["count"] == brute_sachs_count(tangle8()) == 15
+    assert "subgraphs" not in data
+
+
 def test_matchings_perfect_and_maximum(files, capsys):
     code, data = run_json(capsys, ["matchings", files["c5"], "--maximum"])
     assert code == 0 and data["count"] == 5
@@ -190,6 +201,18 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli(["det"]) == 2
     assert run_cli(["no-such-command", "x"]) == 2
     assert run_cli(["det", "in.edges", "--method", "bogus"]) == 2
+    assert run_cli(["matchings", "in.edges", "--limit", "-1"]) == 2
+
+
+def test_import_does_not_load_numpy():
+    # The package is pure Python; importing numpy would add to every CLI start.
+    src = Path(__file__).resolve().parent.parent / "src"
+    subprocess.run(
+        [sys.executable, "-c",
+         "import sdke, sdke.cli, sys; assert 'numpy' not in sys.modules"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        check=True,
+    )
 
 
 def test_missing_file_is_domain_error(capsys):

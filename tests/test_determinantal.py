@@ -25,7 +25,7 @@ from fixtures import (
     posy12,
     tangle8,
 )
-from oracles import brute_det, brute_perm, brute_sachs_count
+from oracles import brute_det, brute_perm, brute_sachs_count, column_subset_perm
 
 
 def sachs_key(s: SachsSubgraph):
@@ -122,13 +122,10 @@ def test_perm_counts_perfect_matchings_at_least():
         assert perm_adjacency(g) >= len(enumerate_perfect_matchings(g))
 
 
-def test_perm_python_fallback_matches_numpy_path():
-    from sdke.determinantal import _ryser_gray, _ryser_numpy, adjacency_matrix
-
-    for seed, g in mixed_corpus(20, max_n=9):
-        a = adjacency_matrix(g)
-        if g.n:
-            assert _ryser_gray(a) == _ryser_numpy(a), f"seed {seed}"
+def test_perm_against_column_subset_dp():
+    # Every order 1..14 at p = 0.15, 0.3 and 0.5.
+    for seed, g in mixed_corpus(42, max_n=14):
+        assert perm_adjacency(g) == column_subset_perm(g), f"seed {seed}"
 
 
 def test_det_of_disjoint_union_multiplies():
@@ -142,10 +139,16 @@ def test_det_of_disjoint_union_multiplies():
 
 def test_big_integers_stay_exact():
     # Complete-graph values have closed forms: perm(K_n) is the derangement
-    # count D(n), det(K_n) = (-1)^(n-1) (n-1).
+    # count D(n), det(K_n) = (-1)^(n-1) (n-1).  Through n = 18 the row-sum
+    # products pass 2^63.
     g = complete_graph(13)
     assert perm_adjacency(g) == 2290792932  # D(13)
     assert det_adjacency(g) == 12
+    derangements = [1, 0]
+    for n in range(2, 19):
+        derangements.append((n - 1) * (derangements[-1] + derangements[-2]))
+    for n, d in enumerate(derangements):
+        assert perm_adjacency(complete_graph(n)) == d, f"K{n}"
 
 
 def test_factorization_ladder8():
