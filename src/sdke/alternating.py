@@ -3,8 +3,8 @@
 An alternating walk may repeat vertices and edges, so searching the walk
 space directly would be exponential.  The right search space is the
 product of vertices and the parity of the last edge used: a walk that
-reaches vertex x twice with the same parity offers nothing new.  All
-operations here run breadth-first search over these 2n states.
+reaches vertex x twice with the same parity offers nothing new.
+Reachability runs breadth-first search over these 2n states.
 
 States are written (x, matched_last): matched_last is True when the walk
 arrived at x through a matching edge.  Transitions:
@@ -15,6 +15,16 @@ arrived at x through a matching edge.  Transitions:
 A walk from v that starts with a matching edge therefore begins in state
 (M(v), True), and "u is reachable by an mm-alternating walk from v" means
 state (u, True) is reachable from there.
+
+Under a perfect matching each False state is a pure chain link, so the
+True states alone form a digraph D on the vertices: an arc x -> M(y) for
+every non-matching neighbour y of x.  v has an mm-closed walk iff
+M(v) reaches v in D.  D is skew-symmetric under M (x -> z iff
+M(z) -> M(x)), like a 2-SAT implication graph, so one strong-component
+pass decides every vertex at once.  Shortest closed walks come from one
+routine, a BFS over the vertices of D that stops as soon as v is reached;
+it visits True states in the same order, with the same parents, as the
+state search would.
 """
 
 from __future__ import annotations
@@ -161,21 +171,96 @@ def semi_jposy_witness(
     """Shortest mm-alternating closed walk at v, or None if there is none.
 
     The walk is reconstructed from BFS parents, so it is minimal in edge
-    count; BFS visits each of the 2n states at most once, which bounds
-    the witness length.  The result always passes verify_walk.
+    count; BFS visits each vertex of D at most once, which bounds the
+    witness length.  The result always passes verify_walk.
     """
     _require_perfect(graph, matching)
     if not (0 <= v < graph.n):
         raise GraphError(f"vertex {v} out of range")
-    parents = _state_search(graph, matching.pairing, [(matching.pairing[v], True)])
-    target = (v, True)
-    if target not in parents:
+    return _closed_walk(_arcs(graph, matching.pairing), matching.pairing, v)
+
+
+def _arcs(graph: Graph, pairing: tuple[int, ...]) -> list[list[int]]:
+    """Out-arcs of D: x -> M(y) for each non-matching neighbour y of x."""
+    return [
+        [pairing[y] for y in nbrs if y != pairing[x]]
+        for x, nbrs in enumerate(graph.adjacency)
+    ]
+
+
+def _strong_components(arcs: list[list[int]]) -> list[int]:
+    """Component number of every vertex, by one iterative Tarjan pass.
+
+    Components are numbered in completion order, so sink components come
+    first: whenever x reaches z, comp[x] >= comp[z].
+    """
+    n = len(arcs)
+    index = [-1] * n
+    low = [0] * n
+    comp = [-1] * n
+    stack: list[int] = []
+    visited = found = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = visited
+        visited += 1
+        stack.append(root)
+        work = [(root, iter(arcs[root]))]
+        while work:
+            x, targets = work[-1]
+            for z in targets:
+                if index[z] < 0:
+                    index[z] = low[z] = visited
+                    visited += 1
+                    stack.append(z)
+                    work.append((z, iter(arcs[z])))
+                    break
+                if comp[z] < 0 and index[z] < low[x]:  # z is still on the stack
+                    low[x] = index[z]
+            else:
+                work.pop()
+                if work and low[x] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[x]
+                if low[x] == index[x]:
+                    while True:
+                        z = stack.pop()
+                        comp[z] = found
+                        if z == x:
+                            break
+                    found += 1
+    return comp
+
+
+def _closed_walk(
+    arcs: list[list[int]], pairing: tuple[int, ...], v: int
+) -> AlternatingWalk | None:
+    """Shortest mm-closed walk at v by BFS over D from M(v), or None.
+
+    The search stops as soon as v is reached.  Each tree arc x -> z
+    expands to the walk steps x, M(z), z (a non-matching edge, then a
+    matching one).  ``arcs`` may be restricted to v's strong component:
+    every vertex on an M(v) -> v path lies in it, and so does every
+    parent the search gives such a vertex, so the walk is unchanged.
+    """
+    start = pairing[v]
+    parent = {start: start}
+    queue = deque([start])
+    while queue and v not in parent:
+        x = queue.popleft()
+        for z in arcs[x]:
+            if z not in parent:
+                parent[z] = x
+                queue.append(z)
+                if z == v:
+                    break
+    if v not in parent:
         return None
-    chain: list[int] = []
-    state: tuple[int, bool] | None = target
-    while state is not None:
-        chain.append(state[0])
-        state = parents[state]
+    chain = [v]
+    z = v
+    while z != start:
+        chain += (pairing[z], parent[z])
+        z = parent[z]
     chain.append(v)  # the initial matched edge v -> M(v)
     chain.reverse()
     return AlternatingWalk(vertices=tuple(chain), kind="mm")

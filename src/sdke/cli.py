@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import islice
 from pathlib import Path
 from typing import Any
 
@@ -28,8 +29,8 @@ from .errors import SdkeError
 from .graph import Graph, export_dot, graph_hash, parse_edge_list, serialize_edge_list
 from .matching import (
     Matching,
-    enumerate_maximum_matchings,
-    enumerate_perfect_matchings,
+    _maximum_matchings,
+    _perfect_matchings,
     is_perfect,
     maximum_matching,
     parse_matching,
@@ -194,15 +195,16 @@ def _cmd_sachs(args) -> int:
 def _cmd_matchings(args) -> int:
     graph = _load_graph(args.input)
     if args.maximum:
-        found = enumerate_maximum_matchings(graph)
+        found = _maximum_matchings(graph)
         kind = "maximum"
     else:
-        found = enumerate_perfect_matchings(graph)
+        found = _perfect_matchings(graph)
         kind = "perfect"
+    # Count by streaming; only the first --limit matchings are kept.
+    shown = list(islice(found, args.limit))
     payload = _base_report("matchings", graph)
     payload["kind"] = kind
-    payload["count"] = len(found)
-    shown = found if args.limit is None else found[: args.limit]
+    payload["count"] = len(shown) + sum(1 for _ in found)
     payload["matchings"] = [
         [graph.labels_of(e) for e in m.edge_pairs()] for m in shown
     ]

@@ -1,14 +1,21 @@
 """The SD-KE separation of a matchable graph, and edge-deletion stability.
 
-The separation algorithm classifies vertices in matched pairs: a pair
-{v, M(v)} belongs to the KE side as soon as either member admits no
-mm-alternating closed walk, and to the SD side when both members do.
-Classifying per pair rather than per vertex matters: a vertex can admit a
-closed walk while its partner does not (a pendant KE pair hanging off an
-SD region is the canonical case), and such a vertex is KE.
+The separation classifies vertices in matched pairs: a pair {v, M(v)}
+belongs to the KE side as soon as either member admits no mm-alternating
+closed walk, and to the SD side when both members do.  Classifying per
+pair rather than per vertex matters: a vertex can admit a closed walk
+while its partner does not (a pendant KE pair hanging off an SD region is
+the canonical case), and such a vertex is KE.
 
-The result is independent of the order in which pairs are examined, and,
-for perfect matchings, independent of which perfect matching is used.
+v has a closed walk iff M(v) reaches v in the digraph D of
+``alternating``, so a pair is SD iff its members share a strong component
+of D, and one linear-time Tarjan pass classifies every pair.  The same
+pass certifies each KE pair: components are numbered sinks first, so the
+member whose partner's component number is the smaller one cannot be
+reached from its partner and has no closed walk.
+
+The result is independent of vertex numbering, and, for perfect
+matchings, independent of which perfect matching is used.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import configurations
-from .alternating import AlternatingWalk, semi_jposy_witness
+from .alternating import AlternatingWalk, _arcs, _closed_walk, _strong_components
 from .errors import GraphError, NotMatchableError
 from .graph import Edge, Graph, as_edge, delete_edge, induced_subgraph
 from .matching import (
@@ -30,10 +37,11 @@ from .matching import (
 class SdKePartition:
     """The SD/KE vertex sets, the induced parts, and the cut between them.
 
-    witnesses holds a closed-walk certificate for every SD vertex;
-    failed_searches holds the vertices whose closed-walk search came up
-    empty (every KE pair contains at least one of these, which is its
-    membership certificate).
+    witnesses holds a shortest closed-walk certificate for every SD
+    vertex.  failed_searches holds one member of every KE pair that has
+    no mm-closed walk, which is the pair's membership certificate; the
+    strong-component order picks that member (it cannot be reached from
+    its partner), so no search is run for it.
     """
 
     sd_vertices: frozenset[int]
@@ -50,8 +58,9 @@ def sd_ke_partition(graph: Graph, matching: Matching | None = None) -> SdKeParti
     """Split a matchable graph into its SD and KE parts.
 
     If no matching is supplied, a maximum matching is computed; either
-    way the matching must be perfect.  Work is done once per matched
-    pair: the partner of a searched vertex is only searched when needed.
+    way the matching must be perfect.  The split takes one strong-component
+    pass; the witnesses take one BFS per SD vertex, confined to the arcs
+    inside that vertex's component.
     """
     if matching is None:
         matching = maximum_matching(graph)
@@ -60,50 +69,50 @@ def sd_ke_partition(graph: Graph, matching: Matching | None = None) -> SdKeParti
         raise NotMatchableError(
             "SD-KE separation requires a graph with a perfect matching"
         )
-    ke: set[int] = set()
-    witnesses: dict[int, AlternatingWalk] = {}
-    failed: set[int] = set()
-    for v in range(graph.n):
-        u = matching.pairing[v]
-        if v > u:
-            continue  # handle each pair once, from its smaller member
-        wv = semi_jposy_witness(graph, matching, v)
-        if wv is None:
-            failed.add(v)
-            ke.update((v, u))
-            continue
-        wu = semi_jposy_witness(graph, matching, u)
-        if wu is None:
-            failed.add(u)
-            ke.update((v, u))
-        else:
-            witnesses[v] = wv
-            witnesses[u] = wu
-    sd = frozenset(range(graph.n)) - ke
+    pairing = matching.pairing
+    arcs, comp, sd = _split(graph, pairing)
+    ke = frozenset(range(graph.n)) - sd
+    failed = frozenset(
+        v if comp[pairing[v]] < comp[v] else pairing[v]
+        for v in ke
+        if v < pairing[v]
+    )
+    inner = [[z for z in targets if comp[z] == comp[x]] for x, targets in enumerate(arcs)]
+    witnesses = {v: _closed_walk(inner, pairing, v) for v in sorted(sd)}
     cut = frozenset(
         e for e in graph.edges if (e[0] in sd) != (e[1] in sd)
     )
     return SdKePartition(
         sd_vertices=sd,
-        ke_vertices=frozenset(ke),
+        ke_vertices=ke,
         sd_part=induced_subgraph(graph, sd),
         ke_part=induced_subgraph(graph, ke),
         cut=cut,
         matching=matching,
         witnesses=witnesses,
-        failed_searches=frozenset(failed),
+        failed_searches=failed,
     )
+
+
+def _split(
+    graph: Graph, pairing: tuple[int, ...]
+) -> tuple[list[list[int]], list[int], frozenset[int]]:
+    """D's arcs, its strong components, and the SD set they give."""
+    arcs = _arcs(graph, pairing)
+    comp = _strong_components(arcs)
+    return arcs, comp, frozenset(v for v in range(graph.n) if comp[v] == comp[pairing[v]])
 
 
 def sd_vertices_of(graph: Graph, **bounds) -> frozenset[int]:
     """SD vertex set of an arbitrary graph.
 
-    Matchable graphs use the fast separation; other graphs fall back to
-    the exhaustive configuration search over all maximum matchings.
+    Matchable graphs use the strong-component split alone (no witnesses,
+    parts or cut); other graphs fall back to the exhaustive configuration
+    search over all maximum matchings.
     """
     matching = maximum_matching(graph)
     if matching.is_perfect:
-        return sd_ke_partition(graph, matching).sd_vertices
+        return _split(graph, matching.pairing)[2]
     return configurations.sd_vertices_bruteforce(graph, **bounds)
 
 

@@ -4,14 +4,15 @@ The maximum-matching routine is the classic augmenting-path search with
 blossom contraction (O(V^3)).  Everything scans vertices and neighbors in
 increasing id order, so results are deterministic for a fixed graph.
 The enumerators are meant for desk-scale oracle work and refuse graphs
-above a configurable order bound.
+above a configurable order bound; each is one generator, which the CLI
+streams, with a list-returning public wrapper.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import BoundExceededError, GraphError, MatchingError
 from .graph import Edge, Graph, as_edge, delete_edge
@@ -214,45 +215,56 @@ def enumerate_perfect_matchings(
     graph: Graph, *, max_order: int = DEFAULT_ENUMERATION_ORDER
 ) -> list[Matching]:
     """All perfect matchings, by recursive pairing of the lowest free vertex."""
-    _check_order(graph, max_order)
-    n = graph.n
-    if n % 2 == 1:
-        return []
-    out: list[Matching] = []
-    pairing = list(range(n))
-    free = [True] * n
-
-    def rec(lowest: int) -> None:
-        while lowest < n and not free[lowest]:
-            lowest += 1
-        if lowest == n:
-            out.append(Matching(tuple(pairing)))
-            return
-        v = lowest
-        for w in graph.adjacency[v]:
-            if w > v and free[w]:
-                free[v] = free[w] = False
-                pairing[v], pairing[w] = w, v
-                rec(v + 1)
-                pairing[v], pairing[w] = v, w
-                free[v] = free[w] = True
-
-    rec(0)
-    return out
+    return list(_perfect_matchings(graph, max_order))
 
 
 def enumerate_maximum_matchings(
     graph: Graph, *, max_order: int = DEFAULT_ENUMERATION_ORDER
 ) -> list[Matching]:
     """All matchings of maximum cardinality, in deterministic order."""
+    return list(_maximum_matchings(graph, max_order))
+
+
+def _perfect_matchings(
+    graph: Graph, max_order: int = DEFAULT_ENUMERATION_ORDER
+) -> Iterator[Matching]:
+    """Yield enumerate_perfect_matchings' list one matching at a time."""
     _check_order(graph, max_order)
     n = graph.n
-    mu = matching_number(graph)
-    out: list[Matching] = []
+    if n % 2 == 1:
+        return
     pairing = list(range(n))
     free = [True] * n
 
-    def rec(lowest: int, size: int) -> None:
+    def rec(lowest: int) -> Iterator[Matching]:
+        while lowest < n and not free[lowest]:
+            lowest += 1
+        if lowest == n:
+            yield Matching(tuple(pairing))
+            return
+        v = lowest
+        for w in graph.adjacency[v]:
+            if w > v and free[w]:
+                free[v] = free[w] = False
+                pairing[v], pairing[w] = w, v
+                yield from rec(v + 1)
+                pairing[v], pairing[w] = v, w
+                free[v] = free[w] = True
+
+    yield from rec(0)
+
+
+def _maximum_matchings(
+    graph: Graph, max_order: int = DEFAULT_ENUMERATION_ORDER
+) -> Iterator[Matching]:
+    """Yield enumerate_maximum_matchings' list one matching at a time."""
+    _check_order(graph, max_order)
+    n = graph.n
+    mu = matching_number(graph)
+    pairing = list(range(n))
+    free = [True] * n
+
+    def rec(lowest: int, size: int) -> Iterator[Matching]:
         while lowest < n and not free[lowest]:
             lowest += 1
         # Even pairing every remaining vertex cannot reach mu: prune.
@@ -260,20 +272,19 @@ def enumerate_maximum_matchings(
             return
         if lowest == n:
             if size == mu:
-                out.append(Matching(tuple(pairing)))
+                yield Matching(tuple(pairing))
             return
         v = lowest
         for w in graph.adjacency[v]:
             if w > v and free[w]:
                 free[v] = free[w] = False
                 pairing[v], pairing[w] = w, v
-                rec(v + 1, size + 1)
+                yield from rec(v + 1, size + 1)
                 pairing[v], pairing[w] = v, w
                 free[v] = free[w] = True
-        rec(v + 1, size)  # leave v unmatched
+        yield from rec(v + 1, size)  # leave v unmatched
 
-    rec(0, 0)
-    return out
+    yield from rec(0, 0)
 
 
 def exists_max_matching_avoiding(graph: Graph, e: tuple[int, int]) -> bool:

@@ -265,3 +265,44 @@ def states_reaching_bfs(g: Graph, pairing, target: tuple[int, bool]) -> set[tupl
                     seen.add((z, True))
                     queue.append((z, True))
     return seen
+
+
+def shortest_mm_closed_walk_bfs(g: Graph, pairing, v: int) -> int | None:
+    """Edge count of a shortest mm-closed walk at v, or None if there is none.
+
+    Plain BFS over (vertex, matched_last) states from (M(v), True), the
+    state after the walk's first (matching) edge, until (v, True) is
+    dequeued.
+    """
+    dist = {(pairing[v], True): 1}
+    queue = deque(dist)
+    while queue:
+        state = queue.popleft()
+        if state == (v, True):
+            return dist[state]
+        x, matched_last = state
+        if matched_last:
+            nxt = [(y, False) for y in g.adjacency[x] if y != pairing[x]]
+        else:
+            nxt = [(pairing[x], True)]
+        for s in nxt:
+            if s not in dist:
+                dist[s] = dist[state] + 1
+                queue.append(s)
+    return None
+
+
+def sd_split_per_pair_bfs(g: Graph, pairing) -> frozenset[int]:
+    """SD vertex set by one search per vertex of every matched pair.
+
+    A pair {v, M(v)} of a perfect matching is SD iff both members have an
+    mm-closed walk; the rest is KE.
+    """
+    sd: set[int] = set()
+    for v in range(g.n):
+        u = pairing[v]
+        if v < u and all(
+            shortest_mm_closed_walk_bfs(g, pairing, x) is not None for x in (v, u)
+        ):
+            sd.update((v, u))
+    return frozenset(sd)

@@ -195,3 +195,30 @@ def test_mutated_witnesses_fail():
     assert not verify_walk(g, m, AlternatingWalk(w.vertices[:-1], "mm"))
     bad = (w.vertices[0],) + (w.vertices[2],) + w.vertices[2:]
     assert not verify_walk(g, m, AlternatingWalk(bad, "mm"))
+
+
+def test_strong_components_against_reachability():
+    import random
+
+    from sdke.alternating import _strong_components
+
+    rng = random.Random(3)
+    for trial in range(300):
+        n = rng.randint(0, 12)
+        p = rng.choice([0.05, 0.15, 0.3])
+        arcs = [[z for z in range(n) if z != x and rng.random() < p] for x in range(n)]
+        reach = []
+        for x in range(n):
+            seen, stack = {x}, [x]
+            while stack:
+                for z in arcs[stack.pop()]:
+                    if z not in seen:
+                        seen.add(z)
+                        stack.append(z)
+            reach.append(seen)
+        comp = _strong_components(arcs)
+        for x in range(n):
+            for z in range(n):
+                assert (comp[x] == comp[z]) == (z in reach[x] and x in reach[z]), trial
+                if z in reach[x]:
+                    assert comp[x] >= comp[z], trial  # sinks are numbered first

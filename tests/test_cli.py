@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -6,9 +7,17 @@ from pathlib import Path
 
 import pytest
 
-from sdke import AlternatingWalk, parse_edge_list, serialize_edge_list, verify_walk
+from sdke import (
+    AlternatingWalk,
+    enumerate_maximum_matchings,
+    enumerate_perfect_matchings,
+    parse_edge_list,
+    random_matchable_graph,
+    serialize_edge_list,
+    verify_walk,
+)
 from sdke.cli import run_cli
-from fixtures import cycle_graph, ladder8, posy12, tangle8
+from fixtures import complete_graph, cycle_graph, ladder8, mixed32, posy12, tangle8
 from oracles import brute_sachs_count
 
 
@@ -168,6 +177,19 @@ def test_matchings_perfect_and_maximum(files, capsys):
     assert code == 0 and data["count"] == 5 and len(data["matchings"]) == 1
 
 
+def test_matchings_limit_keeps_a_prefix_of_the_full_count(tmp_path, capsys):
+    k8 = complete_graph(8)
+    path = tmp_path / "k8.edges"
+    path.write_text(serialize_edge_list(k8))
+    for flag, full in (("--perfect", enumerate_perfect_matchings(k8)),
+                       ("--maximum", enumerate_maximum_matchings(k8))):
+        listed = [[list(e) for e in m.edge_pairs()] for m in full]
+        for limit in (0, 1, 7, 105, 200):
+            code, data = run_json(capsys, ["matchings", str(path), flag, "--limit", str(limit)])
+            assert code == 0 and data["count"] == len(full) == 105
+            assert data["matchings"] == listed[:limit]
+
+
 def test_gen_roundtrip(capsys):
     code = run_cli(["gen", "--n", "8", "--p", "0.3", "--seed", "5"])
     out = capsys.readouterr().out
@@ -195,6 +217,44 @@ def test_output_is_byte_stable(files, capsys):
         assert code == 0
         runs.append(capsys.readouterr().out)
     assert runs[0] == runs[1]
+
+
+# SHA-256 of the CLI output, pinned so a change to any byte shows.
+GOLDEN_SHA256 = {
+    ("posy12", "decompose"):
+        "a94b11b5b5761adaaf84f56e657bc5cdb338a505670a1f275fdc3f641c97c18c",
+    ("posy12", "export-dot --decorate"):
+        "280bf5566397cce9385f200196d70fcc8178d8dc564f5fbd96a93680dcc0bb86",
+    ("tangle8", "decompose"):
+        "6b35a8003003bba3ebc190dcfa64c153f52422aaa681292f7b21747b3ee533a4",
+    ("tangle8", "export-dot --decorate"):
+        "bde7812fde82929521e22728e8fcb78a9fba93f1fd1ab65e08cd02adf46b3e09",
+    ("mixed32", "decompose"):
+        "b11d9e826ee227f05185ecd4c676340ed6ac24d3bef62a3c083c0beb6890fca9",
+    ("mixed32", "export-dot --decorate"):
+        "a2bf34d368c6e189b543d64a56f8f05b1d79b19816ce76fdfe2f3757edf4d98a",
+    # 60 vertices, 93 edges: 34 SD, 26 KE, 21 cut edges.
+    ("sparse60", "decompose"):
+        "8a64a38d9ebf79393d835aa30625020390bc0045b1b6fe1df080dbc8c119d481",
+    ("sparse60", "export-dot --decorate"):
+        "a4ee93a1da42899e9e586dce1aba1ad641d8c5a08d763fd5a6a6b10f2d82e06c",
+}
+
+
+@pytest.mark.parametrize("name, command", sorted(GOLDEN_SHA256))
+def test_output_bytes_match_golden_hashes(name, command, tmp_path, capsys):
+    graph = {
+        "posy12": posy12,
+        "tangle8": tangle8,
+        "mixed32": mixed32,
+        "sparse60": lambda: random_matchable_graph(60, 0.04, 3),
+    }[name]()
+    path = tmp_path / f"{name}.edges"
+    path.write_text(serialize_edge_list(graph))
+    cmd, *flags = command.split()
+    assert run_cli([cmd, str(path), *flags]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[name, command]
 
 
 def test_usage_errors_exit_2(capsys):

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -12,8 +13,10 @@ from sdke import (
     enumerate_perfect_matchings,
     matching_from_edges,
     matching_number,
+    random_matchable_graph,
     sd_ke_partition,
     sd_vertices_of,
+    semi_jposy_witness,
     verify_walk,
 )
 from conftest import matchable_corpus
@@ -28,6 +31,7 @@ from fixtures import (
     posy12,
     tangle8,
 )
+from oracles import sd_split_per_pair_bfs, shortest_mm_closed_walk_bfs
 
 
 def test_ladder8_is_all_ke():
@@ -62,6 +66,62 @@ def test_posy12_partition():
         assert w.vertices[0] == v and w.is_closed and verify_walk(g, p.matching, w)
     assert 10 in p.failed_searches
     assert not any(v in p.witnesses for v in p.ke_vertices)
+
+
+def _oracle_cases():
+    yield from matchable_corpus(60)
+    for n in range(10, 81, 10):
+        for seed in range(4):
+            yield f"sparse n={n} seed={seed}", random_matchable_graph(n, 3 / n, seed)
+
+
+def test_partition_against_per_pair_bfs_oracle():
+    seen_ke_pair = seen_sd = False
+    for name, g in _oracle_cases():
+        p = sd_ke_partition(g)
+        pairing = p.matching.pairing
+        shortest = [shortest_mm_closed_walk_bfs(g, pairing, v) for v in range(g.n)]
+        assert p.sd_vertices == sd_split_per_pair_bfs(g, pairing), name
+        assert p.ke_vertices == frozenset(range(g.n)) - p.sd_vertices, name
+        # One certified member per KE pair, and it really has no closed walk.
+        assert len(p.failed_searches) * 2 == len(p.ke_vertices), name
+        for v in p.failed_searches:
+            assert v in p.ke_vertices and pairing[v] not in p.failed_searches, name
+            assert shortest[v] is None, f"{name} v {v}"
+        assert set(p.witnesses) == p.sd_vertices, name
+        for v, w in p.witnesses.items():
+            assert verify_walk(g, p.matching, w) and w.vertices[0] == v, f"{name} v {v}"
+            assert w.is_closed and w.num_edges == shortest[v], f"{name} v {v}"
+        seen_ke_pair |= any(shortest[v] is not None for v in p.ke_vertices)
+        seen_sd |= bool(p.sd_vertices)
+    # The corpus holds one-sided KE pairs and SD vertices, so both paths ran.
+    assert seen_ke_pair and seen_sd
+
+
+def test_closed_walk_searches_only_sd_vertices(monkeypatch):
+    # Wrap the closed-walk routine in every sdke namespace that binds it.
+    from sdke.alternating import _closed_walk
+
+    calls = []
+
+    def counted(arcs, pairing, v):
+        calls.append(v)
+        return _closed_walk(arcs, pairing, v)
+
+    for name, module in list(sys.modules.items()):
+        if name == "sdke" or name.startswith("sdke."):
+            for attr, value in vars(module).items():
+                if value is _closed_walk:
+                    monkeypatch.setattr(module, attr, counted)
+    for seed, g in matchable_corpus(30, max_n=10):
+        for m in enumerate_perfect_matchings(g):
+            calls.clear()
+            p = sd_ke_partition(g, m)
+            assert sorted(calls) == sorted(p.sd_vertices), f"seed {seed}"
+            calls.clear()
+            assert sd_vertices_of(g) == p.sd_vertices and calls == [], f"seed {seed}"
+            for v in p.sd_vertices:
+                assert p.witnesses[v] == semi_jposy_witness(g, m, v), f"seed {seed} v {v}"
 
 
 def test_empty_graph_partition():
