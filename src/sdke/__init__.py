@@ -37,6 +37,8 @@ from .matching import (
     exists_max_matching_avoiding,
     is_matchable,
     is_perfect,
+    iter_maximum_matchings,
+    iter_perfect_matchings,
     matching_from_edges,
     matching_number,
     maximum_matching,
@@ -57,6 +59,7 @@ from .decomposition import (
     check_stability_under_deletion,
     sd_ke_partition,
     sd_vertices_of,
+    sd_vertices_under,
 )
 from .configurations import (
     blossoms,

@@ -29,9 +29,9 @@ from .errors import SdkeError
 from .graph import Graph, export_dot, graph_hash, parse_edge_list, serialize_edge_list
 from .matching import (
     Matching,
-    _maximum_matchings,
-    _perfect_matchings,
     is_perfect,
+    iter_maximum_matchings,
+    iter_perfect_matchings,
     maximum_matching,
     parse_matching,
 )
@@ -195,10 +195,10 @@ def _cmd_sachs(args) -> int:
 def _cmd_matchings(args) -> int:
     graph = _load_graph(args.input)
     if args.maximum:
-        found = _maximum_matchings(graph)
+        found = iter_maximum_matchings(graph)
         kind = "maximum"
     else:
-        found = _perfect_matchings(graph)
+        found = iter_perfect_matchings(graph)
         kind = "perfect"
     # Count by streaming; only the first --limit matchings are kept.
     shown = list(islice(found, args.limit))

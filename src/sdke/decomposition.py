@@ -64,12 +64,7 @@ def sd_ke_partition(graph: Graph, matching: Matching | None = None) -> SdKeParti
     """
     if matching is None:
         matching = maximum_matching(graph)
-    matching.validate(graph)
-    if not matching.is_perfect:
-        raise NotMatchableError(
-            "SD-KE separation requires a graph with a perfect matching"
-        )
-    pairing = matching.pairing
+    pairing = _perfect_pairing(graph, matching)
     arcs, comp, sd = _split(graph, pairing)
     ke = frozenset(range(graph.n)) - sd
     failed = frozenset(
@@ -94,6 +89,15 @@ def sd_ke_partition(graph: Graph, matching: Matching | None = None) -> SdKeParti
     )
 
 
+def _perfect_pairing(graph: Graph, matching: Matching) -> tuple[int, ...]:
+    matching.validate(graph)
+    if not matching.is_perfect:
+        raise NotMatchableError(
+            "SD-KE separation requires a graph with a perfect matching"
+        )
+    return matching.pairing
+
+
 def _split(
     graph: Graph, pairing: tuple[int, ...]
 ) -> tuple[list[list[int]], list[int], frozenset[int]]:
@@ -103,16 +107,25 @@ def _split(
     return arcs, comp, frozenset(v for v in range(graph.n) if comp[v] == comp[pairing[v]])
 
 
+def sd_vertices_under(graph: Graph, matching: Matching) -> frozenset[int]:
+    """SD vertex set read off one perfect matching of the graph.
+
+    Equal to ``sd_ke_partition(graph, matching).sd_vertices``, from the
+    strong-component split alone: no witnesses, parts or cut.
+    """
+    return _split(graph, _perfect_pairing(graph, matching))[2]
+
+
 def sd_vertices_of(graph: Graph, **bounds) -> frozenset[int]:
     """SD vertex set of an arbitrary graph.
 
-    Matchable graphs use the strong-component split alone (no witnesses,
-    parts or cut); other graphs fall back to the exhaustive configuration
+    Matchable graphs use the strong-component split under a maximum
+    matching; other graphs fall back to the exhaustive configuration
     search over all maximum matchings.
     """
     matching = maximum_matching(graph)
     if matching.is_perfect:
-        return _split(graph, matching.pairing)[2]
+        return sd_vertices_under(graph, matching)
     return configurations.sd_vertices_bruteforce(graph, **bounds)
 
 

@@ -4,8 +4,9 @@ The maximum-matching routine is the classic augmenting-path search with
 blossom contraction (O(V^3)).  Everything scans vertices and neighbors in
 increasing id order, so results are deterministic for a fixed graph.
 The enumerators are meant for desk-scale oracle work and refuse graphs
-above a configurable order bound; each is one generator, which the CLI
-streams, with a list-returning public wrapper.
+above a configurable order bound; each is one iterator
+(``iter_perfect_matchings``, ``iter_maximum_matchings``), which the CLI
+streams, and ``enumerate_*`` is the list of it.
 """
 
 from __future__ import annotations
@@ -211,28 +212,15 @@ def _check_order(graph: Graph, max_order: int) -> None:
         )
 
 
-def enumerate_perfect_matchings(
+def iter_perfect_matchings(
     graph: Graph, *, max_order: int = DEFAULT_ENUMERATION_ORDER
-) -> list[Matching]:
-    """All perfect matchings, by recursive pairing of the lowest free vertex."""
-    return list(_perfect_matchings(graph, max_order))
-
-
-def enumerate_maximum_matchings(
-    graph: Graph, *, max_order: int = DEFAULT_ENUMERATION_ORDER
-) -> list[Matching]:
-    """All matchings of maximum cardinality, in deterministic order."""
-    return list(_maximum_matchings(graph, max_order))
-
-
-def _perfect_matchings(
-    graph: Graph, max_order: int = DEFAULT_ENUMERATION_ORDER
 ) -> Iterator[Matching]:
-    """Yield enumerate_perfect_matchings' list one matching at a time."""
+    """Perfect matchings one at a time, by recursive pairing of the lowest free vertex.
+
+    The order bound is checked at the call, before any matching is built.
+    """
     _check_order(graph, max_order)
     n = graph.n
-    if n % 2 == 1:
-        return
     pairing = list(range(n))
     free = [True] * n
 
@@ -251,13 +239,16 @@ def _perfect_matchings(
                 pairing[v], pairing[w] = v, w
                 free[v] = free[w] = True
 
-    yield from rec(0)
+    return iter(()) if n % 2 == 1 else rec(0)
 
 
-def _maximum_matchings(
-    graph: Graph, max_order: int = DEFAULT_ENUMERATION_ORDER
+def iter_maximum_matchings(
+    graph: Graph, *, max_order: int = DEFAULT_ENUMERATION_ORDER
 ) -> Iterator[Matching]:
-    """Yield enumerate_maximum_matchings' list one matching at a time."""
+    """Matchings of maximum cardinality one at a time, in deterministic order.
+
+    The order bound is checked at the call, before any matching is built.
+    """
     _check_order(graph, max_order)
     n = graph.n
     mu = matching_number(graph)
@@ -284,7 +275,21 @@ def _maximum_matchings(
                 free[v] = free[w] = True
         yield from rec(v + 1, size)  # leave v unmatched
 
-    yield from rec(0, 0)
+    return rec(0, 0)
+
+
+def enumerate_perfect_matchings(
+    graph: Graph, *, max_order: int = DEFAULT_ENUMERATION_ORDER
+) -> list[Matching]:
+    """All perfect matchings, as a list (see iter_perfect_matchings)."""
+    return list(iter_perfect_matchings(graph, max_order=max_order))
+
+
+def enumerate_maximum_matchings(
+    graph: Graph, *, max_order: int = DEFAULT_ENUMERATION_ORDER
+) -> list[Matching]:
+    """All matchings of maximum cardinality, as a list (see iter_maximum_matchings)."""
+    return list(iter_maximum_matchings(graph, max_order=max_order))
 
 
 def exists_max_matching_avoiding(graph: Graph, e: tuple[int, int]) -> bool:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .alternating import reachable_set, verify_walk
-from .decomposition import sd_ke_partition, check_stability_under_deletion
+from .decomposition import check_stability_under_deletion, sd_vertices_under
 from .determinantal import (
     FactorizationReport,
     factorization_report,
@@ -145,16 +145,16 @@ def _check_partner_reachable(graph, matching) -> CheckResult:
 
 
 def _check_partition_matching_independence(graph, matchings) -> CheckResult:
-    parts = [sd_ke_partition(graph, m) for m in matchings]
-    sd0 = parts[0].sd_vertices
-    for p, m in zip(parts, matchings):
-        if p.sd_vertices != sd0:
+    sd0 = sd_vertices_under(graph, matchings[0])
+    for m in matchings[1:]:
+        sd = sd_vertices_under(graph, m)
+        if sd != sd0:
             return CheckResult(
                 "partition_matching_independence",
                 False,
                 {
                     "matching": m.edge_pairs(),
-                    "sd": sorted(p.sd_vertices),
+                    "sd": sorted(sd),
                     "sd_reference": sorted(sd0),
                 },
             )

@@ -16,6 +16,7 @@ from sdke import (
     random_matchable_graph,
     sd_ke_partition,
     sd_vertices_of,
+    sd_vertices_under,
     semi_jposy_witness,
     verify_walk,
 )
@@ -120,6 +121,7 @@ def test_closed_walk_searches_only_sd_vertices(monkeypatch):
             assert sorted(calls) == sorted(p.sd_vertices), f"seed {seed}"
             calls.clear()
             assert sd_vertices_of(g) == p.sd_vertices and calls == [], f"seed {seed}"
+            assert sd_vertices_under(g, m) == p.sd_vertices and calls == [], f"seed {seed}"
             for v in p.sd_vertices:
                 assert p.witnesses[v] == semi_jposy_witness(g, m, v), f"seed {seed} v {v}"
 
@@ -137,6 +139,8 @@ def test_partition_requires_perfect_matching():
     g = build_graph(4, [(0, 1), (2, 3)])
     with pytest.raises(NotMatchableError):
         sd_ke_partition(g, matching_from_edges(4, [(0, 1)]))
+    with pytest.raises(NotMatchableError):
+        sd_vertices_under(g, matching_from_edges(4, [(0, 1)]))
 
 
 def test_partition_sd_pairs_closed_under_matching():

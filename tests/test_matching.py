@@ -12,6 +12,8 @@ from sdke import (
     exists_max_matching_avoiding,
     is_matchable,
     is_perfect,
+    iter_maximum_matchings,
+    iter_perfect_matchings,
     matching_from_edges,
     matching_number,
     maximum_matching,
@@ -132,6 +134,11 @@ def test_enumeration_bound():
     with pytest.raises(BoundExceededError):
         enumerate_maximum_matchings(cycle_graph(6), max_order=4)
     assert len(enumerate_perfect_matchings(cycle_graph(18), max_order=18)) == 2
+    # The iterators refuse at the call, before the first matching is asked for.
+    with pytest.raises(BoundExceededError):
+        iter_perfect_matchings(complete_graph(18))
+    with pytest.raises(BoundExceededError):
+        iter_maximum_matchings(cycle_graph(6), max_order=4)
 
 
 def test_exists_max_matching_avoiding():

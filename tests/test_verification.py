@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 from sdke import (
@@ -68,6 +70,27 @@ def test_theorem_suite_fixtures():
         assert "sachs_cut_disjointness" in names
         assert "det_multiplicativity" in names
         assert "stability_under_deletion" in names
+
+
+def test_theorem_suite_builds_one_partition(monkeypatch):
+    # Wrap sd_ke_partition in every sdke namespace that binds it.  The
+    # matching-independence check compares SD sets only, so the number of
+    # partitions must not grow with the number of perfect matchings.
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return sd_ke_partition(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "sdke" or name.startswith("sdke."):
+            for attr, value in vars(module).items():
+                if value is sd_ke_partition:
+                    monkeypatch.setattr(module, attr, counted)
+    for g in (complete_graph(8), posy12(), tangle8()):
+        calls.clear()
+        assert run_theorem_suite(g).all_passed
+        assert calls == [1]
 
 
 def test_theorem_suite_rejects_non_matchable():
