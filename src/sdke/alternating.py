@@ -106,10 +106,14 @@ def verify_walk(graph: Graph, matching: Matching, walk: AlternatingWalk) -> bool
     return walk_violation(graph, matching, walk) is None
 
 
-def _require_perfect(graph: Graph, matching: Matching) -> None:
+def _perfect_pairing(graph: Graph, matching: Matching) -> tuple[int, ...]:
+    """The pairing of matching, after checking it is a perfect matching of graph."""
     matching.validate(graph)
     if not matching.is_perfect:
-        raise NotMatchableError("operation requires a perfect matching")
+        raise NotMatchableError(
+            "SD-KE separation requires a graph with a perfect matching"
+        )
+    return matching.pairing
 
 
 def _state_search(
@@ -153,10 +157,10 @@ def reachable_set(graph: Graph, matching: Matching, v: int) -> frozenset[int]:
     the matching chosen (consider an odd cycle), so the operation is not
     well defined.  Runs in O(V + E).
     """
-    _require_perfect(graph, matching)
+    pairing = _perfect_pairing(graph, matching)
     if not (0 <= v < graph.n):
         raise GraphError(f"vertex {v} out of range")
-    parents = _state_search(graph, matching.pairing, [(matching.pairing[v], True)])
+    parents = _state_search(graph, pairing, [(pairing[v], True)])
     return frozenset(x for (x, matched_last) in parents if matched_last)
 
 
@@ -174,10 +178,10 @@ def semi_jposy_witness(
     count; BFS visits each vertex of D at most once, which bounds the
     witness length.  The result always passes verify_walk.
     """
-    _require_perfect(graph, matching)
+    pairing = _perfect_pairing(graph, matching)
     if not (0 <= v < graph.n):
         raise GraphError(f"vertex {v} out of range")
-    return _closed_walk(_arcs(graph, matching.pairing), matching.pairing, v)
+    return _closed_walk(_arcs(graph, pairing), pairing, v)
 
 
 def _arcs(graph: Graph, pairing: tuple[int, ...]) -> list[list[int]]:

@@ -29,7 +29,6 @@ from .errors import SdkeError
 from .graph import Graph, export_dot, graph_hash, parse_edge_list, serialize_edge_list
 from .matching import (
     Matching,
-    is_perfect,
     iter_maximum_matchings,
     iter_perfect_matchings,
     maximum_matching,
@@ -99,11 +98,8 @@ def _emit(payload: dict[str, Any]) -> None:
 
 def _resolve_matching(graph: Graph, source: str) -> Matching:
     if source == "auto":
-        m = maximum_matching(graph)
-    else:
-        m = parse_matching(_read_text(source), graph.n)
-    is_perfect(graph, m)  # validates membership; perfection checked downstream
-    return m
+        return maximum_matching(graph)
+    return parse_matching(_read_text(source), graph.n)
 
 
 def _cmd_decompose(args) -> int:

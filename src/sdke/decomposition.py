@@ -23,8 +23,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import configurations
-from .alternating import AlternatingWalk, _arcs, _closed_walk, _strong_components
-from .errors import GraphError, NotMatchableError
+from .alternating import (
+    AlternatingWalk,
+    _arcs,
+    _closed_walk,
+    _perfect_pairing,
+    _strong_components,
+)
+from .errors import GraphError
 from .graph import Edge, Graph, as_edge, delete_edge, induced_subgraph
 from .matching import (
     Matching,
@@ -87,15 +93,6 @@ def sd_ke_partition(graph: Graph, matching: Matching | None = None) -> SdKeParti
         witnesses=witnesses,
         failed_searches=failed,
     )
-
-
-def _perfect_pairing(graph: Graph, matching: Matching) -> tuple[int, ...]:
-    matching.validate(graph)
-    if not matching.is_perfect:
-        raise NotMatchableError(
-            "SD-KE separation requires a graph with a perfect matching"
-        )
-    return matching.pairing
 
 
 def _split(

@@ -25,7 +25,7 @@ from .graph import Edge, Graph
 from .decomposition import SdKePartition, sd_ke_partition
 
 DEFAULT_SACHS_ORDER = 20
-DEFAULT_PERMANENT_ORDER = 30
+DEFAULT_PERMANENT_ORDER = 22
 
 
 @dataclass(frozen=True)
@@ -193,8 +193,9 @@ def perm_adjacency(graph: Graph, *, max_order: int = DEFAULT_PERMANENT_ORDER) ->
     Gray-code order, so each step negates one column; A is a symmetric 0/1
     matrix, so only the row sums of that vertex's neighbours change.  All
     arithmetic is on Python integers, so the value is exact at every order.
-    This is the route that the method name "ryser" (``sdke perm --method
-    ryser``, ``FactorizationReport.perm_method``) selects.
+    The default bound, n = 22, caps a call at 2^21 terms, each further
+    vertex doubling the work.  This is the route that
+    ``sdke perm --method ryser`` selects.
     """
     n = graph.n
     if n > max_order:
@@ -235,8 +236,6 @@ class FactorizationReport:
     perm_sd: int | None = None
     perm_ke: int | None = None
     perm_product_ok: bool | None = None
-    det_method: str = "elimination"
-    perm_method: str = "ryser"
 
     @property
     def cut_size(self) -> int:
@@ -244,48 +243,30 @@ class FactorizationReport:
 
 
 def factorization_report(
-    graph: Graph,
-    *,
-    include_permanent: bool = True,
-    det_method: str = "elimination",
-    perm_method: str = "ryser",
-    sachs_order: int = DEFAULT_SACHS_ORDER,
-    permanent_order: int = DEFAULT_PERMANENT_ORDER,
+    graph: Graph, *, include_permanent: bool = True
 ) -> FactorizationReport:
     """Separate the graph and check multiplicativity of det and perm.
 
-    An empty part contributes the multiplicative identity 1.  The
-    permanent can be skipped for orders where Ryser is impractical.
+    Determinants come from elimination and permanents from
+    ``perm_adjacency``.  An empty part contributes the multiplicative
+    identity 1.  The permanent can be skipped for orders above its bound.
     A graph without a perfect matching raises NotMatchableError.
     """
     part = sd_ke_partition(graph)
-
-    def det_of(g: Graph) -> int:
-        if det_method == "sachs":
-            return det_via_sachs(g, max_order=sachs_order)
-        return det_adjacency(g)
-
-    def perm_of(g: Graph) -> int:
-        if perm_method == "sachs":
-            return perm_via_sachs(g, max_order=sachs_order)
-        return perm_adjacency(g, max_order=permanent_order)
-
-    det_g = det_of(graph)
-    det_sd = det_of(part.sd_part)
-    det_ke = det_of(part.ke_part)
+    det_g = det_adjacency(graph)
+    det_sd = det_adjacency(part.sd_part)
+    det_ke = det_adjacency(part.ke_part)
     report = FactorizationReport(
         partition=part,
         det_g=det_g,
         det_sd=det_sd,
         det_ke=det_ke,
         det_product_ok=det_g == det_sd * det_ke,
-        det_method=det_method,
-        perm_method=perm_method,
     )
     if include_permanent:
-        report.perm_g = perm_of(graph)
-        report.perm_sd = perm_of(part.sd_part)
-        report.perm_ke = perm_of(part.ke_part)
+        report.perm_g = perm_adjacency(graph)
+        report.perm_sd = perm_adjacency(part.sd_part)
+        report.perm_ke = perm_adjacency(part.ke_part)
         report.perm_product_ok = report.perm_g == report.perm_sd * report.perm_ke
     return report
 

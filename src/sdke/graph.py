@@ -71,12 +71,6 @@ class Graph:
             return False
         return (min(u, v), max(u, v)) in self.edge_set
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
-    def label_of(self, v: int) -> Hashable:
-        return self.labels[v]
-
     def labels_of(self, vs: Iterable[int]) -> list[Hashable]:
         return [self.labels[v] for v in vs]
 
@@ -88,13 +82,11 @@ def build_graph(
     n: int,
     edge_list: Iterable[tuple[int, int]],
     *,
-    dedupe: bool = False,
     labels: Sequence[Hashable] | None = None,
 ) -> Graph:
     """Build a graph on n vertices from a list of (u, v) pairs.
 
-    Loops and out-of-range endpoints are always errors.  Duplicate edges
-    are errors unless ``dedupe`` is set, in which case they collapse.
+    Loops, out-of-range endpoints and duplicate edges are errors.
     """
     if n < 0:
         raise GraphError(f"vertex count must be nonnegative, got {n}")
@@ -105,8 +97,6 @@ def build_graph(
             raise GraphError(f"edge ({u},{v}) has endpoint outside 0..{n - 1}")
         e = as_edge(u, v)
         if e in seen:
-            if dedupe:
-                continue
             raise GraphError(f"duplicate edge ({e[0]},{e[1]})")
         seen.add(e)
         canonical.append(e)

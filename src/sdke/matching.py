@@ -4,9 +4,11 @@ The maximum-matching routine is the classic augmenting-path search with
 blossom contraction (O(V^3)).  Everything scans vertices and neighbors in
 increasing id order, so results are deterministic for a fixed graph.
 The enumerators are meant for desk-scale oracle work and refuse graphs
-above a configurable order bound; each is one iterator
-(``iter_perfect_matchings``, ``iter_maximum_matchings``), which the CLI
-streams, and ``enumerate_*`` is the list of it.
+above a configurable order bound.  One recursive generator yields the
+matchings of a given size, pruned by the exact number of vertices such a
+matching leaves unmatched; ``iter_perfect_matchings`` and
+``iter_maximum_matchings`` run it at n/2 and at the matching number, the
+CLI streams them, and ``enumerate_*`` is the list of each.
 """
 
 from __future__ import annotations
@@ -41,12 +43,6 @@ class Matching:
     @property
     def n(self) -> int:
         return len(self.pairing)
-
-    def partner(self, v: int) -> int:
-        return self.pairing[v]
-
-    def is_saturated(self, v: int) -> bool:
-        return self.pairing[v] != v
 
     @property
     def size(self) -> int:
@@ -212,19 +208,20 @@ def _check_order(graph: Graph, max_order: int) -> None:
         )
 
 
-def iter_perfect_matchings(
-    graph: Graph, *, max_order: int = DEFAULT_ENUMERATION_ORDER
-) -> Iterator[Matching]:
-    """Perfect matchings one at a time, by recursive pairing of the lowest free vertex.
+def _matchings(graph: Graph, size: int) -> Iterator[Matching]:
+    """Every matching with ``size`` edges, given that none has more.
 
-    The order bound is checked at the call, before any matching is built.
+    The lowest free vertex is paired with each free higher neighbour in
+    turn, then left unmatched.  A matching of that size leaves exactly
+    n - 2*size vertices unmatched, so a vertex is left unmatched only
+    while fewer than that many have been: an exact prune.
     """
-    _check_order(graph, max_order)
     n = graph.n
+    slack = n - 2 * size
     pairing = list(range(n))
     free = [True] * n
 
-    def rec(lowest: int) -> Iterator[Matching]:
+    def rec(lowest: int, unmatched: int) -> Iterator[Matching]:
         while lowest < n and not free[lowest]:
             lowest += 1
         if lowest == n:
@@ -235,11 +232,24 @@ def iter_perfect_matchings(
             if w > v and free[w]:
                 free[v] = free[w] = False
                 pairing[v], pairing[w] = w, v
-                yield from rec(v + 1)
+                yield from rec(v + 1, unmatched)
                 pairing[v], pairing[w] = v, w
                 free[v] = free[w] = True
+        if unmatched < slack:
+            yield from rec(v + 1, unmatched + 1)
 
-    return iter(()) if n % 2 == 1 else rec(0)
+    return rec(0, 0)
+
+
+def iter_perfect_matchings(
+    graph: Graph, *, max_order: int = DEFAULT_ENUMERATION_ORDER
+) -> Iterator[Matching]:
+    """Perfect matchings one at a time, in deterministic order.
+
+    The order bound is checked at the call, before any matching is built.
+    """
+    _check_order(graph, max_order)
+    return iter(()) if graph.n % 2 else _matchings(graph, graph.n // 2)
 
 
 def iter_maximum_matchings(
@@ -250,32 +260,7 @@ def iter_maximum_matchings(
     The order bound is checked at the call, before any matching is built.
     """
     _check_order(graph, max_order)
-    n = graph.n
-    mu = matching_number(graph)
-    pairing = list(range(n))
-    free = [True] * n
-
-    def rec(lowest: int, size: int) -> Iterator[Matching]:
-        while lowest < n and not free[lowest]:
-            lowest += 1
-        # Even pairing every remaining vertex cannot reach mu: prune.
-        if size + (n - lowest) // 2 < mu:
-            return
-        if lowest == n:
-            if size == mu:
-                yield Matching(tuple(pairing))
-            return
-        v = lowest
-        for w in graph.adjacency[v]:
-            if w > v and free[w]:
-                free[v] = free[w] = False
-                pairing[v], pairing[w] = w, v
-                yield from rec(v + 1, size + 1)
-                pairing[v], pairing[w] = v, w
-                free[v] = free[w] = True
-        yield from rec(v + 1, size)  # leave v unmatched
-
-    return rec(0, 0)
+    return _matchings(graph, matching_number(graph))
 
 
 def enumerate_perfect_matchings(

@@ -17,7 +17,15 @@ from sdke import (
     verify_walk,
 )
 from sdke.cli import run_cli
-from fixtures import complete_graph, cycle_graph, ladder8, mixed32, posy12, tangle8
+from fixtures import (
+    complete_graph,
+    cycle_graph,
+    flower9,
+    ladder8,
+    mixed32,
+    posy12,
+    tangle8,
+)
 from oracles import brute_sachs_count
 
 
@@ -190,6 +198,15 @@ def test_matchings_limit_keeps_a_prefix_of_the_full_count(tmp_path, capsys):
             assert data["matchings"] == listed[:limit]
 
 
+def test_perm_above_bound_is_domain_error(tmp_path, capsys):
+    path = tmp_path / "k23.edges"
+    path.write_text(serialize_edge_list(complete_graph(23)))
+    code, data = run_json(capsys, ["perm", str(path)])
+    assert code == 1
+    assert data["error"]["type"] == "BoundExceededError"
+    assert "permanent bound 22" in data["error"]["message"]
+
+
 def test_gen_roundtrip(capsys):
     code = run_cli(["gen", "--n", "8", "--p", "0.3", "--seed", "5"])
     out = capsys.readouterr().out
@@ -238,6 +255,22 @@ GOLDEN_SHA256 = {
         "8a64a38d9ebf79393d835aa30625020390bc0045b1b6fe1df080dbc8c119d481",
     ("sparse60", "export-dot --decorate"):
         "a4ee93a1da42899e9e586dce1aba1ad641d8c5a08d763fd5a6a6b10f2d82e06c",
+    # The matching enumerator, perfect and maximum, and the theorem suite.
+    ("posy12", "matchings"):
+        "3996f05349422d444e904a356b99c9dfd98e3ed64ab22678f54fce23087aaeb2",
+    ("posy12", "matchings --maximum"):
+        "3351a28c605f85863c65fce9af83bcc183a78f0c62ec241f99fada6c77a472a6",
+    ("posy12", "verify"):
+        "1463529982f4fa0f605767f4cc81c27a47cdb2bf0cdeb55ef4d9c78f533b74ef",
+    ("tangle8", "matchings"):
+        "3a860fbf4a22cefac622420c99febd10ef663a16b867703cb96a5dc2e31c1801",
+    ("tangle8", "matchings --maximum"):
+        "4a8e887534ec4ff9dcce715718a1f47358b444a0c27737ee20161f62fe5233fc",
+    ("tangle8", "verify"):
+        "6723016a29736f1b47cf2d046ff4354bc60b8f6371856a3071f9ac36b8003074",
+    # Odd order, so every maximum matching leaves one vertex unmatched.
+    ("flower9", "matchings --maximum"):
+        "8c886e6777c5093869311b9c298c5af3e4155c8525ed102d2e6f3cd23dce9334",
 }
 
 
@@ -247,6 +280,7 @@ def test_output_bytes_match_golden_hashes(name, command, tmp_path, capsys):
         "posy12": posy12,
         "tangle8": tangle8,
         "mixed32": mixed32,
+        "flower9": flower9,
         "sparse60": lambda: random_matchable_graph(60, 0.04, 3),
     }[name]()
     path = tmp_path / f"{name}.edges"

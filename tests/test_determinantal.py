@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from sdke import (
@@ -151,6 +153,14 @@ def test_big_integers_stay_exact():
         assert perm_adjacency(complete_graph(n)) == d, f"K{n}"
 
 
+def test_permanent_bound_refuses_k23_at_once():
+    # 2^22 Glynn terms would take seconds; the bound refuses before any.
+    start = time.perf_counter()
+    with pytest.raises(BoundExceededError, match="permanent bound 22"):
+        perm_adjacency(complete_graph(23))
+    assert time.perf_counter() - start < 1.0
+
+
 def test_factorization_ladder8():
     r = factorization_report(ladder8())
     assert r.det_sd == 1 and r.perm_sd == 1  # empty part convention
@@ -180,9 +190,14 @@ def test_factorization_requires_matchable():
 
 
 def test_factorization_sachs_methods():
-    r = factorization_report(posy12(), det_method="sachs", perm_method="sachs")
-    assert r.det_product_ok and r.perm_product_ok
-    assert r.det_g == det_adjacency(posy12())
+    # The component census alone shows both products on posy12's parts.
+    g = posy12()
+    part = sd_ke_partition(g)
+    graphs = (g, part.sd_part, part.ke_part)
+    det_g, det_sd, det_ke = (det_via_sachs(h) for h in graphs)
+    perm_g, perm_sd, perm_ke = (perm_via_sachs(h) for h in graphs)
+    assert det_g == det_sd * det_ke == det_adjacency(g)
+    assert perm_g == perm_sd * perm_ke == perm_adjacency(g)
 
 
 def test_multiplicativity_on_corpus():

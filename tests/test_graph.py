@@ -39,11 +39,9 @@ def test_build_rejects_out_of_range():
         build_graph(2, [(0, 2)])
 
 
-def test_build_duplicate_strict_vs_permissive():
+def test_build_rejects_duplicate_edge():
     with pytest.raises(GraphError, match="duplicate"):
         build_graph(3, [(0, 1), (1, 0)])
-    g = build_graph(3, [(0, 1), (1, 0)], dedupe=True)
-    assert g.edges == ((0, 1),)
 
 
 def test_induced_identity():
