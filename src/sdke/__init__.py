@@ -36,7 +36,6 @@ from .matching import (
     enumerate_perfect_matchings,
     exists_max_matching_avoiding,
     is_matchable,
-    is_perfect,
     iter_maximum_matchings,
     iter_perfect_matchings,
     matching_from_edges,
@@ -49,6 +48,7 @@ from .alternating import (
     AlternatingWalk,
     has_mm_closed_walk,
     reachable_set,
+    reachable_sets,
     semi_jposy_witness,
     verify_walk,
     walk_violation,

@@ -21,10 +21,14 @@ True states alone form a digraph D on the vertices: an arc x -> M(y) for
 every non-matching neighbour y of x.  v has an mm-closed walk iff
 M(v) reaches v in D.  D is skew-symmetric under M (x -> z iff
 M(z) -> M(x)), like a 2-SAT implication graph, so one strong-component
-pass decides every vertex at once.  Shortest closed walks come from one
-routine, a BFS over the vertices of D that stops as soon as v is reached;
-it visits True states in the same order, with the same parents, as the
-state search would.
+pass decides every vertex at once.  The same pass gives every reachable
+set: components are numbered sinks first, so a sweep in increasing
+component number finds the reach of each successor already complete, and
+a component reaches its own members plus the reach of every component
+its arcs enter (a bitset OR per arc of the condensation).  Shortest
+closed walks come from one routine, a BFS over the vertices of D that
+stops as soon as v is reached; it visits True states in the same order,
+with the same parents, as the state search would.
 """
 
 from __future__ import annotations
@@ -162,6 +166,43 @@ def reachable_set(graph: Graph, matching: Matching, v: int) -> frozenset[int]:
         raise GraphError(f"vertex {v} out of range")
     parents = _state_search(graph, pairing, [(pairing[v], True)])
     return frozenset(x for (x, matched_last) in parents if matched_last)
+
+
+def reachable_sets(graph: Graph, matching: Matching) -> tuple[frozenset[int], ...]:
+    """``reachable_set`` of every vertex, from one strong-component pass.
+
+    Entry v is everything M(v) reaches in D.  The matching is validated
+    once; each component's reach is a bitset built in one sweep of the
+    condensation, with one OR per arc that leaves a component, and
+    vertices whose partners share a component share one frozenset.
+    """
+    pairing = _perfect_pairing(graph, matching)
+    arcs = _arcs(graph, pairing)
+    comp = _strong_components(arcs)
+    members: list[list[int]] = [[] for _ in range(max(comp, default=-1) + 1)]
+    for x, c in enumerate(comp):
+        members[c].append(x)
+    reach: list[int] = []
+    for c, xs in enumerate(members):  # sinks first: successors are done
+        bits = 0
+        for x in xs:
+            bits |= 1 << x
+            for z in arcs[x]:
+                if comp[z] != c:
+                    bits |= reach[comp[z]]
+        reach.append(bits)
+    sets = [frozenset(_bit_indices(bits)) for bits in reach]
+    return tuple(sets[comp[w]] for w in pairing)
+
+
+def _bit_indices(bits: int) -> list[int]:
+    """Positions of the set bits, in increasing order."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return out
 
 
 def has_mm_closed_walk(graph: Graph, matching: Matching, v: int) -> bool:

@@ -32,11 +32,7 @@ from .alternating import (
 )
 from .errors import GraphError
 from .graph import Edge, Graph, as_edge, delete_edge, induced_subgraph
-from .matching import (
-    Matching,
-    exists_max_matching_avoiding,
-    maximum_matching,
-)
+from .matching import Matching, maximum_matching
 
 
 @dataclass
@@ -120,7 +116,11 @@ def sd_vertices_of(graph: Graph, **bounds) -> frozenset[int]:
     matching; other graphs fall back to the exhaustive configuration
     search over all maximum matchings.
     """
-    matching = maximum_matching(graph)
+    return _sd_vertices(graph, maximum_matching(graph), **bounds)
+
+
+def _sd_vertices(graph: Graph, matching: Matching, **bounds) -> frozenset[int]:
+    """SD vertex set of graph, given one of its maximum matchings."""
     if matching.is_perfect:
         return sd_vertices_under(graph, matching)
     return configurations.sd_vertices_bruteforce(graph, **bounds)
@@ -149,19 +149,24 @@ def check_stability_under_deletion(
     """Delete one KE-part edge and compare SD vertex sets.
 
     The edge must lie inside the KE part (cut edges and SD-part edges are
-    rejected).  When some maximum matching avoids the edge, the SD set
-    must be unchanged; otherwise it may only grow.
+    rejected).  When some maximum matching avoids the edge, i.e. when
+    mu(G - e) = mu(G), the SD set must be unchanged; otherwise it may only
+    grow.  One maximum matching of each graph serves both the sizes and
+    the SD sets.
     """
     e = as_edge(*e)
     if e not in graph.edge_set:
         raise GraphError(f"edge ({e[0]},{e[1]}) not in graph")
-    sd_before = sd_vertices_of(graph, **bounds)
+    matching = maximum_matching(graph)
+    sd_before = _sd_vertices(graph, matching, **bounds)
     if e[0] in sd_before or e[1] in sd_before:
         raise GraphError(
             f"edge ({e[0]},{e[1]}) is not inside the KE part"
         )
-    avoidable = exists_max_matching_avoiding(graph, e)
-    sd_after = sd_vertices_of(delete_edge(graph, e), **bounds)
+    smaller = delete_edge(graph, e)
+    matching_after = maximum_matching(smaller)
+    avoidable = matching_after.size == matching.size
+    sd_after = _sd_vertices(smaller, matching_after, **bounds)
     return StabilityReport(
         edge=e,
         avoidable=avoidable,

@@ -190,12 +190,6 @@ def matching_number(graph: Graph) -> int:
     return maximum_matching(graph).size
 
 
-def is_perfect(graph: Graph, matching: Matching) -> bool:
-    """True iff the matching is valid for the graph and saturates every vertex."""
-    matching.validate(graph)
-    return matching.is_perfect
-
-
 def is_matchable(graph: Graph) -> bool:
     """True iff the graph has a perfect matching."""
     return graph.n % 2 == 0 and matching_number(graph) * 2 == graph.n

@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any
 
-from .alternating import reachable_set, verify_walk
+from .alternating import _bit_indices, reachable_sets, verify_walk
 from .decomposition import check_stability_under_deletion, sd_vertices_under
 from .determinantal import (
     FactorizationReport,
@@ -51,22 +51,12 @@ def independence_number(graph: Graph, *, max_order: int = DEFAULT_ALPHA_ORDER) -
         if size + mask.bit_count() <= best:
             return
         # Branch on a maximum-degree vertex of the remaining subgraph.
-        v = max(
-            (m.bit_length() - 1 for m in _iter_bits(mask)),
-            key=lambda x: (closed[x] & mask).bit_count(),
-        )
+        v = max(_bit_indices(mask), key=lambda x: (closed[x] & mask).bit_count())
         expand(mask & ~closed[v], size + 1)
         expand(mask & ~(1 << v), size)
 
     expand((1 << n) - 1, 0)
     return best
-
-
-def _iter_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low
-        mask ^= low
 
 
 @dataclass(frozen=True)
@@ -116,7 +106,7 @@ class TheoremReport:
 def _check_reachability_invariance(graph, matchings) -> CheckResult:
     reference = None
     for m in matchings:
-        sets = tuple(reachable_set(graph, m, v) for v in range(graph.n))
+        sets = reachable_sets(graph, m)
         if reference is None:
             reference = (m, sets)
         elif sets != reference[1]:
@@ -135,9 +125,9 @@ def _check_reachability_invariance(graph, matchings) -> CheckResult:
     return CheckResult("reachability_matching_invariance", True)
 
 
-def _check_partner_reachable(graph, matching) -> CheckResult:
-    for v in range(graph.n):
-        if matching.pairing[v] not in reachable_set(graph, matching, v):
+def _check_partner_reachable(matching, reach) -> CheckResult:
+    for v, w in enumerate(matching.pairing):
+        if w not in reach[v]:
             return CheckResult(
                 "reachable_includes_partner", False, {"vertex": v}
             )
@@ -226,14 +216,14 @@ def _check_ke_status(graph, part, max_order) -> list[CheckResult]:
     return out
 
 
-def _check_full_reachability(graph, part, matching) -> CheckResult:
+def _check_full_reachability(graph, part, reach) -> CheckResult:
     # On each connected component with no KE vertices, every vertex must
     # reach the whole component.
     for comp in connected_components(graph):
         if comp & part.ke_vertices:
             continue
         for v in sorted(comp):
-            if reachable_set(graph, matching, v) != comp:
+            if reach[v] != comp:
                 return CheckResult(
                     "full_reachability_when_ke_empty",
                     False,
@@ -311,16 +301,17 @@ def run_theorem_suite(
         raise NotMatchableError("graph is not matchable")
     factorization = factorization_report(graph)
     part = factorization.partition
+    reach = reachable_sets(graph, part.matching)
     report = TheoremReport(factorization)
     report.checks.append(_check_reachability_invariance(graph, matchings))
-    report.checks.append(_check_partner_reachable(graph, part.matching))
+    report.checks.append(_check_partner_reachable(part.matching, reach))
     report.checks.append(_check_partition_matching_independence(graph, matchings))
     report.checks.append(_check_witnesses(graph, part))
     # On a matchable graph the maximum matchings are the perfect ones.
     report.checks.append(_check_cut_unmatched(graph, part, matchings))
     report.checks.append(_check_mu_additivity(graph, part))
     report.checks.extend(_check_ke_status(graph, part, max_order=max_order))
-    report.checks.append(_check_full_reachability(graph, part, part.matching))
+    report.checks.append(_check_full_reachability(graph, part, reach))
     report.checks.append(_check_sachs_cut(graph, part))
     report.checks.append(_check_multiplicativity(factorization))
     report.checks.append(_check_stability(graph, part, max_order))

@@ -3,6 +3,7 @@ import pytest
 from sdke import (
     AlternatingWalk,
     GraphError,
+    MatchingError,
     NotMatchableError,
     build_graph,
     enumerate_perfect_matchings,
@@ -10,6 +11,7 @@ from sdke import (
     matching_from_edges,
     maximum_matching,
     reachable_set,
+    reachable_sets,
     semi_jposy_witness,
     verify_walk,
     walk_violation,
@@ -76,6 +78,41 @@ def test_reachability_lemma_small_graphs():
         ref = [reachable_set(g, fam[0], v) for v in range(g.n)]
         for m in fam[1:]:
             assert [reachable_set(g, m, v) for v in range(g.n)] == ref, f"seed {seed}"
+
+
+def test_reachable_sets_against_oracles():
+    # Every entry equals the per-vertex search and the layered walk DP,
+    # under every perfect matching.
+    graphs = [g for _, g in matchable_corpus(40, max_n=10)] + [posy12(), tangle8()]
+    for i, g in enumerate(graphs):
+        for m in enumerate_perfect_matchings(g):
+            sets = reachable_sets(g, m)
+            assert len(sets) == g.n, i
+            for v in range(g.n):
+                assert sets[v] == reachable_set(g, m, v), (i, v)
+                assert sets[v] == mm_reach_by_length_dp(g, m.pairing, v, 4 * g.n), (i, v)
+
+
+def test_reachable_sets_fixture_values():
+    g = ladder8()
+    m = label_matching(g, LADDER8_M1)
+    labels = [frozenset(g.labels[x] for x in s) for s in reachable_sets(g, m)]
+    assert labels[g.labels.index(1)] == {2, 4, 5, 7}
+    assert labels[g.labels.index(2)] == {1, 3, 6, 8}
+    t = tangle8()
+    assert reachable_sets(t, label_matching(t, TANGLE8_M1)) == (frozenset(range(8)),) * 8
+    assert reachable_sets(build_graph(0, []), matching_from_edges(0, [])) == ()
+
+
+def test_reachable_sets_requires_perfect_matching():
+    g = build_graph(3, [(0, 1), (1, 2)])
+    with pytest.raises(
+        NotMatchableError,
+        match="^SD-KE separation requires a graph with a perfect matching$",
+    ):
+        reachable_sets(g, matching_from_edges(3, [(0, 1)]))
+    with pytest.raises(MatchingError, match="not an edge"):
+        reachable_sets(build_graph(2, []), matching_from_edges(2, [(0, 1)]))
 
 
 def test_has_mm_closed_walk_fixture_values():

@@ -271,6 +271,12 @@ GOLDEN_SHA256 = {
     # Odd order, so every maximum matching leaves one vertex unmatched.
     ("flower9", "matchings --maximum"):
         "8c886e6777c5093869311b9c298c5af3e4155c8525ed102d2e6f3cd23dce9334",
+    # Deleting some KE edge leaves no perfect matching, so the stability
+    # check takes the exhaustive route on G - e.
+    ("random12a", "verify"):
+        "5c41f018bacc10a9920a45514db1f79af35988d2b69a54cf0e2b3b8c940200f3",
+    ("random12b", "verify"):
+        "058e36466a241e3a8a046abdc0d65412dd4ddf23c4dd0861fb1adad1c8d04a3b",
 }
 
 
@@ -282,6 +288,8 @@ def test_output_bytes_match_golden_hashes(name, command, tmp_path, capsys):
         "mixed32": mixed32,
         "flower9": flower9,
         "sparse60": lambda: random_matchable_graph(60, 0.04, 3),
+        "random12a": lambda: random_matchable_graph(12, 0.2, 6),
+        "random12b": lambda: random_matchable_graph(12, 0.3, 0),
     }[name]()
     path = tmp_path / f"{name}.edges"
     path.write_text(serialize_edge_list(graph))

@@ -221,6 +221,31 @@ def test_stability_flower9_strict_growth():
     assert rep.inclusion_ok and not rep.equal and rep.ok
 
 
+def test_stability_computes_one_maximum_matching_per_graph(monkeypatch):
+    # Wrap maximum_matching in every sdke namespace that binds it.  The
+    # avoidability test and the SD sets share one matching of G and one
+    # of G - e.
+    from sdke import maximum_matching
+
+    graphs = []
+
+    def counted(graph):
+        graphs.append(graph)
+        return maximum_matching(graph)
+
+    for name, module in list(sys.modules.items()):
+        if name == "sdke" or name.startswith("sdke."):
+            for attr, value in vars(module).items():
+                if value is maximum_matching:
+                    monkeypatch.setattr(module, attr, counted)
+    g = ladder8()
+    for e in g.edges:
+        graphs.clear()
+        rep = check_stability_under_deletion(g, e)
+        assert rep.ok and rep.avoidable
+        assert graphs == [g, delete_edge(g, e)], e
+
+
 def test_flower9_ke_sets_match_captions():
     g = flower9()
     assert frozenset(range(g.n)) - sd_vertices_of(g) == label_ids(g, [6, 7])

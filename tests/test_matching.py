@@ -11,7 +11,6 @@ from sdke import (
     enumerate_perfect_matchings,
     exists_max_matching_avoiding,
     is_matchable,
-    is_perfect,
     iter_maximum_matchings,
     iter_perfect_matchings,
     matching_from_edges,
@@ -72,17 +71,23 @@ def test_maximum_matching_against_brute_force():
 
 def test_is_perfect():
     g = build_graph(2, [(0, 1)])
-    assert is_perfect(g, matching_from_edges(2, [(0, 1)]))
+    m = matching_from_edges(2, [(0, 1)])
+    m.validate(g)
+    assert m.is_perfect
     p3 = path_graph(3)
-    assert not is_perfect(p3, matching_from_edges(3, [(0, 1)]))
+    m = matching_from_edges(3, [(0, 1)])
+    m.validate(p3)
+    assert not m.is_perfect
     with pytest.raises(MatchingError):
-        is_perfect(p3, matching_from_edges(3, [(0, 2)]))  # not an edge
+        matching_from_edges(3, [(0, 2)]).validate(p3)  # not an edge
 
 
 def test_is_perfect_tangle_matching():
     from fixtures import TANGLE8_M1, tangle8
     g = tangle8()
-    assert is_perfect(g, label_matching(g, TANGLE8_M1))
+    m = label_matching(g, TANGLE8_M1)
+    m.validate(g)
+    assert m.is_perfect
 
 
 def test_is_matchable():

@@ -7,6 +7,7 @@ from sdke import (
     NotMatchableError,
     SdkeError,
     build_graph,
+    enumerate_perfect_matchings,
     independence_number,
     is_koenig_egervary,
     is_matchable,
@@ -91,6 +92,35 @@ def test_theorem_suite_builds_one_partition(monkeypatch):
         calls.clear()
         assert run_theorem_suite(g).all_passed
         assert calls == [1]
+
+
+def test_theorem_suite_reachability_calls(monkeypatch):
+    # Wrap both reachability routines in every sdke namespace that binds
+    # them.  The suite takes all reachable sets in one call per perfect
+    # matching, plus one for the partition's matching.
+    from sdke.alternating import reachable_set, reachable_sets
+
+    calls = {"reachable_set": 0, "reachable_sets": 0}
+
+    def counting(fn):
+        def counted(*args, **kwargs):
+            calls[fn.__name__] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    wrapped = {reachable_set: counting(reachable_set), reachable_sets: counting(reachable_sets)}
+    for name, module in list(sys.modules.items()):
+        if name == "sdke" or name.startswith("sdke."):
+            for attr, value in list(vars(module).items()):
+                if callable(value) and value in wrapped:
+                    monkeypatch.setattr(module, attr, wrapped[value])
+    for g in (complete_graph(8), posy12(), tangle8()):
+        calls.update(reachable_set=0, reachable_sets=0)
+        assert run_theorem_suite(g).all_passed
+        assert calls == {
+            "reachable_set": 0,
+            "reachable_sets": len(enumerate_perfect_matchings(g)) + 1,
+        }
 
 
 def test_theorem_suite_rejects_non_matchable():
