@@ -25,10 +25,12 @@ pass decides every vertex at once.  The same pass gives every reachable
 set: components are numbered sinks first, so a sweep in increasing
 component number finds the reach of each successor already complete, and
 a component reaches its own members plus the reach of every component
-its arcs enter (a bitset OR per arc of the condensation).  Shortest
-closed walks come from one routine, a BFS over the vertices of D that
+its arcs enter (a bitset OR per arc of the condensation).  The shortest
+closed walk at one vertex comes from a BFS over the vertices of D that
 stops as soon as v is reached; it visits True states in the same order,
-with the same parents, as the state search would.
+with the same parents, as the state search would.  The walks at every SD
+vertex come from bitset level sweeps, one per strong component and block
+of targets, which rebuild the same walks without a search per vertex.
 """
 
 from __future__ import annotations
@@ -284,9 +286,11 @@ def _closed_walk(
 
     The search stops as soon as v is reached.  Each tree arc x -> z
     expands to the walk steps x, M(z), z (a non-matching edge, then a
-    matching one).  ``arcs`` may be restricted to v's strong component:
-    every vertex on an M(v) -> v path lies in it, and so does every
-    parent the search gives such a vertex, so the walk is unchanged.
+    matching one).  Of all shortest M(v) -> v paths, the BFS tree holds
+    the one whose sequence of arc positions is lexicographically smallest:
+    by induction on depth, the queue holds each level in that order, and
+    a vertex's parent is the first vertex of the level above with an arc
+    to it.  ``_closed_walks`` rebuilds exactly this path.
     """
     start = pairing[v]
     parent = {start: start}
@@ -309,3 +313,77 @@ def _closed_walk(
     chain.append(v)  # the initial matched edge v -> M(v)
     chain.reverse()
     return AlternatingWalk(vertices=tuple(chain), kind="mm")
+
+
+_BLOCK = 512  # target bits per sweep; bounds each stored row to 64 bytes
+_DEPTH = 64  # levels per block sweep; deeper targets take the one-vertex BFS
+
+
+def _closed_walks(
+    arcs: list[list[int]],
+    comp: list[int],
+    pairing: tuple[int, ...],
+    sd: frozenset[int],
+) -> dict[int, AlternatingWalk]:
+    """The ``_closed_walk`` of every vertex of sd, by bitset level sweeps.
+
+    sd must be a union of strong components, each holding its members'
+    partners.  Every M(v) -> v path stays inside v's component, so each
+    component is handled alone, on local indices, with its targets in
+    blocks of at most ``_BLOCK`` bits.  Level k holds, for every member x,
+    the bits of the block's targets within k arcs of x: level 0 is x's own
+    bit, and level k ORs x's row of level k - 1 with the rows its arcs
+    enter.  d(v) is the first level at which M(v)'s row holds v.  The walk
+    then starts at M(v) and, with r arcs left, takes the first arc whose
+    target has v within r - 1 arcs; that is the lexicographically
+    smallest shortest path, the one ``_closed_walk`` returns.  A block
+    keeps at most ``_DEPTH`` levels, each a row per member: deeper levels
+    would save little over a BFS per target while their memory kept
+    growing, so the targets still unreached then take ``_closed_walk``.
+    """
+    order = sorted(sd)
+    members: dict[int, list[int]] = {}
+    for v in order:
+        members.setdefault(comp[v], []).append(v)
+    pos = [0] * len(arcs)
+    walks: dict[int, AlternatingWalk] = {}
+    for c, xs in members.items():
+        for i, x in enumerate(xs):
+            pos[x] = i
+        local = [[pos[z] for z in arcs[x] if comp[z] == c] for x in xs]
+        for lo in range(0, len(xs), _BLOCK):
+            targets = xs[lo:lo + _BLOCK]
+            level = [0] * len(xs)
+            for j in range(len(targets)):
+                level[lo + j] = 1 << j
+            levels = [level]
+            starts = [pos[pairing[v]] for v in targets]
+            dist = [0] * len(targets)
+            pending = range(len(targets))
+            while pending and len(levels) <= _DEPTH:
+                prev = level
+                level = []
+                for row, out in zip(prev, local):
+                    for z in out:
+                        row |= prev[z]
+                    level.append(row)
+                levels.append(level)
+                for j in pending:
+                    if level[starts[j]] >> j & 1:
+                        dist[j] = len(levels) - 1
+                pending = [j for j in pending if not dist[j]]
+            for j, v in enumerate(targets):
+                if not dist[j]:
+                    walks[v] = _closed_walk(arcs, pairing, v)
+                    continue
+                x = starts[j]
+                chain = [v, pairing[v]]
+                for r in range(dist[j] - 1, -1, -1):
+                    row = levels[r]
+                    for z in local[x]:
+                        if row[z] >> j & 1:
+                            break
+                    x = z
+                    chain += (pairing[xs[x]], xs[x])
+                walks[v] = AlternatingWalk(vertices=tuple(chain), kind="mm")
+    return {v: walks[v] for v in order}

@@ -26,7 +26,7 @@ from . import configurations
 from .alternating import (
     AlternatingWalk,
     _arcs,
-    _closed_walk,
+    _closed_walks,
     _perfect_pairing,
     _strong_components,
 )
@@ -40,10 +40,11 @@ class SdKePartition:
     """The SD/KE vertex sets, the induced parts, and the cut between them.
 
     witnesses holds a shortest closed-walk certificate for every SD
-    vertex.  failed_searches holds one member of every KE pair that has
-    no mm-closed walk, which is the pair's membership certificate; the
-    strong-component order picks that member (it cannot be reached from
-    its partner), so no search is run for it.
+    vertex, the same walk ``semi_jposy_witness`` returns.  failed_searches
+    holds one member of every KE pair that has no mm-closed walk, which is
+    the pair's membership certificate; the strong-component order picks
+    that member (it cannot be reached from its partner), so no search is
+    run for it.
     """
 
     sd_vertices: frozenset[int]
@@ -61,8 +62,8 @@ def sd_ke_partition(graph: Graph, matching: Matching | None = None) -> SdKeParti
 
     If no matching is supplied, a maximum matching is computed; either
     way the matching must be perfect.  The split takes one strong-component
-    pass; the witnesses take one BFS per SD vertex, confined to the arcs
-    inside that vertex's component.
+    pass; the witnesses take one bitset level sweep per SD component and
+    block of 512 targets, inside that component.
     """
     if matching is None:
         matching = maximum_matching(graph)
@@ -74,8 +75,7 @@ def sd_ke_partition(graph: Graph, matching: Matching | None = None) -> SdKeParti
         for v in ke
         if v < pairing[v]
     )
-    inner = [[z for z in targets if comp[z] == comp[x]] for x, targets in enumerate(arcs)]
-    witnesses = {v: _closed_walk(inner, pairing, v) for v in sorted(sd)}
+    witnesses = _closed_walks(arcs, comp, pairing, sd)
     cut = frozenset(
         e for e in graph.edges if (e[0] in sd) != (e[1] in sd)
     )

@@ -1,5 +1,6 @@
 import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -100,30 +101,77 @@ def test_partition_against_per_pair_bfs_oracle():
 
 
 def test_closed_walk_searches_only_sd_vertices(monkeypatch):
-    # Wrap the closed-walk routine in every sdke namespace that binds it.
-    from sdke.alternating import _closed_walk
+    # Count the one-vertex and the all-vertex witness routines in every
+    # sdke namespace that binds them.
+    from sdke import alternating
 
-    calls = []
+    calls = {"_closed_walk": [], "_closed_walks": []}
+    for attr, log in calls.items():
+        original = getattr(alternating, attr)
 
-    def counted(arcs, pairing, v):
-        calls.append(v)
-        return _closed_walk(arcs, pairing, v)
+        def counted(*args, _original=original, _log=log):
+            _log.append(args[-1])
+            return _original(*args)
 
-    for name, module in list(sys.modules.items()):
-        if name == "sdke" or name.startswith("sdke."):
-            for attr, value in vars(module).items():
-                if value is _closed_walk:
-                    monkeypatch.setattr(module, attr, counted)
+        for name, module in list(sys.modules.items()):
+            if name == "sdke" or name.startswith("sdke."):
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, counted)
     for seed, g in matchable_corpus(30, max_n=10):
         for m in enumerate_perfect_matchings(g):
-            calls.clear()
+            for log in calls.values():
+                log.clear()
             p = sd_ke_partition(g, m)
-            assert sorted(calls) == sorted(p.sd_vertices), f"seed {seed}"
-            calls.clear()
-            assert sd_vertices_of(g) == p.sd_vertices and calls == [], f"seed {seed}"
-            assert sd_vertices_under(g, m) == p.sd_vertices and calls == [], f"seed {seed}"
+            # One sweep, whose targets are exactly the SD vertices.
+            assert calls == {"_closed_walk": [], "_closed_walks": [p.sd_vertices]}, f"seed {seed}"
+            calls["_closed_walks"].clear()
+            assert sd_vertices_of(g) == p.sd_vertices, f"seed {seed}"
+            assert sd_vertices_under(g, m) == p.sd_vertices, f"seed {seed}"
+            assert calls == {"_closed_walk": [], "_closed_walks": []}, f"seed {seed}"
             for v in p.sd_vertices:
                 assert p.witnesses[v] == semi_jposy_witness(g, m, v), f"seed {seed} v {v}"
+
+
+def _assert_shortest_witnesses(name, g, p, shortest=None):
+    for v, w in p.witnesses.items():
+        assert w == semi_jposy_witness(g, p.matching, v), f"{name} v {v}"
+        if shortest is not None:
+            assert w.num_edges == shortest[v], f"{name} v {v}"
+
+
+def test_witnesses_across_block_and_depth_boundaries(monkeypatch):
+    from sdke import alternating
+
+    cases = []
+    for name, g in _oracle_cases():
+        pairing = sd_ke_partition(g).matching.pairing
+        cases.append((name, g, [shortest_mm_closed_walk_bfs(g, pairing, v) for v in range(g.n)]))
+    for block, depth in ((1, 64), (2, 64), (3, 64), (7, 64), (7, 1), (3, 2)):
+        monkeypatch.setattr(alternating, "_BLOCK", block)
+        monkeypatch.setattr(alternating, "_DEPTH", depth)
+        for name, g, shortest in cases:
+            name = f"{name} block={block} depth={depth}"
+            _assert_shortest_witnesses(name, g, sd_ke_partition(g), shortest)
+    monkeypatch.undo()
+    # At the default constants: an SD component over two blocks wide, and
+    # one whose walks run deeper than the sweep goes.
+    wide = random_matchable_graph(700, 3 / 700, 0)
+    p = sd_ke_partition(wide)
+    pairing = p.matching.pairing
+    arcs = alternating._arcs(wide, pairing)  # semi_jposy_witness, built once
+    comp = alternating._strong_components(arcs)
+    assert max(Counter(comp[v] for v in p.sd_vertices).values()) > alternating._BLOCK
+    for v, w in p.witnesses.items():
+        assert w == alternating._closed_walk(arcs, pairing, v), f"wide v {v}"
+    for v in sorted(p.sd_vertices)[::50]:
+        assert p.witnesses[v].num_edges == shortest_mm_closed_walk_bfs(wide, pairing, v)
+    # An even cycle with chords 0-2 and 1-3 is one SD component whose
+    # walks grow to about n arcs of D.
+    deep = build_graph(200, [(i, (i + 1) % 200) for i in range(200)] + [(0, 2), (1, 3)])
+    p = sd_ke_partition(deep)
+    assert max(w.num_edges for w in p.witnesses.values()) > 2 * alternating._DEPTH
+    _assert_shortest_witnesses("deep", deep, p)
 
 
 def test_empty_graph_partition():
