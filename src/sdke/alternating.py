@@ -127,12 +127,14 @@ def _state_search(
 ) -> dict[tuple[int, bool], tuple[int, bool] | None]:
     """BFS over (vertex, matched_last) states; returns parent map.
 
-    This is the package's one search of the state graph.  Every start
-    state maps to None.  The pairing may leave vertices unsaturated
-    (pairing[x] == x); such a vertex simply has no outgoing transition
-    from its False state.  Backward reach needs no search of its own: the
-    state graph is skew-symmetric under the parity flip, so the states
-    that reach (x, p) are the flips of those reached from (x, not p).
+    This is the package's one breadth-first search of the state graph.
+    Every start state maps to None.  The pairing may leave vertices
+    unsaturated (pairing[x] == x); such a vertex simply has no outgoing
+    transition from its False state.  The state graph is skew-symmetric
+    under the parity flip: the states that reach (x, p) are the flips of
+    those reached from (x, not p).  ``configurations`` reads backward
+    reach this way, as the half-swap of a forward reach bitset from
+    ``_component_reach``.
     """
     parents: dict[tuple[int, bool], tuple[int, bool] | None] = dict.fromkeys(starts)
     queue = deque(parents)
@@ -179,13 +181,26 @@ def reachable_sets(graph: Graph, matching: Matching) -> tuple[frozenset[int], ..
     vertices whose partners share a component share one frozenset.
     """
     pairing = _perfect_pairing(graph, matching)
-    arcs = _arcs(graph, pairing)
+    comp, reach = _component_reach(_arcs(graph, pairing))
+    sets = [frozenset(_bit_indices(bits)) for bits in reach]
+    return tuple(sets[comp[w]] for w in pairing)
+
+
+def _component_reach(arcs: list[list[int]]) -> tuple[list[int], list[int]]:
+    """Strong component of every vertex, and every component's reach.
+
+    A reach is a bitset with bit x for each vertex x the component's
+    members reach, themselves included.  One sweep in increasing component
+    number finds each successor's reach complete (``_strong_components``
+    numbers sinks first), so a component's reach is its own members plus
+    an OR per arc that leaves it.
+    """
     comp = _strong_components(arcs)
     members: list[list[int]] = [[] for _ in range(max(comp, default=-1) + 1)]
     for x, c in enumerate(comp):
         members[c].append(x)
     reach: list[int] = []
-    for c, xs in enumerate(members):  # sinks first: successors are done
+    for c, xs in enumerate(members):
         bits = 0
         for x in xs:
             bits |= 1 << x
@@ -193,8 +208,7 @@ def reachable_sets(graph: Graph, matching: Matching) -> tuple[frozenset[int], ..
                 if comp[z] != c:
                     bits |= reach[comp[z]]
         reach.append(bits)
-    sets = [frozenset(_bit_indices(bits)) for bits in reach]
-    return tuple(sets[comp[w]] for w in pairing)
+    return comp, reach
 
 
 def _bit_indices(bits: int) -> list[int]:

@@ -13,26 +13,31 @@ M, it lies on
 An M-blossom is an odd cycle of length 2k+1 containing exactly k matching
 edges; its base is the one cycle vertex not matched along the cycle.
 
-Walk existence and walk membership are decided by the alternating
-module's one (vertex, parity) state search, backward reach through its
-skew symmetry, so only the simple-cycle enumeration is exponential; a
-cycle-count cap guards against dense inputs.  On matchable graphs this
-agrees with the fast pair-wise separation, which the test suite exercises.
+The search works on bitsets.  Each odd cycle is listed once per graph as
+a mask of edge indices, a mask of vertices and its k; a cycle holds at
+most k disjoint edges, so it is a blossom of M exactly when k of its
+edges are matched.  Walks run in the (vertex, parity) state graph of the
+alternating module, with (x, True) at bit x and (x, False) at bit x + n.
+One strong-component pass and one condensation sweep give every state's
+reach; backward reach is the half-swap of a forward one, by the state
+graph's skew symmetry.  So only the simple-cycle enumeration is
+exponential; a cycle-count cap guards against dense inputs.  On matchable
+graphs this agrees with the fast pair-wise separation, which the test
+suite exercises.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-
-from .alternating import _state_search
+from .alternating import _bit_indices, _component_reach
 from .errors import BoundExceededError
 from .graph import Graph
-from .matching import Matching, enumerate_maximum_matchings
+from .matching import Matching, iter_maximum_matchings
 
 DEFAULT_CONFIG_ORDER = 12
 DEFAULT_MAX_CYCLES = 200_000
 
-State = tuple[int, bool]
+# (edge-index mask, vertex mask, k) of an odd cycle of length 2k + 1.
+CycleRow = tuple[int, int, int]
 
 
 def simple_odd_cycles(graph: Graph, *, max_cycles: int = DEFAULT_MAX_CYCLES) -> list[tuple[int, ...]]:
@@ -76,22 +81,14 @@ def blossoms(
     matching: Matching,
     odd_cycles: list[tuple[int, ...]] | None = None,
 ) -> list[tuple[frozenset[int], int]]:
-    """(vertex set, base) of every blossom of the matching."""
+    """(vertex set, base) of every blossom of the matching, in cycle order."""
     if odd_cycles is None:
         odd_cycles = simple_odd_cycles(graph)
-    pairing = matching.pairing
-    found = []
-    for cyc in odd_cycles:
-        length = len(cyc)
-        matched_within: set[int] = set()
-        for i in range(length):
-            a, b = cyc[i], cyc[(i + 1) % length]
-            if pairing[a] == b:
-                matched_within.update((a, b))
-        if len(matched_within) == length - 1:
-            (base,) = set(cyc) - matched_within
-            found.append((frozenset(cyc), base))
-    return found
+    bits, rows = _cycle_table(graph, odd_cycles)
+    return [
+        (frozenset(_bit_indices(verts)), base)
+        for verts, base in _blossoms(rows, bits, matching.pairing)
+    ]
 
 
 def configuration_vertices(
@@ -102,51 +99,109 @@ def configuration_vertices(
     """Vertices lying on some flower or posy of the given matching."""
     if odd_cycles is None:
         odd_cycles = simple_odd_cycles(graph)
-    pairing = matching.pairing
-    by_base: dict[int, set[int]] = defaultdict(set)
-    for verts, base in blossoms(graph, matching, odd_cycles):
-        by_base[base].update(verts)
+    bits, rows = _cycle_table(graph, odd_cycles)
+    found = _blossoms(rows, bits, matching.pairing)
+    return frozenset(_bit_indices(_covered(graph, matching.pairing, found)))
+
+
+def _cycle_table(
+    graph: Graph, odd_cycles: list[tuple[int, ...]]
+) -> tuple[list[int], list[CycleRow]]:
+    """Edge bits by vertex pair, and the row of every cycle in the order given.
+
+    Entry u * n + v of the first list is 1 << the index of edge uv in
+    ``graph.edges``, or 0 for a non-edge.
+    """
+    n = graph.n
+    bits = [0] * (n * n)
+    for i, (u, v) in enumerate(graph.edges):
+        bits[u * n + v] = bits[v * n + u] = 1 << i
+    rows = []
+    for cyc in odd_cycles:
+        edges = verts = 0
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            edges |= bits[a * n + b]
+            verts |= 1 << a
+        rows.append((edges, verts, len(cyc) // 2))
+    return bits, rows
+
+
+def _blossoms(
+    rows: list[CycleRow], bits: list[int], pairing: tuple[int, ...]
+) -> list[tuple[int, int]]:
+    """(vertex mask, base) of every blossom of the matching, in row order.
+
+    A row is a blossom when k of its edges are matched.  Those k edges
+    are disjoint, so their ends cover every cycle vertex but one, the
+    base.
+    """
+    n = len(pairing)
+    matched = 0
+    ends: dict[int, int] = {}  # matched edge bit -> its two vertex bits
+    for v, u in enumerate(pairing):
+        if v < u:
+            bit = bits[v * n + u]
+            matched |= bit
+            ends[bit] = 1 << v | 1 << u
+    found = []
+    for edges, verts, k in rows:
+        inside = edges & matched
+        if inside.bit_count() == k:
+            covered = 0
+            while inside:
+                low = inside & -inside
+                covered |= ends[low]
+                inside ^= low
+            found.append((verts, (verts ^ covered).bit_length() - 1))
+    return found
+
+
+def _state_reach(graph: Graph, pairing: tuple[int, ...]) -> list[int]:
+    """Every state's reach, with (x, True) at bit x and (x, False) at bit x + n.
+
+    Entry s is the mask of the states that state s reaches, s included,
+    from one strong-component pass and condensation sweep over the state
+    graph.  The states that reach (x, p) are the half-swap of what
+    (x, not p) reaches: the skew symmetry of ``alternating._state_search``.
+    """
+    n = graph.n
+    arcs = [[y + n for y in nbrs if y != u] for nbrs, u in zip(graph.adjacency, pairing)]
+    arcs += [[u] if u != x else [] for x, u in enumerate(pairing)]
+    comp, reach = _component_reach(arcs)
+    return [reach[c] for c in comp]
+
+
+def _covered(graph: Graph, pairing: tuple[int, ...], found: list[tuple[int, int]]) -> int:
+    """Vertex mask of every flower and posy built on the given blossoms.
+
+    A posy's walk from base x starts with x's matching edge, so it sets
+    out from (M(x), True).  A flower's stem from exposed x starts with a
+    non-matching edge, so it sets out from (x, True), whose arcs are
+    exactly those edges; as M(x) = x, both set out from (M(x), True).  An
+    exposed base is a flower whose stem is empty.  A walk ends at base b
+    by entering (b, True); the states that reach it are the half-swap of
+    what (b, False) reaches, so the vertices on such walks are those with
+    a state in both masks.  A posy is found from both of its bases, by
+    reversing its walk, with the same vertices.
+    """
+    by_base: dict[int, int] = {}
+    for verts, base in found:
+        by_base[base] = by_base.get(base, 0) | verts
     if not by_base:
-        return frozenset()
-    bases = sorted(by_base)
-    exposed = [v for v in range(graph.n) if pairing[v] == v]
-
-    fwd_base = {
-        b: _state_search(graph, pairing, [(pairing[b], True)])
-        for b in bases
-        if pairing[b] != b
-    }
-    # By skew symmetry, the states reaching (b, True) are the flips of
-    # the states reached from (b, False).
-    bwd_base = {
-        b: {(x, not p) for (x, p) in _state_search(graph, pairing, [(b, False)])}
-        for b in bases
-    }
-    covered: set[int] = set()
-
-    def add_walk_vertices(fwd: dict[State, State | None], bwd: set[State]) -> None:
-        covered.update(w for (w, _p) in fwd.keys() & bwd)
-
-    for i, b1 in enumerate(bases):
-        if b1 not in fwd_base:
-            continue  # an exposed base cannot start an mm walk
-        for b2 in bases[i:]:
-            if (b2, True) in fwd_base[b1]:
-                covered |= by_base[b1] | by_base[b2]
-                covered.add(b1)
-                add_walk_vertices(fwd_base[b1], bwd_base[b2])
-
-    for r in exposed:
-        stem_starts = [(y, False) for y in graph.adjacency[r]]
-        fwd = _state_search(graph, pairing, stem_starts)
-        for b in bases:
-            if b == r:
-                covered |= by_base[b]
-            elif (b, True) in fwd:
-                covered |= by_base[b]
-                covered.add(r)
-                add_walk_vertices(fwd, bwd_base[b])
-    return frozenset(covered)
+        return 0
+    n = graph.n
+    full = (1 << n) - 1
+    reach = _state_reach(graph, pairing)
+    bwd = {b: reach[b + n] >> n | (reach[b + n] & full) << n for b in by_base}
+    covered = 0
+    for x, u in enumerate(pairing):
+        if u == x or x in by_base:
+            fwd = reach[u]
+            for b, verts in by_base.items():
+                if fwd >> b & 1:
+                    both = fwd & bwd[b]
+                    covered |= by_base.get(x, 0) | 1 << x | verts | (both | both >> n) & full
+    return covered
 
 
 def sd_vertices_bruteforce(
@@ -160,10 +215,11 @@ def sd_vertices_bruteforce(
         raise BoundExceededError(
             f"graph order {graph.n} exceeds configuration-search bound {max_order}"
         )
-    odd_cycles = simple_odd_cycles(graph, max_cycles=max_cycles)
-    covered: set[int] = set()
-    for m in enumerate_maximum_matchings(graph, max_order=max_order):
-        covered |= configuration_vertices(graph, m, odd_cycles)
-        if len(covered) == graph.n:
+    bits, rows = _cycle_table(graph, simple_odd_cycles(graph, max_cycles=max_cycles))
+    full = (1 << graph.n) - 1
+    covered = 0
+    for m in iter_maximum_matchings(graph, max_order=max_order):
+        covered |= _covered(graph, m.pairing, _blossoms(rows, bits, m.pairing))
+        if covered == full:
             break
-    return frozenset(covered)
+    return frozenset(_bit_indices(covered))

@@ -100,6 +100,22 @@ def flower9() -> Graph:
 FLOWER9_M = [(1, 2), (3, 4), (6, 7), (8, 9)]
 
 
+def miss11() -> Graph:
+    """11 vertices 0..10 (odd order, so not matchable).
+
+    Gallai-Edmonds view: D (vertices some maximum matching misses) holds
+    the triangle component {3,7,9}, A = {6} is its neighbourhood, and C
+    is the matchable rest.  A posy joins a blossom in {3,7,9} through 6
+    to blossoms inside C, so a rule that only grows SD from the D
+    components misses C.  Ground truth (configuration search over all
+    maximum matchings): every vertex is SD.
+    """
+    edges = [(0, 1), (0, 5), (0, 8), (1, 5), (2, 4), (2, 5), (2, 6), (3, 7),
+             (3, 9), (4, 5), (4, 8), (5, 6), (6, 7), (6, 8), (6, 9), (6, 10),
+             (7, 9)]
+    return build_graph(11, edges)
+
+
 def mixed32() -> Graph:
     """32 vertices: an 18-vertex SD side and a 14-vertex KE side.
 

@@ -7,10 +7,11 @@ checked against.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from itertools import combinations, permutations
 
-from sdke import Graph
+from sdke import Graph, Matching
+from sdke.alternating import _state_search
 
 
 def brute_matching_number(g: Graph) -> int:
@@ -306,3 +307,80 @@ def sd_split_per_pair_bfs(g: Graph, pairing) -> frozenset[int]:
         ):
             sd.update((v, u))
     return frozenset(sd)
+
+
+def blossoms_by_cycle_scan(
+    g: Graph, matching: Matching, odd_cycles: list[tuple[int, ...]]
+) -> list[tuple[frozenset[int], int]]:
+    """(vertex set, base) of every blossom, by walking each cycle's edges.
+
+    A cycle of length 2k+1 is a blossom when the matched cycle edges cover
+    2k of its vertices; the one left over is the base.
+    """
+    pairing = matching.pairing
+    found = []
+    for cyc in odd_cycles:
+        length = len(cyc)
+        matched_within: set[int] = set()
+        for i in range(length):
+            a, b = cyc[i], cyc[(i + 1) % length]
+            if pairing[a] == b:
+                matched_within.update((a, b))
+        if len(matched_within) == length - 1:
+            (base,) = set(cyc) - matched_within
+            found.append((frozenset(cyc), base))
+    return found
+
+
+def configuration_vertices_by_state_search(
+    g: Graph, matching: Matching, odd_cycles: list[tuple[int, ...]]
+) -> frozenset[int]:
+    """Vertices on some flower or posy, by one state search per walk start.
+
+    Forward reach comes from a search per matched base and per exposed
+    vertex's stem; backward reach into (b, True) is the parity flip of the
+    search from (b, False).  A walk's vertices are those with a state in
+    both.
+    """
+    pairing = matching.pairing
+    by_base: dict[int, set[int]] = defaultdict(set)
+    for verts, base in blossoms_by_cycle_scan(g, matching, odd_cycles):
+        by_base[base].update(verts)
+    if not by_base:
+        return frozenset()
+    bases = sorted(by_base)
+    exposed = [v for v in range(g.n) if pairing[v] == v]
+
+    fwd_base = {
+        b: _state_search(g, pairing, [(pairing[b], True)])
+        for b in bases
+        if pairing[b] != b
+    }
+    bwd_base = {
+        b: {(x, not p) for (x, p) in _state_search(g, pairing, [(b, False)])}
+        for b in bases
+    }
+    covered: set[int] = set()
+
+    def add_walk_vertices(fwd, bwd) -> None:
+        covered.update(w for (w, _p) in fwd.keys() & bwd)
+
+    for i, b1 in enumerate(bases):
+        if b1 not in fwd_base:
+            continue  # an exposed base cannot start an mm walk
+        for b2 in bases[i:]:
+            if (b2, True) in fwd_base[b1]:
+                covered |= by_base[b1] | by_base[b2]
+                covered.add(b1)
+                add_walk_vertices(fwd_base[b1], bwd_base[b2])
+
+    for r in exposed:
+        fwd = _state_search(g, pairing, [(y, False) for y in g.adjacency[r]])
+        for b in bases:
+            if b == r:
+                covered |= by_base[b]
+            elif (b, True) in fwd:
+                covered |= by_base[b]
+                covered.add(r)
+                add_walk_vertices(fwd, bwd_base[b])
+    return frozenset(covered)

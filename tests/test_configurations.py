@@ -10,9 +10,11 @@ from sdke import (
     maximum_matching,
     sd_ke_partition,
     sd_vertices_bruteforce,
+    sd_vertices_of,
     simple_odd_cycles,
 )
 from sdke.alternating import _state_search
+from sdke.configurations import _state_reach
 from conftest import matchable_corpus, mixed_corpus
 from fixtures import (
     FLOWER9_M,
@@ -21,9 +23,16 @@ from fixtures import (
     flower9,
     label_ids,
     label_matching,
+    miss11,
     path_graph,
+    posy12,
+    tangle8,
 )
-from oracles import states_reaching_bfs
+from oracles import (
+    blossoms_by_cycle_scan,
+    configuration_vertices_by_state_search,
+    states_reaching_bfs,
+)
 
 
 def test_odd_cycles_triangle_and_c5():
@@ -111,18 +120,51 @@ def test_posy_via_triangle_pair():
 
 
 def test_backward_reach_by_skew_symmetry_matches_predecessor_bfs():
-    # The configuration search gets the states reaching (x, p) as the
-    # parity flips of the states reached from (x, not p).  Check that
-    # identity against a literal backward search, unsaturated vertices
-    # included.
+    # The states reaching (x, p) are the parity flips of the states
+    # reached from (x, not p).  Check that identity against a literal
+    # backward search, unsaturated vertices included, both for the state
+    # search and for the bitset form the configuration search reads: the
+    # half-swap of the reach mask of (x, not p), with (y, True) at bit y
+    # and (y, False) at bit y + n.
     cases = 0
     for seed, g in mixed_corpus(72, max_n=12):
+        n = g.n
         for m in enumerate_maximum_matchings(g):
+            reach = _state_reach(g, m.pairing)
             for x in range(g.n):
                 for p in (True, False):
+                    want = states_reaching_bfs(g, m.pairing, (x, p))
                     reached = _state_search(g, m.pairing, [(x, not p)])
                     flipped = {(y, not q) for (y, q) in reached}
-                    want = states_reaching_bfs(g, m.pairing, (x, p))
                     assert flipped == want, f"seed {seed} state {(x, p)}"
+                    bits = reach[x + n if p else x]
+                    swapped = bits >> n | (bits & ((1 << n) - 1)) << n
+                    got = {(y % n, y < n) for y in range(2 * n) if swapped >> y & 1}
+                    assert got == want, f"seed {seed} state {(x, p)} (bitset)"
                     cases += 1
     assert cases > 10_000
+
+
+def test_bitset_search_matches_state_search_oracles():
+    # Every maximum matching of the small corpora and three fixtures:
+    # blossoms in the same order, and the same covered set, as the
+    # cycle scan and per-start state searches.
+    graphs = [g for _, g in mixed_corpus(100, max_n=10)]
+    graphs += [g for _, g in matchable_corpus(60, max_n=10)]
+    graphs += [flower9(), posy12(), tangle8()]
+    pairs = 0
+    for i, g in enumerate(graphs):
+        cycles = simple_odd_cycles(g)
+        for m in enumerate_maximum_matchings(g):
+            assert blossoms(g, m, cycles) == blossoms_by_cycle_scan(g, m, cycles), f"graph {i}"
+            want = configuration_vertices_by_state_search(g, m, cycles)
+            assert configuration_vertices(g, m, cycles) == want, f"graph {i} {m}"
+            pairs += 1
+    assert pairs > 500
+
+
+def test_miss11_every_vertex_sd():
+    # Recorded from the set-based search before the bitset rewrite.
+    g = miss11()
+    assert sd_vertices_bruteforce(g) == frozenset(range(11))
+    assert sd_vertices_of(g) == frozenset(range(11))
