@@ -1,8 +1,12 @@
 """Maximum matchings on general graphs, plus exhaustive enumeration.
 
-The maximum-matching routine is the classic augmenting-path search with
-blossom contraction (O(V^3)).  Everything scans vertices and neighbors in
-increasing id order, so results are deterministic for a fixed graph.
+The maximum-matching routine is Edmonds' augmenting-path search with
+blossom contraction.  A root with a free neighbour is matched to the lowest
+one directly.  Any other root's search costs O(V + E) plus the members of
+the blossoms it merges: O(V·E) over all roots plus the relabels, which
+nested blossoms can push to O(V^3).  Everything scans vertices and
+neighbors in increasing id order, so results are deterministic for a
+fixed graph.
 The enumerators are meant for desk-scale oracle work and refuse graphs
 above a configurable order bound.  One recursive generator yields the
 matchings of a given size, pruned by the exact number of vertices such a
@@ -13,7 +17,6 @@ CLI streams them, and ``enumerate_*`` is the list of each.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -112,76 +115,113 @@ def maximum_matching(graph: Graph) -> Matching:
     Free vertices are tried as search roots in increasing order, and
     adjacency is scanned sorted, so the returned matching is a
     deterministic function of the graph.
+
+    A root with a free neighbour is matched to its lowest one at once.
+    That is the search's own answer: it scans all of the root's
+    neighbours before any queued vertex, and the first free one ends it.
+    Any other root runs a breadth-first search with blossom contraction.
+    It costs O(V + E) plus, per contraction, the members of the merged
+    blossoms, because the search arrays are allocated once per call and
+    reset only at the vertices the search reached.  A contraction appends
+    its newly even vertices to the queue in increasing id order, the order
+    the classic relabel loop over all n vertices gives, so each search
+    visits vertices in the same order and flips the same augmenting path.
     """
     n = graph.n
     adj = graph.adjacency
     match = [-1] * n
+    parent = [-1] * n
+    base = list(range(n))
+    even = [False] * n
+    mark = [0] * n  # LCA paths and blossom flags, each under a fresh stamp
+    stamp = 0
 
-    def augment_from(root: int) -> bool:
-        parent = [-1] * n
-        base = list(range(n))
-        in_tree = [False] * n
-        in_tree[root] = True
-        queue = deque([root])
+    def lowest_common_base(a: int, b: int) -> int:
+        nonlocal stamp
+        stamp += 1
+        x = a
+        while True:
+            x = base[x]
+            mark[x] = stamp
+            if match[x] == -1:
+                break
+            x = parent[match[x]]
+        y = b
+        while True:
+            y = base[y]
+            if mark[y] == stamp:
+                return y
+            y = parent[match[y]]
 
-        def lowest_common_base(a: int, b: int) -> int:
-            on_path = [False] * n
-            x = a
-            while True:
-                x = base[x]
-                on_path[x] = True
-                if match[x] == -1:
-                    break
-                x = parent[match[x]]
-            y = b
-            while True:
-                y = base[y]
-                if on_path[y]:
-                    return y
-                y = parent[match[y]]
+    def mark_blossom(x: int, stop: int, child: int, flagged: list[int]) -> None:
+        while base[x] != stop:
+            for b in (base[x], base[match[x]]):
+                if mark[b] != stamp:
+                    mark[b] = stamp
+                    flagged.append(b)
+            parent[x] = child
+            child = match[x]
+            x = parent[child]
 
-        def mark_blossom(x: int, stop: int, child: int, flag: list[bool]) -> None:
-            while base[x] != stop:
-                flag[base[x]] = True
-                flag[base[match[x]]] = True
-                parent[x] = child
-                child = match[x]
-                x = parent[match[x]]
-
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if base[v] == base[w] or match[v] == w:
-                    continue
-                if w == root or (match[w] != -1 and parent[match[w]] != -1):
-                    # Even-depth collision: contract the blossom.
-                    stop = lowest_common_base(v, w)
-                    flag = [False] * n
-                    mark_blossom(v, stop, w, flag)
-                    mark_blossom(w, stop, v, flag)
-                    for i in range(n):
-                        if flag[base[i]]:
-                            base[i] = stop
-                            if not in_tree[i]:
-                                in_tree[i] = True
-                                queue.append(i)
-                elif parent[w] == -1:
-                    parent[w] = v
-                    if match[w] == -1:
-                        # Augmenting path found: flip it.
-                        x: int = w
-                        while x != -1:
-                            px = parent[x]
-                            nxt = match[px]
-                            match[x], match[px] = px, x
-                            x = nxt
-                        return True
-                    in_tree[match[w]] = True
-                    queue.append(match[w])
-        return False
+    def augment_from(root: int) -> None:
+        nonlocal stamp
+        reached = [root]  # every vertex whose parent, base or even flag may change
+        members: dict[int, list[int]] = {}  # base -> its blossom, when contracted
+        even[root] = True
+        queue = [root]
+        try:
+            for v in queue:
+                for w in adj[v]:
+                    if base[v] == base[w] or match[v] == w:
+                        continue
+                    if w == root or (match[w] != -1 and parent[match[w]] != -1):
+                        # Even-depth collision: contract the blossom.
+                        stop = lowest_common_base(v, w)
+                        stamp += 1
+                        flagged: list[int] = []
+                        mark_blossom(v, stop, w, flagged)
+                        mark_blossom(w, stop, v, flagged)
+                        blossom = members.setdefault(stop, [stop])
+                        newly_even = []
+                        for f in flagged:
+                            group = members.pop(f, None) or [f]
+                            for i in group:
+                                base[i] = stop
+                                if not even[i]:
+                                    even[i] = True
+                                    newly_even.append(i)
+                            blossom += group
+                        newly_even.sort()
+                        queue += newly_even
+                    elif parent[w] == -1:
+                        parent[w] = v
+                        reached.append(w)
+                        if match[w] == -1:
+                            # Augmenting path found: flip it.
+                            x = w
+                            while x != -1:
+                                px = parent[x]
+                                nxt = match[px]
+                                match[x], match[px] = px, x
+                                x = nxt
+                            return
+                        reached.append(match[w])
+                        even[match[w]] = True
+                        queue.append(match[w])
+        finally:
+            for x in reached:
+                parent[x] = -1
+                base[x] = x
+                even[x] = False
 
     for v in range(n):
-        if match[v] == -1:
+        if match[v] != -1:
+            continue
+        for w in adj[v]:
+            if match[w] == -1:
+                match[v], match[w] = w, v
+                break
+        else:
             augment_from(v)
     return Matching(tuple(v if m == -1 else m for v, m in enumerate(match)))
 

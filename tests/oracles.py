@@ -384,3 +384,84 @@ def configuration_vertices_by_state_search(
                 covered.add(r)
                 add_walk_vertices(fwd, bwd_base[b])
     return frozenset(covered)
+
+
+def maximum_matching_full_reset(graph: Graph) -> Matching:
+    """Edmonds' search with fresh per-root arrays and an all-vertex relabel.
+
+    Each root allocates its own length-n arrays, and each contraction
+    relabels by scanning all n vertices: O(V^3), with no state carried
+    between searches.  ``maximum_matching`` must return this pairing
+    exactly, not just a matching of the same size.
+    """
+    n = graph.n
+    adj = graph.adjacency
+    match = [-1] * n
+
+    def augment_from(root: int) -> bool:
+        parent = [-1] * n
+        base = list(range(n))
+        in_tree = [False] * n
+        in_tree[root] = True
+        queue = deque([root])
+
+        def lowest_common_base(a: int, b: int) -> int:
+            on_path = [False] * n
+            x = a
+            while True:
+                x = base[x]
+                on_path[x] = True
+                if match[x] == -1:
+                    break
+                x = parent[match[x]]
+            y = b
+            while True:
+                y = base[y]
+                if on_path[y]:
+                    return y
+                y = parent[match[y]]
+
+        def mark_blossom(x: int, stop: int, child: int, flag: list[bool]) -> None:
+            while base[x] != stop:
+                flag[base[x]] = True
+                flag[base[match[x]]] = True
+                parent[x] = child
+                child = match[x]
+                x = parent[match[x]]
+
+        while queue:
+            v = queue.popleft()
+            for w in adj[v]:
+                if base[v] == base[w] or match[v] == w:
+                    continue
+                if w == root or (match[w] != -1 and parent[match[w]] != -1):
+                    # Even-depth collision: contract the blossom.
+                    stop = lowest_common_base(v, w)
+                    flag = [False] * n
+                    mark_blossom(v, stop, w, flag)
+                    mark_blossom(w, stop, v, flag)
+                    for i in range(n):
+                        if flag[base[i]]:
+                            base[i] = stop
+                            if not in_tree[i]:
+                                in_tree[i] = True
+                                queue.append(i)
+                elif parent[w] == -1:
+                    parent[w] = v
+                    if match[w] == -1:
+                        # Augmenting path found: flip it.
+                        x: int = w
+                        while x != -1:
+                            px = parent[x]
+                            nxt = match[px]
+                            match[x], match[px] = px, x
+                            x = nxt
+                        return True
+                    in_tree[match[w]] = True
+                    queue.append(match[w])
+        return False
+
+    for v in range(n):
+        if match[v] == -1:
+            augment_from(v)
+    return Matching(tuple(v if m == -1 else m for v, m in enumerate(match)))

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,20 +19,30 @@ from sdke import (
     matching_number,
     maximum_matching,
     parse_matching,
+    random_graph,
     serialize_matching,
 )
-from conftest import mixed_corpus
+from conftest import matchable_corpus, mixed_corpus
 from fixtures import (
     LADDER8_M1,
     LADDER8_M2,
     complete_graph,
     cycle_graph,
+    flower9,
     label_matching,
     ladder8,
+    miss11,
+    mixed32,
     path_graph,
     posy12,
+    tangle8,
 )
-from oracles import brute_matching_number, brute_maximum_matchings, brute_perfect_matchings
+from oracles import (
+    brute_matching_number,
+    brute_maximum_matchings,
+    brute_perfect_matchings,
+    maximum_matching_full_reset,
+)
 
 
 def test_matching_requires_involution():
@@ -67,6 +79,44 @@ def test_maximum_matching_against_brute_force():
         m = maximum_matching(g)
         m.validate(g)
         assert m.size == brute_matching_number(g), f"seed {seed}"
+
+
+def _shuffled_triangle_chain(k: int, chords: int, rng: random.Random):
+    """k triangles, each joined to the next by an edge, plus random chords,
+    under a random vertex relabelling: blossoms whose ids are out of order."""
+    n = 3 * k + 1
+    edges = set()
+    for i in range(k):
+        a, b, c = 3 * i, 3 * i + 1, 3 * i + 2
+        edges |= {(a, b), (a, c), (b, c), (c, c + 1)}
+    chords = min(chords, n * (n - 1) // 2 - len(edges))
+    while chords:
+        e = tuple(sorted(rng.sample(range(n), 2)))
+        if e not in edges:
+            edges.add(e)
+            chords -= 1
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return build_graph(n, [tuple(sorted((perm[u], perm[v]))) for u, v in edges])
+
+
+def test_maximum_matching_equals_full_reset_oracle():
+    # The same pairing, not just the same size.  The sparse random graphs are
+    # mostly not matchable, so searches fail and later roots search again;
+    # the triangle chains contract blossoms before later searches, so state
+    # left over from an earlier search, or a queue out of id order, shows.
+    graphs = [g for _, g in mixed_corpus(200, max_n=12)]
+    graphs += [g for _, g in matchable_corpus(100)]
+    graphs += [ladder8(), tangle8(), posy12(), flower9(), miss11(), mixed32()]
+    rng = random.Random(2024)
+    for seed in range(16):
+        n = rng.randrange(100, 1001)
+        graphs.append(random_graph(n, rng.uniform(1.5, 4) / n, seed))
+    for _ in range(200):
+        graphs.append(_shuffled_triangle_chain(rng.randint(1, 60), rng.randint(0, 30), rng))
+    assert sum(not is_matchable(g) for g in graphs) > 100
+    for i, g in enumerate(graphs):
+        assert maximum_matching(g).pairing == maximum_matching_full_reset(g).pairing, f"graph {i}"
 
 
 def test_is_perfect():
