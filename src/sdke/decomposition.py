@@ -152,7 +152,10 @@ def check_stability_under_deletion(
     rejected).  When some maximum matching avoids the edge, i.e. when
     mu(G - e) = mu(G), the SD set must be unchanged; otherwise it may only
     grow.  One maximum matching of each graph serves both the sizes and
-    the SD sets.
+    the SD sets.  When the maximum matching M of G avoids e, M is also a
+    maximum matching of G - e, so no second search is run; the SD set of
+    G - e does not depend on that choice (the split is the same under every
+    perfect matching, and the exhaustive route ignores the matching).
     """
     e = as_edge(*e)
     if e not in graph.edge_set:
@@ -164,7 +167,7 @@ def check_stability_under_deletion(
             f"edge ({e[0]},{e[1]}) is not inside the KE part"
         )
     smaller = delete_edge(graph, e)
-    matching_after = maximum_matching(smaller)
+    matching_after = maximum_matching(smaller) if matching.contains_edge(e) else matching
     avoidable = matching_after.size == matching.size
     sd_after = _sd_vertices(smaller, matching_after, **bounds)
     return StabilityReport(

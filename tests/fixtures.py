@@ -84,6 +84,19 @@ POSY12_M = [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11)]
 POSY12_WALK = (9, 8, 5, 4, 3, 2, 0, 1, 2, 3, 4, 5, 1, 0, 6, 7, 8, 9)
 
 
+def k10_pendant() -> Graph:
+    """12 vertices 0..11: K10 on 0..9 with a pendant path 0-10-11.
+
+    Ground truth: SD = {0..9}, KE = {10,11}.  The only KE edge is 10-11,
+    and deleting it leaves vertex 11 isolated, so the stability check
+    takes the exhaustive route on G - e; K10 has more simple odd cycles
+    than its default cap of 200000, so that check raises
+    BoundExceededError.
+    """
+    edges = [(i, j) for i in range(10) for j in range(i + 1, 10)]
+    return build_graph(12, edges + [(0, 10), (10, 11)])
+
+
 def flower9() -> Graph:
     """9 vertices 1..9 (odd order, so not matchable).
 

@@ -21,6 +21,7 @@ from fixtures import (
     complete_graph,
     cycle_graph,
     flower9,
+    k10_pendant,
     ladder8,
     mixed32,
     posy12,
@@ -162,6 +163,20 @@ def test_verify_not_matchable_is_domain_error(files, capsys):
     assert code == 1
     assert "matchable" in data["error"]["message"]
     assert data["error"]["type"] == "NotMatchableError"
+
+
+def test_verify_fails_when_stability_skips_an_edge(tmp_path, capsys):
+    # The only KE edge of this fixture hits the cycle cap on G - e: the
+    # check may not pass what it did not check, so verify exits 1.
+    path = tmp_path / "k10_pendant.edges"
+    path.write_text(serialize_edge_list(k10_pendant()))
+    code, data = run_json(capsys, ["verify", str(path)])
+    assert code == 1
+    failed = [c for c in data["checks"] if not c["pass"]]
+    assert [c["name"] for c in failed] == ["stability_under_deletion"]
+    assert failed[0]["counterexample"] == {
+        "skipped": [{"edge": [10, 11], "bound": "more than 200000 simple cycles"}]
+    }
 
 
 def test_sachs_count_and_list(files, capsys):

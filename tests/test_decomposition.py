@@ -271,8 +271,8 @@ def test_stability_flower9_strict_growth():
 
 def test_stability_computes_one_maximum_matching_per_graph(monkeypatch):
     # Wrap maximum_matching in every sdke namespace that binds it.  The
-    # avoidability test and the SD sets share one matching of G and one
-    # of G - e.
+    # avoidability test and the SD sets share one matching of G and, only
+    # when that matching uses e, one of G - e.
     from sdke import maximum_matching
 
     graphs = []
@@ -287,11 +287,18 @@ def test_stability_computes_one_maximum_matching_per_graph(monkeypatch):
                 if value is maximum_matching:
                     monkeypatch.setattr(module, attr, counted)
     g = ladder8()
+    m = maximum_matching(g)
+    uses = set()
     for e in g.edges:
         graphs.clear()
         rep = check_stability_under_deletion(g, e)
         assert rep.ok and rep.avoidable
-        assert graphs == [g, delete_edge(g, e)], e
+        if m.contains_edge(e):
+            assert graphs == [g, delete_edge(g, e)], e
+        else:
+            assert graphs == [g], e
+        uses.add(m.contains_edge(e))
+    assert uses == {True, False}
 
 
 def test_flower9_ke_sets_match_captions():

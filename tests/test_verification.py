@@ -4,22 +4,28 @@ import pytest
 
 from sdke import (
     BoundExceededError,
+    FactorizationReport,
     NotMatchableError,
     SdkeError,
     build_graph,
     enumerate_perfect_matchings,
+    factorization_report,
     independence_number,
     is_koenig_egervary,
     is_matchable,
     random_graph,
     random_matchable_graph,
+    reachable_sets,
     run_theorem_suite,
+    sachs_cut_disjointness,
     sd_ke_partition,
+    sd_vertices_under,
 )
 from conftest import matchable_corpus, mixed_corpus
 from fixtures import (
     complete_graph,
     cycle_graph,
+    k10_pendant,
     ladder8,
     posy12,
     tangle8,
@@ -97,7 +103,7 @@ def test_theorem_suite_builds_one_partition(monkeypatch):
 def test_theorem_suite_reachability_calls(monkeypatch):
     # Wrap both reachability routines in every sdke namespace that binds
     # them.  The suite takes all reachable sets in one call per perfect
-    # matching, plus one for the partition's matching.
+    # matching; the partition's matching is one of them.
     from sdke.alternating import reachable_set, reachable_sets
 
     calls = {"reachable_set": 0, "reachable_sets": 0}
@@ -119,7 +125,7 @@ def test_theorem_suite_reachability_calls(monkeypatch):
         assert run_theorem_suite(g).all_passed
         assert calls == {
             "reachable_set": 0,
-            "reachable_sets": len(enumerate_perfect_matchings(g)) + 1,
+            "reachable_sets": len(enumerate_perfect_matchings(g)),
         }
 
 
@@ -158,26 +164,28 @@ def test_random_graph_deterministic():
     assert random_graph(5, 1.0, 11).num_edges == 10
 
 
-def _doctored_partition(g):
-    # Swap one matched pair across the separation to fabricate a wrong split.
+def _split_at(g, sd):
+    # The partition of g with SD side sd, true or not.
     import dataclasses
 
     from sdke import induced_subgraph
 
-    p = sd_ke_partition(g)
-    v = min(p.sd_vertices)
-    u = p.matching.pairing[v]
-    sd = p.sd_vertices - {v, u}
-    ke = p.ke_vertices | {v, u}
-    cut = frozenset(e for e in g.edges if (e[0] in sd) != (e[1] in sd))
+    ke = frozenset(range(g.n)) - sd
     return dataclasses.replace(
-        p,
+        sd_ke_partition(g),
         sd_vertices=sd,
         ke_vertices=ke,
         sd_part=induced_subgraph(g, sd),
         ke_part=induced_subgraph(g, ke),
-        cut=cut,
+        cut=frozenset(e for e in g.edges if (e[0] in sd) != (e[1] in sd)),
     )
+
+
+def _doctored_partition(g):
+    # Swap one matched pair across the separation to fabricate a wrong split.
+    p = sd_ke_partition(g)
+    v = min(p.sd_vertices)
+    return _split_at(g, p.sd_vertices - {v, p.matching.pairing[v]})
 
 
 def test_injected_counterexamples_reverify_as_failures():
@@ -209,3 +217,181 @@ def test_counterexample_payload_identifies_matched_cut_edge():
     assert not result.passed
     assert result.counterexample["edge"] == (0, 1)
     assert [0, 1] in [list(e) for e in result.counterexample["matching"]]
+
+
+def _report_for(g, sd):
+    # A factorization report for the split of g at sd, with the permanents
+    # of its own parts.
+    import dataclasses
+
+    from sdke import perm_adjacency
+
+    part = _split_at(g, sd)
+    r = factorization_report(g)
+    perm_sd = perm_adjacency(part.sd_part)
+    perm_ke = perm_adjacency(part.ke_part)
+    return dataclasses.replace(
+        r,
+        partition=part,
+        perm_sd=perm_sd,
+        perm_ke=perm_ke,
+        perm_product_ok=r.perm_g == perm_sd * perm_ke,
+    )
+
+
+def _assert_sachs_verdict_matches_enumeration(g, r: FactorizationReport):
+    from sdke.verification import _check_sachs_cut
+
+    ok, witness = sachs_cut_disjointness(g, r.partition.cut)
+    result = _check_sachs_cut(g, r)
+    assert result.passed == ok
+    if not ok:
+        s, e = witness
+        assert result.counterexample == {
+            "edge": e, "k2_edges": list(s.k2_edges), "cycles": list(s.cycles)
+        }
+    return ok
+
+
+def test_sachs_verdict_equals_enumeration_on_true_splits():
+    graphs = [g for _, g in matchable_corpus(200, max_n=12)]
+    graphs += [ladder8(), tangle8(), posy12(), cycle_graph(4), complete_graph(8)]
+    for g in graphs:
+        assert _assert_sachs_verdict_matches_enumeration(g, factorization_report(g))
+
+
+def test_sachs_verdict_equals_enumeration_on_doctored_cuts():
+    # Random unions of matched pairs as the SD side: most such cuts are
+    # crossed by some Sachs subgraph, and each must fail with the
+    # enumerated counterexample, whether or not permanents were computed.
+    import dataclasses
+    import random
+
+    rng = random.Random(5)
+    verdicts = []
+    for seed, g in matchable_corpus(120, max_n=10):
+        pairs = sd_ke_partition(g).matching.edge_pairs()
+        for _ in range(2):
+            sd = frozenset(x for pair in pairs if rng.random() < 0.5 for x in pair)
+            r = _report_for(g, sd)
+            verdicts.append(_assert_sachs_verdict_matches_enumeration(g, r))
+            no_perm = dataclasses.replace(r, perm_product_ok=None)
+            assert _assert_sachs_verdict_matches_enumeration(g, no_perm) == verdicts[-1]
+    assert verdicts.count(False) > 30 and verdicts.count(True) > 30
+
+
+def test_theorem_suite_enumerates_no_sachs_subgraph_when_perm_factors(monkeypatch):
+    from sdke.determinantal import enumerate_sachs
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return enumerate_sachs(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "sdke" or name.startswith("sdke."):
+            for attr, value in vars(module).items():
+                if value is enumerate_sachs:
+                    monkeypatch.setattr(module, attr, counted)
+    for g in (complete_graph(8), posy12(), tangle8(), ladder8()):
+        assert run_theorem_suite(g).all_passed
+    assert calls == []
+
+
+def test_reach_derived_sd_set_equals_split_under_every_matching():
+    from sdke.verification import _sd_from_reach
+
+    graphs = [g for _, g in matchable_corpus(120, max_n=10)]
+    graphs += [ladder8(), tangle8(), posy12(), complete_graph(6)]
+    for g in graphs:
+        for m in enumerate_perfect_matchings(g):
+            assert _sd_from_reach(m, reachable_sets(g, m)) == sd_vertices_under(g, m)
+
+
+def test_partner_check_catches_a_reach_set_not_closed_under_a_step():
+    from sdke.verification import _check_partner_reachable
+
+    g = posy12()
+    m = sd_ke_partition(g).matching
+    reach = list(reachable_sets(g, m))
+    assert _check_partner_reachable(g, m, reach).passed
+    # From M(11) = 10 the walk goes on through edge 10-8 into the SD core;
+    # keeping only 10 holds the partner but is not closed.
+    reach[11] = frozenset({10})
+    result = _check_partner_reachable(g, m, reach)
+    assert not result.passed
+    assert result.counterexample == {"vertex": 11, "edge": (10, 8), "missing": 9}
+    reach[11] = frozenset({8, 9})
+    result = _check_partner_reachable(g, m, reach)
+    assert result.counterexample == {"vertex": 11}
+
+
+def test_stability_check_fails_on_a_skipped_edge():
+    from sdke.verification import _check_stability
+
+    g = k10_pendant()
+    result = _check_stability(g, sd_ke_partition(g), 12)
+    assert not result.passed
+    assert result.counterexample == {
+        "skipped": [{"edge": (10, 11), "bound": "more than 200000 simple cycles"}]
+    }
+
+
+def test_stability_check_reports_a_real_failure_before_skips(monkeypatch):
+    from sdke import verification
+    from sdke.decomposition import StabilityReport
+
+    g = ladder8()
+    first, second = g.edges[:2]
+
+    def fake(graph, e, **bounds):
+        if e == first:
+            raise BoundExceededError("work bound")
+        if e == second:
+            return StabilityReport(e, True, frozenset(), frozenset({0}), True, False)
+        return StabilityReport(e, True, frozenset(), frozenset(), True, True)
+
+    monkeypatch.setattr(verification, "check_stability_under_deletion", fake)
+    result = verification._check_stability(g, sd_ke_partition(g), 12)
+    assert not result.passed
+    assert result.counterexample == {
+        "edge": second, "avoidable": True, "sd_before": [], "sd_after": [0]
+    }
+
+
+def test_matching_invariance_payloads_name_the_second_matching(monkeypatch):
+    # Under a doctored reach routine, R(v) loses v for the second perfect
+    # matching only: both reach invariance and the reach-derived SD set
+    # must then fail and name that matching.
+    from sdke import verification
+
+    g = tangle8()
+    matchings = enumerate_perfect_matchings(g)
+    assert len(matchings) >= 2
+
+    def doctored(graph, m):
+        sets = reachable_sets(graph, m)
+        if m == matchings[1]:
+            return (sets[0] - {0},) + sets[1:]
+        return sets
+
+    monkeypatch.setattr(verification, "reachable_sets", doctored)
+    invariance, independence, reach = verification._check_matching_invariance(
+        g, matchings, matchings[0]
+    )
+    assert reach == reachable_sets(g, matchings[0])
+    full = sorted(reach[0])
+    assert invariance.counterexample == {
+        "vertex": 0,
+        "matching_a": matchings[0].edge_pairs(),
+        "matching_b": matchings[1].edge_pairs(),
+        "reach_a": full,
+        "reach_b": [x for x in full if x != 0],
+    }
+    sd = sorted(sd_vertices_under(g, matchings[0]))
+    assert independence.counterexample == {
+        "matching": matchings[1].edge_pairs(),
+        "sd": [x for x in sd if x not in (0, matchings[1].pairing[0])],
+        "sd_reference": sd,
+    }
