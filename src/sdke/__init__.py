@@ -24,7 +24,6 @@ from .graph import (
     delete_edge,
     disjoint_union,
     export_dot,
-    from_labeled_edges,
     graph_hash,
     induced_subgraph,
     parse_edge_list,

@@ -20,17 +20,20 @@ edges are matched.  Walks run in the (vertex, parity) state graph of the
 alternating module, with (x, True) at bit x and (x, False) at bit x + n.
 One strong-component pass and one condensation sweep give every state's
 reach; backward reach is the half-swap of a forward one, by the state
-graph's skew symmetry.  So only the simple-cycle enumeration is
-exponential; a cycle-count cap guards against dense inputs.  On matchable
-graphs this agrees with the fast pair-wise separation, which the test
-suite exercises.
+graph's skew symmetry.  The loop over maximum matchings stops once the
+union covers the ceiling, the connected components that hold an odd
+cycle: every covered vertex is joined by a walk to a blossom.  A graph
+without odd cycles enumerates no matching.  So only the simple-cycle and
+matching enumerations are exponential; a cycle-count cap guards against
+dense inputs.  On matchable graphs this agrees with the fast pair-wise
+separation, which the test suite exercises.
 """
 
 from __future__ import annotations
 
 from .alternating import _bit_indices, _component_reach
 from .errors import BoundExceededError
-from .graph import Graph
+from .graph import Graph, connected_components
 from .matching import Matching, iter_maximum_matchings
 
 DEFAULT_CONFIG_ORDER = 12
@@ -210,16 +213,32 @@ def sd_vertices_bruteforce(
     max_order: int = DEFAULT_CONFIG_ORDER,
     max_cycles: int = DEFAULT_MAX_CYCLES,
 ) -> frozenset[int]:
-    """SD vertex set by configuration search over all maximum matchings."""
+    """SD vertex set by configuration search over all maximum matchings.
+
+    The search stops once the union reaches its ceiling: the vertices of
+    the connected components that hold an odd cycle.  Every vertex that
+    ``_covered`` adds lies on a blossom or on a walk that ends at one, so
+    no maximum matching covers a vertex outside the ceiling.  A graph
+    without odd cycles has no blossom, hence the empty set, and no
+    matching is enumerated for it.
+    """
     if graph.n > max_order:
         raise BoundExceededError(
             f"graph order {graph.n} exceeds configuration-search bound {max_order}"
         )
     bits, rows = _cycle_table(graph, simple_odd_cycles(graph, max_cycles=max_cycles))
-    full = (1 << graph.n) - 1
+    odd = 0
+    for _, verts, _ in rows:
+        odd |= verts
+    ceiling = 0
+    for comp in connected_components(graph):
+        mask = sum(1 << v for v in comp)
+        if mask & odd:
+            ceiling |= mask
     covered = 0
-    for m in iter_maximum_matchings(graph, max_order=max_order):
-        covered |= _covered(graph, m.pairing, _blossoms(rows, bits, m.pairing))
-        if covered == full:
-            break
+    if ceiling:
+        for m in iter_maximum_matchings(graph, max_order=max_order):
+            covered |= _covered(graph, m.pairing, _blossoms(rows, bits, m.pairing))
+            if covered == ceiling:
+                break
     return frozenset(_bit_indices(covered))

@@ -1,9 +1,11 @@
 """Exact determinants and permanents of adjacency matrices.
 
 Two independent routes are kept for each quantity: direct exact linear
-algebra (fraction-free elimination for the determinant, Glynn's form of
-the inclusion-exclusion sum for the permanent) and the component-census
-sum over spanning subgraphs whose components are single edges or cycles.
+algebra (fraction-free elimination for the determinant; for the
+permanent, Glynn's form of the inclusion-exclusion sum or a row-by-row
+DP over the open frontier columns, whichever a work estimate from the
+graph's structure says is cheaper) and the component-census sum over
+spanning subgraphs whose components are single edges or cycles.
 For such a spanning subgraph S with c(S) cycle components and k_e(S)
 components of even order,
 
@@ -17,7 +19,7 @@ package is literal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from math import comb, prod
 from typing import Iterator
 
 from .errors import BoundExceededError
@@ -26,6 +28,11 @@ from .decomposition import SdKePartition, sd_ke_partition
 
 DEFAULT_SACHS_ORDER = 20
 DEFAULT_PERMANENT_ORDER = 22
+# perm_adjacency's engine rule.  The ratio was calibrated on the parts of
+# seeded n = 12 and n = 18 benchmark inputs and on random matchable graphs
+# with n = 14-20; the state cap keeps the DP's dicts small.
+_FRONTIER_RATIO = 0.3
+_FRONTIER_STATES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -185,23 +192,47 @@ def _bareiss_det(matrix: list[list[int]]) -> int:
 
 
 def perm_adjacency(graph: Graph, *, max_order: int = DEFAULT_PERMANENT_ORDER) -> int:
-    """Exact permanent via Glynn's form of the inclusion-exclusion sum.
+    """Exact permanent of the adjacency matrix, by the cheaper of two engines.
 
-    perm(A) = 2^(1-n) * sum over signs d with d_0 = +1 of
-    (prod_j d_j) * prod_i (sum_j d_j a_ij), which has 2^(n-1) terms where
-    Ryser's formula has 2^n.  The signs d_1..d_(n-1) are walked in
-    Gray-code order, so each step negates one column; A is a symmetric 0/1
-    matrix, so only the row sums of that vertex's neighbours change.  All
-    arithmetic is on Python integers, so the value is exact at every order.
-    The default bound, n = 22, caps a call at 2^21 terms, each further
-    vertex doubling the work.  This is the route that
-    ``sdke perm --method ryser`` selects.
+    A vertex without neighbours is a zero row, so such a graph answers 0
+    at once.  Otherwise ``_frontier_plan`` orders the rows for the
+    frontier DP and bounds its work, sum over rows t of C(f_t, k_t) *
+    deg(row t), where k_t of the f_t open frontier columns are used
+    before row t.  The DP runs when that bound is below
+    ``_FRONTIER_RATIO`` * n * 2^(n-1), the cost model of Glynn's loop, and
+    no row can leave more than ``_FRONTIER_STATES`` states; otherwise
+    Glynn's loop runs.  Sparse and banded graphs such as paths, cycles and
+    ladders take the DP; dense ones, K_n for n >= 4 among them, take
+    Glynn.  Both engines are exact on Python integers.  The default
+    bound, n = 22, caps Glynn at 2^21 terms, each further vertex doubling
+    the work.  This is the route that ``sdke perm --method ryser``
+    selects.
     """
     n = graph.n
     if n > max_order:
         raise BoundExceededError(
             f"graph order {n} exceeds permanent bound {max_order}"
         )
+    if n == 0:
+        return 1
+    if not all(graph.adjacency):
+        return 0
+    order, work, peak = _frontier_plan(graph)
+    if peak <= _FRONTIER_STATES and work < _FRONTIER_RATIO * n * (1 << (n - 1)):
+        return _perm_frontier(graph, order)
+    return _perm_glynn(graph)
+
+
+def _perm_glynn(graph: Graph) -> int:
+    """Permanent via Glynn's form of the inclusion-exclusion sum.
+
+    perm(A) = 2^(1-n) * sum over signs d with d_0 = +1 of
+    (prod_j d_j) * prod_i (sum_j d_j a_ij), which has 2^(n-1) terms where
+    Ryser's formula has 2^n.  The signs d_1..d_(n-1) are walked in
+    Gray-code order, so each step negates one column; A is a symmetric 0/1
+    matrix, so only the row sums of that vertex's neighbours change.
+    """
+    n = graph.n
     if n == 0:
         return 1
     adj = graph.adjacency
@@ -221,6 +252,75 @@ def perm_adjacency(graph: Graph, *, max_order: int = DEFAULT_PERMANENT_ORDER) ->
             else:
                 total += prod(row_sums)
     return total >> (n - 1)  # exact: the sum is a multiple of 2^(n-1)
+
+
+def _frontier_plan(graph: Graph) -> tuple[list[int], int, int]:
+    """Row order for ``_perm_frontier``, its work bound and its state bound.
+
+    Greedy: the next row is the one whose neighbours add the fewest
+    columns not yet touched, the lowest vertex on ties.  A touched column
+    is open until its last row in the order is done.  Before row t, k of
+    the f open columns are used, so at most C(f, k) states enter it and
+    each tries deg(row t) columns; the work bound sums C(f, k) * deg over
+    the rows.  The state bound is the largest C(f', k + 1) after a row's
+    step, f' counting the columns it opened.
+    """
+    adj = graph.adjacency
+    nbrs = [sum(1 << y for y in ys) for ys in adj]
+    left = list(range(graph.n))
+    rows_left = [len(ys) for ys in adj]  # rows of column c not yet done
+    order: list[int] = []
+    touched = opened = used = work = peak = 0
+    while left:
+        r = min(left, key=lambda x: ((nbrs[x] & ~touched).bit_count(), x))
+        left.remove(r)
+        order.append(r)
+        work += comb(opened, used) * len(adj[r])
+        opened += (nbrs[r] & ~touched).bit_count()
+        touched |= nbrs[r]
+        used += 1
+        peak = max(peak, comb(opened, used))
+        for c in adj[r]:
+            rows_left[c] -= 1
+            if not rows_left[c]:
+                opened -= 1
+                used -= 1
+    return order, work, peak
+
+
+def _perm_frontier(graph: Graph, order: list[int]) -> int:
+    """Permanent by a row-by-row DP over sets of used open columns.
+
+    Rows are taken in the given order; ways[mask] counts the ways to give
+    the rows done so far distinct columns such that mask is the set of
+    used columns that still have a row to come.  When a column's last row
+    is done, a state that has not used it can never use it and is
+    dropped, and the column leaves the masks of the rest; that keeps at
+    most C(f, k) states alive, as ``_frontier_plan`` counts them.  Exact
+    for any order; the order only sets how many states are alive.
+    """
+    adj = graph.adjacency
+    last_row = [0] * graph.n
+    for r in order:
+        for c in adj[r]:
+            last_row[c] = r
+    last = [0] * graph.n  # columns whose last row in the order is r
+    for c, r in enumerate(last_row):
+        last[r] |= 1 << c
+    ways = {0: 1}
+    for r in order:
+        step: dict[int, int] = {}
+        cols = [1 << c for c in adj[r]]
+        for mask, count in ways.items():
+            for bit in cols:
+                if not mask & bit:
+                    key = mask | bit
+                    step[key] = step.get(key, 0) + count
+        done = last[r]
+        ways = {m ^ done: w for m, w in step.items() if m & done == done} if done else step
+        if not ways:
+            return 0
+    return ways.get(0, 0)
 
 
 @dataclass

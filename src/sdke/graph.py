@@ -109,33 +109,6 @@ def build_graph(
     return Graph(n=n, edges=tuple(sorted(canonical)), labels=label_tuple)
 
 
-def from_labeled_edges(
-    labeled_edges: Iterable[tuple[Hashable, Hashable]],
-    *,
-    isolated: Iterable[Hashable] = (),
-) -> Graph:
-    """Build a graph from edges over arbitrary hashable labels.
-
-    Labels are sorted (by string representation when mixed types) to fix
-    the id assignment; the original labels are kept in ``Graph.labels``.
-    """
-    pairs = list(labeled_edges)
-    names: set[Hashable] = set(isolated)
-    for a, b in pairs:
-        names.add(a)
-        names.add(b)
-    try:
-        ordered = sorted(names)
-    except TypeError:
-        ordered = sorted(names, key=str)
-    index = {name: i for i, name in enumerate(ordered)}
-    return build_graph(
-        len(ordered),
-        [(index[a], index[b]) for a, b in pairs],
-        labels=ordered,
-    )
-
-
 def induced_subgraph(graph: Graph, vertices: Iterable[int]) -> Graph:
     """Subgraph induced by a vertex set, with ids remapped to 0..k-1.
 

@@ -9,7 +9,23 @@ label table.
 
 from __future__ import annotations
 
-from sdke import Graph, build_graph, from_labeled_edges, matching_from_edges
+from typing import Hashable
+
+from sdke import Graph, build_graph, matching_from_edges
+
+
+def from_labeled_edges(pairs: list[tuple[Hashable, Hashable]]) -> Graph:
+    """Graph on the labels the edges name, with ids in sorted label order.
+
+    Mixed int and string labels sort by their string form.
+    """
+    names = {x for pair in pairs for x in pair}
+    try:
+        ordered = sorted(names)
+    except TypeError:
+        ordered = sorted(names, key=str)
+    index = {name: i for i, name in enumerate(ordered)}
+    return build_graph(len(ordered), [(index[a], index[b]) for a, b in pairs], labels=ordered)
 
 
 def label_ids(g: Graph, labels) -> frozenset[int]:

@@ -10,8 +10,9 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from itertools import combinations, permutations
 
-from sdke import Graph, Matching
-from sdke.alternating import _state_search
+from sdke import Graph, Matching, iter_maximum_matchings, simple_odd_cycles
+from sdke.alternating import _bit_indices, _state_search
+from sdke.configurations import _blossoms, _covered, _cycle_table
 
 
 def brute_matching_number(g: Graph) -> int:
@@ -384,6 +385,23 @@ def configuration_vertices_by_state_search(
                 covered.add(r)
                 add_walk_vertices(fwd, bwd_base[b])
     return frozenset(covered)
+
+
+def sd_vertices_stop_at_full(graph: Graph) -> frozenset[int]:
+    """SD vertex set by configuration search without the odd-component ceiling.
+
+    The same search as ``sd_vertices_bruteforce``, but it enumerates
+    maximum matchings until the union is all of V or the matchings run
+    out.
+    """
+    bits, rows = _cycle_table(graph, simple_odd_cycles(graph))
+    full = (1 << graph.n) - 1
+    covered = 0
+    for m in iter_maximum_matchings(graph, max_order=graph.n):
+        covered |= _covered(graph, m.pairing, _blossoms(rows, bits, m.pairing))
+        if covered == full:
+            break
+    return frozenset(_bit_indices(covered))
 
 
 def maximum_matching_full_reset(graph: Graph) -> Matching:

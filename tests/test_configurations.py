@@ -5,6 +5,8 @@ from sdke import (
     blossoms,
     build_graph,
     configuration_vertices,
+    delete_edge,
+    disjoint_union,
     enumerate_maximum_matchings,
     matching_from_edges,
     maximum_matching,
@@ -14,6 +16,7 @@ from sdke import (
     simple_odd_cycles,
 )
 from sdke.alternating import _state_search
+from sdke import configurations
 from sdke.configurations import _state_reach
 from conftest import matchable_corpus, mixed_corpus
 from fixtures import (
@@ -23,6 +26,7 @@ from fixtures import (
     flower9,
     label_ids,
     label_matching,
+    ladder8,
     miss11,
     path_graph,
     posy12,
@@ -31,6 +35,7 @@ from fixtures import (
 from oracles import (
     blossoms_by_cycle_scan,
     configuration_vertices_by_state_search,
+    sd_vertices_stop_at_full,
     states_reaching_bfs,
 )
 
@@ -168,3 +173,31 @@ def test_miss11_every_vertex_sd():
     g = miss11()
     assert sd_vertices_bruteforce(g) == frozenset(range(11))
     assert sd_vertices_of(g) == frozenset(range(11))
+
+
+def test_ceiling_stop_matches_full_stop_oracle():
+    # Stopping at the odd-component ceiling gives the same set as running
+    # until every vertex is covered, on arbitrary graphs, on the
+    # non-matchable deletions the stability check feeds the search, and
+    # on fixtures with a component that has no odd cycle or several odd
+    # components.
+    graphs = [g for _, g in mixed_corpus(300, max_n=12)]
+    for _, g in matchable_corpus(200, max_n=12):
+        for e in g.edges:
+            h = delete_edge(g, e)
+            if not maximum_matching(h).is_perfect:
+                graphs.append(h)
+    graphs += [flower9(), miss11(), posy12(), disjoint_union(flower9(), ladder8()),
+               disjoint_union(flower9(), flower9())]
+    assert len(graphs) > 600
+    for i, g in enumerate(graphs):
+        assert sd_vertices_bruteforce(g, max_order=g.n) == sd_vertices_stop_at_full(g), f"graph {i}"
+
+
+def test_no_odd_cycle_enumerates_no_matching(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("maximum matchings enumerated")
+
+    monkeypatch.setattr(configurations, "iter_maximum_matchings", refuse)
+    assert sd_vertices_bruteforce(cycle_graph(6)) == frozenset()
+    assert sd_vertices_bruteforce(ladder8()) == frozenset()

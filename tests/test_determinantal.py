@@ -17,6 +17,8 @@ from sdke import (
     sachs_cut_disjointness,
     sd_ke_partition,
 )
+from sdke import determinantal
+from sdke.determinantal import _frontier_plan, _perm_frontier, _perm_glynn
 from conftest import matchable_corpus, mixed_corpus
 from fixtures import (
     complete_graph,
@@ -142,7 +144,8 @@ def test_det_of_disjoint_union_multiplies():
 def test_big_integers_stay_exact():
     # Complete-graph values have closed forms: perm(K_n) is the derangement
     # count D(n), det(K_n) = (-1)^(n-1) (n-1).  Through n = 18 the row-sum
-    # products pass 2^63.
+    # products pass 2^63.  Both permanent engines run on every K_n; past
+    # n = 18 the frontier DP takes seconds.
     g = complete_graph(13)
     assert perm_adjacency(g) == 2290792932  # D(13)
     assert det_adjacency(g) == 12
@@ -150,7 +153,10 @@ def test_big_integers_stay_exact():
     for n in range(2, 19):
         derangements.append((n - 1) * (derangements[-1] + derangements[-2]))
     for n, d in enumerate(derangements):
-        assert perm_adjacency(complete_graph(n)) == d, f"K{n}"
+        g = complete_graph(n)
+        assert perm_adjacency(g) == d, f"K{n}"
+        assert _perm_glynn(g) == d, f"K{n}"
+        assert _perm_frontier(g, _frontier_plan(g)[0]) == d, f"K{n}"
 
 
 def test_permanent_bound_refuses_k23_at_once():
@@ -159,6 +165,58 @@ def test_permanent_bound_refuses_k23_at_once():
     with pytest.raises(BoundExceededError, match="permanent bound 22"):
         perm_adjacency(complete_graph(23))
     assert time.perf_counter() - start < 1.0
+
+
+def test_permanent_isolated_vertex_answers_at_once():
+    # A zero row makes the permanent 0; Glynn's 2^21 terms would take seconds.
+    g = disjoint_union(complete_graph(21), build_graph(1, []))
+    start = time.perf_counter()
+    assert perm_adjacency(g) == 0
+    assert time.perf_counter() - start < 1.0
+
+
+def ladder(n: int):
+    k = n // 2
+    return build_graph(n, [(i, i + 1) for i in range(k - 1)]
+                       + [(k + i, k + i + 1) for i in range(k - 1)]
+                       + [(i, k + i) for i in range(k)])
+
+
+def test_permanent_engines_against_oracles():
+    # Both engines on their own, the frontier DP under its greedy order
+    # and under the identity order, whichever engine perm_adjacency picks.
+    graphs = [g for _, g in mixed_corpus(84, max_n=14)]
+    graphs += [g for _, g in matchable_corpus(120, max_n=14)]
+    isolated = build_graph(1, [])
+    graphs += [disjoint_union(g, isolated) for g in graphs[:30]]
+    graphs += [disjoint_union(isolated, ladder8())]
+    for i, g in enumerate(graphs):
+        want = column_subset_perm(g)
+        if g.n <= 8:
+            assert want == brute_perm(g), f"graph {i}"
+        assert _perm_glynn(g) == want, f"graph {i}"
+        assert _perm_frontier(g, _frontier_plan(g)[0]) == want, f"graph {i}"
+        assert _perm_frontier(g, list(range(g.n))) == want, f"graph {i}"
+
+
+def engine_of(monkeypatch, g) -> str:
+    picked = []
+    monkeypatch.setattr(determinantal, "_perm_glynn", lambda g: picked.append("glynn"))
+    monkeypatch.setattr(determinantal, "_perm_frontier", lambda g, order: picked.append("frontier"))
+    perm_adjacency(g)
+    (engine,) = picked
+    return engine
+
+
+def test_permanent_engine_choice(monkeypatch):
+    # On K_n the DP's states grow like C(n, n/2) and its work bound is
+    # 1.2-1.9 times n * 2^(n-1), so Glynn runs.  Paths, cycles and ladders
+    # keep at most three states alive; the 22-vertex ladder takes 0.1 ms
+    # there against about a second of Glynn.
+    for n in range(4, 23):
+        assert engine_of(monkeypatch, complete_graph(n)) == "glynn", f"K{n}"
+    for g in (ladder8(), path_graph(20), cycle_graph(20), ladder(22)):
+        assert engine_of(monkeypatch, g) == "frontier", f"{g}"
 
 
 def test_factorization_ladder8():
