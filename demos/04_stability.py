@@ -12,7 +12,6 @@ from sdke import (
     build_graph,
     check_stability_under_deletion,
     disjoint_union,
-    exists_max_matching_avoiding,
     sd_vertices_of,
 )
 
@@ -30,12 +29,10 @@ print()
 # exhaustive flower/posy search.
 tails = build_graph(9, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 7), (3, 4),
                         (3, 5), (5, 6), (6, 7), (7, 8)])
-print("edge (5,6) avoidable by some maximum matching:",
-      exists_max_matching_avoiding(tails, (5, 6)))
+rep = check_stability_under_deletion(tails, (5, 6))
+print("edge (5,6) avoidable by some maximum matching:", rep.avoidable)
 before = sd_vertices_of(tails)
 print("SD before deletion:", sorted(before), "| KE:", sorted(set(range(9)) - before))
-
-rep = check_stability_under_deletion(tails, (5, 6))
 print("SD after deletion: ", sorted(rep.sd_after),
       "| KE:", sorted(set(range(9)) - rep.sd_after))
 print("inclusion holds:", rep.inclusion_ok, "| strict growth:", not rep.equal)

@@ -33,7 +33,6 @@ from .matching import (
     Matching,
     enumerate_maximum_matchings,
     enumerate_perfect_matchings,
-    exists_max_matching_avoiding,
     is_matchable,
     iter_maximum_matchings,
     iter_perfect_matchings,
@@ -41,7 +40,6 @@ from .matching import (
     matching_number,
     maximum_matching,
     parse_matching,
-    serialize_matching,
 )
 from .alternating import (
     AlternatingWalk,
@@ -61,15 +59,12 @@ from .decomposition import (
     sd_vertices_under,
 )
 from .configurations import (
-    blossoms,
-    configuration_vertices,
     sd_vertices_bruteforce,
     simple_odd_cycles,
 )
 from .determinantal import (
     FactorizationReport,
     SachsSubgraph,
-    adjacency_matrix,
     det_adjacency,
     det_via_sachs,
     enumerate_sachs,

@@ -4,7 +4,6 @@ An alternating walk may repeat vertices and edges, so searching the walk
 space directly would be exponential.  The right search space is the
 product of vertices and the parity of the last edge used: a walk that
 reaches vertex x twice with the same parity offers nothing new.
-Reachability runs breadth-first search over these 2n states.
 
 States are written (x, matched_last): matched_last is True when the walk
 arrived at x through a matching edge.  Transitions:
@@ -18,19 +17,19 @@ state (u, True) is reachable from there.
 
 Under a perfect matching each False state is a pure chain link, so the
 True states alone form a digraph D on the vertices: an arc x -> M(y) for
-every non-matching neighbour y of x.  v has an mm-closed walk iff
-M(v) reaches v in D.  D is skew-symmetric under M (x -> z iff
+every non-matching neighbour y of x.  Every search here runs over D: u
+is reachable from v iff M(v) reaches u in D, and v has an mm-closed walk
+iff M(v) reaches v.  D is skew-symmetric under M (x -> z iff
 M(z) -> M(x)), like a 2-SAT implication graph, so one strong-component
 pass decides every vertex at once.  The same pass gives every reachable
 set: components are numbered sinks first, so a sweep in increasing
 component number finds the reach of each successor already complete, and
 a component reaches its own members plus the reach of every component
-its arcs enter (a bitset OR per arc of the condensation).  The shortest
-closed walk at one vertex comes from a BFS over the vertices of D that
-stops as soon as v is reached; it visits True states in the same order,
-with the same parents, as the state search would.  The walks at every SD
-vertex come from bitset level sweeps, one per strong component and block
-of targets, which rebuild the same walks without a search per vertex.
+its arcs enter (a bitset OR per arc of the condensation).  One BFS over
+D from M(v) gives v's reachable set alone, or, stopped as soon as v is
+reached, its shortest closed walk.  The walks at every SD vertex come
+from bitset level sweeps, one per strong component and block of
+targets, which rebuild the same walks without a search per vertex.
 """
 
 from __future__ import annotations
@@ -122,54 +121,19 @@ def _perfect_pairing(graph: Graph, matching: Matching) -> tuple[int, ...]:
     return matching.pairing
 
 
-def _state_search(
-    graph: Graph, pairing: tuple[int, ...], starts: list[tuple[int, bool]]
-) -> dict[tuple[int, bool], tuple[int, bool] | None]:
-    """BFS over (vertex, matched_last) states; returns parent map.
-
-    This is the package's one breadth-first search of the state graph.
-    Every start state maps to None.  The pairing may leave vertices
-    unsaturated (pairing[x] == x); such a vertex simply has no outgoing
-    transition from its False state.  The state graph is skew-symmetric
-    under the parity flip: the states that reach (x, p) are the flips of
-    those reached from (x, not p).  ``configurations`` reads backward
-    reach this way, as the half-swap of a forward reach bitset from
-    ``_component_reach``.
-    """
-    parents: dict[tuple[int, bool], tuple[int, bool] | None] = dict.fromkeys(starts)
-    queue = deque(parents)
-    while queue:
-        state = queue.popleft()
-        x, matched_last = state
-        if matched_last:
-            for y in graph.adjacency[x]:
-                if y != pairing[x]:
-                    nxt = (y, False)
-                    if nxt not in parents:
-                        parents[nxt] = state
-                        queue.append(nxt)
-        else:
-            y = pairing[x]
-            if y != x:
-                nxt = (y, True)
-                if nxt not in parents:
-                    parents[nxt] = state
-                    queue.append(nxt)
-    return parents
-
-
 def reachable_set(graph: Graph, matching: Matching, v: int) -> frozenset[int]:
     """Vertices reachable from v by an mm-alternating walk.
 
     Requires a perfect matching: without one the result would depend on
     the matching chosen (consider an odd cycle), so the operation is not
-    well defined.  Runs in O(V + E).
+    well defined.  The vertices a BFS over D from M(v) reaches, the
+    search of ``_closed_walk`` without its stop at v: O(V + E), where
+    entry v of ``reachable_sets`` would cost the sets of every vertex.
     """
     pairing = _perfect_pairing(graph, matching)
     if not (0 <= v < graph.n):
         raise GraphError(f"vertex {v} out of range")
-    parents = _state_search(graph, pairing, [(pairing[v], True)])
-    return frozenset(x for (x, matched_last) in parents if matched_last)
+    return frozenset(_bfs(_arcs(graph, pairing), pairing[v]))
 
 
 def reachable_sets(graph: Graph, matching: Matching) -> tuple[frozenset[int], ...]:
@@ -223,7 +187,7 @@ def _bit_indices(bits: int) -> list[int]:
 
 def has_mm_closed_walk(graph: Graph, matching: Matching, v: int) -> bool:
     """True iff an mm-alternating closed walk starts (and ends) at v."""
-    return v in reachable_set(graph, matching, v)
+    return semi_jposy_witness(graph, matching, v) is not None
 
 
 def semi_jposy_witness(
@@ -293,6 +257,25 @@ def _strong_components(arcs: list[list[int]]) -> list[int]:
     return comp
 
 
+def _bfs(arcs: list[list[int]], start: int, stop: int = -1) -> dict[int, int]:
+    """BFS parent of every vertex of D that start reaches; start is its own.
+
+    The search ends as soon as stop is reached, so by default it runs
+    until the queue is empty.
+    """
+    parent = {start: start}
+    queue = deque([start])
+    while queue and stop not in parent:
+        x = queue.popleft()
+        for z in arcs[x]:
+            if z not in parent:
+                parent[z] = x
+                queue.append(z)
+                if z == stop:
+                    break
+    return parent
+
+
 def _closed_walk(
     arcs: list[list[int]], pairing: tuple[int, ...], v: int
 ) -> AlternatingWalk | None:
@@ -307,16 +290,7 @@ def _closed_walk(
     to it.  ``_closed_walks`` rebuilds exactly this path.
     """
     start = pairing[v]
-    parent = {start: start}
-    queue = deque([start])
-    while queue and v not in parent:
-        x = queue.popleft()
-        for z in arcs[x]:
-            if z not in parent:
-                parent[z] = x
-                queue.append(z)
-                if z == v:
-                    break
+    parent = _bfs(arcs, start, v)
     if v not in parent:
         return None
     chain = [v]

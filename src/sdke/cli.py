@@ -121,22 +121,13 @@ def _cmd_decompose(args) -> int:
     return 0
 
 
-def _cmd_det(args) -> int:
+def _cmd_value(args) -> int:
+    # det and perm: args.routes maps each --method to its function.
     graph = _load_graph(args.input)
-    value = det_via_sachs(graph) if args.method == "sachs" else det_adjacency(graph)
-    payload = _base_report("det", graph)
+    value = args.routes[args.method](graph)
+    payload = _base_report(args.command, graph)
     payload["method"] = args.method
-    payload["det"] = str(value)
-    _emit(payload)
-    return 0
-
-
-def _cmd_perm(args) -> int:
-    graph = _load_graph(args.input)
-    value = perm_via_sachs(graph) if args.method == "sachs" else perm_adjacency(graph)
-    payload = _base_report("perm", graph)
-    payload["method"] = args.method
-    payload["perm"] = str(value)
+    payload[args.command] = str(value)
     _emit(payload)
     return 0
 
@@ -249,15 +240,14 @@ def _build_parser() -> _Parser:
     p.add_argument("--dot", metavar="OUT", help="also write a decorated DOT file")
     p.set_defaults(func=_cmd_decompose)
 
-    p = sub.add_parser("det", help="determinant of the adjacency matrix")
-    p.add_argument("input")
-    p.add_argument("--method", choices=("elimination", "sachs"), default="elimination")
-    p.set_defaults(func=_cmd_det)
-
-    p = sub.add_parser("perm", help="permanent of the adjacency matrix")
-    p.add_argument("input")
-    p.add_argument("--method", choices=("ryser", "sachs"), default="ryser")
-    p.set_defaults(func=_cmd_perm)
+    for name, what, routes in (
+        ("det", "determinant", {"elimination": det_adjacency, "sachs": det_via_sachs}),
+        ("perm", "permanent", {"ryser": perm_adjacency, "sachs": perm_via_sachs}),
+    ):
+        p = sub.add_parser(name, help=f"{what} of the adjacency matrix")
+        p.add_argument("input")
+        p.add_argument("--method", choices=tuple(routes), default=next(iter(routes)))
+        p.set_defaults(func=_cmd_value, routes=routes)
 
     p = sub.add_parser("verify", help="run the theorem suite")
     p.add_argument("input")

@@ -17,16 +17,19 @@ The search works on bitsets.  Each odd cycle is listed once per graph as
 a mask of edge indices, a mask of vertices and its k; a cycle holds at
 most k disjoint edges, so it is a blossom of M exactly when k of its
 edges are matched.  Walks run in the (vertex, parity) state graph of the
-alternating module, with (x, True) at bit x and (x, False) at bit x + n.
-One strong-component pass and one condensation sweep give every state's
-reach; backward reach is the half-swap of a forward one, by the state
-graph's skew symmetry.  The loop over maximum matchings stops once the
-union covers the ceiling, the connected components that hold an odd
-cycle: every covered vertex is joined by a walk to a blossom.  A graph
-without odd cycles enumerates no matching.  So only the simple-cycle and
-matching enumerations are exponential; a cycle-count cap guards against
-dense inputs.  On matchable graphs this agrees with the fast pair-wise
-separation, which the test suite exercises.
+alternating module, with (x, True) at bit x and (x, False) at bit x + n;
+an unsaturated vertex's False state has no transition.  One
+strong-component pass and one condensation sweep give every state's
+reach.  The state graph is skew-symmetric under the parity flip (the
+states that reach (x, p) are the flips of those reached from
+(x, not p)), so backward reach is the half-swap of a forward one.  The
+loop over maximum matchings stops once the union covers the ceiling, the
+connected components that hold an odd cycle: every covered vertex is
+joined by a walk to a blossom.  A graph without odd cycles enumerates no
+matching.  So only the simple-cycle and matching enumerations are
+exponential; a cycle-count cap guards against dense inputs.  On
+matchable graphs this agrees with the fast pair-wise separation, which
+the test suite exercises.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from __future__ import annotations
 from .alternating import _bit_indices, _component_reach
 from .errors import BoundExceededError
 from .graph import Graph, connected_components
-from .matching import Matching, iter_maximum_matchings
+from .matching import iter_maximum_matchings
 
 DEFAULT_CONFIG_ORDER = 12
 DEFAULT_MAX_CYCLES = 200_000
@@ -77,34 +80,6 @@ def simple_odd_cycles(graph: Graph, *, max_cycles: int = DEFAULT_MAX_CYCLES) -> 
         path.pop()
         on_path[s] = False
     return cycles
-
-
-def blossoms(
-    graph: Graph,
-    matching: Matching,
-    odd_cycles: list[tuple[int, ...]] | None = None,
-) -> list[tuple[frozenset[int], int]]:
-    """(vertex set, base) of every blossom of the matching, in cycle order."""
-    if odd_cycles is None:
-        odd_cycles = simple_odd_cycles(graph)
-    bits, rows = _cycle_table(graph, odd_cycles)
-    return [
-        (frozenset(_bit_indices(verts)), base)
-        for verts, base in _blossoms(rows, bits, matching.pairing)
-    ]
-
-
-def configuration_vertices(
-    graph: Graph,
-    matching: Matching,
-    odd_cycles: list[tuple[int, ...]] | None = None,
-) -> frozenset[int]:
-    """Vertices lying on some flower or posy of the given matching."""
-    if odd_cycles is None:
-        odd_cycles = simple_odd_cycles(graph)
-    bits, rows = _cycle_table(graph, odd_cycles)
-    found = _blossoms(rows, bits, matching.pairing)
-    return frozenset(_bit_indices(_covered(graph, matching.pairing, found)))
 
 
 def _cycle_table(
@@ -165,7 +140,7 @@ def _state_reach(graph: Graph, pairing: tuple[int, ...]) -> list[int]:
     Entry s is the mask of the states that state s reaches, s included,
     from one strong-component pass and condensation sweep over the state
     graph.  The states that reach (x, p) are the half-swap of what
-    (x, not p) reaches: the skew symmetry of ``alternating._state_search``.
+    (x, not p) reaches, by the state graph's skew symmetry.
     """
     n = graph.n
     arcs = [[y + n for y in nbrs if y != u] for nbrs, u in zip(graph.adjacency, pairing)]

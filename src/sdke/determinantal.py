@@ -149,24 +149,14 @@ def perm_via_sachs(graph: Graph, *, max_order: int = DEFAULT_SACHS_ORDER) -> int
     )
 
 
-def adjacency_matrix(graph: Graph) -> list[list[int]]:
-    """Dense 0/1 adjacency matrix as Python ints."""
-    a = [[0] * graph.n for _ in range(graph.n)]
-    for u, v in graph.edges:
-        a[u][v] = a[v][u] = 1
-    return a
-
-
 def det_adjacency(graph: Graph) -> int:
     """Exact determinant via fraction-free (Bareiss) elimination."""
-    return _bareiss_det(adjacency_matrix(graph))
-
-
-def _bareiss_det(matrix: list[list[int]]) -> int:
-    n = len(matrix)
+    n = graph.n
     if n == 0:
         return 1
-    m = [row[:] for row in matrix]
+    m = [[0] * n for _ in range(n)]
+    for u, v in graph.edges:
+        m[u][v] = m[v][u] = 1
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -349,13 +339,15 @@ def factorization_report(
 
     Determinants come from elimination and permanents from
     ``perm_adjacency``.  An empty part contributes the multiplicative
-    identity 1.  The permanent can be skipped for orders above its bound.
-    A graph without a perfect matching raises NotMatchableError.
+    identity 1, and the other part is then G itself, so it takes G's
+    values rather than computing them again.  The permanent can be skipped
+    for orders above its bound.  A graph without a perfect matching raises
+    NotMatchableError.
     """
     part = sd_ke_partition(graph)
+    parts = (part.sd_part, part.ke_part)
     det_g = det_adjacency(graph)
-    det_sd = det_adjacency(part.sd_part)
-    det_ke = det_adjacency(part.ke_part)
+    det_sd, det_ke = (det_g if p.n == graph.n else det_adjacency(p) for p in parts)
     report = FactorizationReport(
         partition=part,
         det_g=det_g,
@@ -364,10 +356,10 @@ def factorization_report(
         det_product_ok=det_g == det_sd * det_ke,
     )
     if include_permanent:
-        report.perm_g = perm_adjacency(graph)
-        report.perm_sd = perm_adjacency(part.sd_part)
-        report.perm_ke = perm_adjacency(part.ke_part)
-        report.perm_product_ok = report.perm_g == report.perm_sd * report.perm_ke
+        perm_g = perm_adjacency(graph)
+        perm_sd, perm_ke = (perm_g if p.n == graph.n else perm_adjacency(p) for p in parts)
+        report.perm_g, report.perm_sd, report.perm_ke = perm_g, perm_sd, perm_ke
+        report.perm_product_ok = perm_g == perm_sd * perm_ke
     return report
 
 

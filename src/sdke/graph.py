@@ -221,6 +221,7 @@ def graph_hash(graph: Graph) -> str:
 def export_dot(graph: Graph, partition=None, matching=None) -> str:
     """Render the graph as DOT text.
 
+    Labels are quoted, with backslashes and double quotes escaped.
     Matching edges, if a matching is given, are drawn bold red.  If a
     partition is given, its SD vertices are filled gray and KE vertices
     light blue.
@@ -241,7 +242,8 @@ def export_dot(graph: Graph, partition=None, matching=None) -> str:
             matched.add(as_edge(u, v))
     lines = ["graph G {", "  node [shape=circle];"]
     for v in range(graph.n):
-        attrs = [f'label="{graph.labels[v]}"']
+        label = str(graph.labels[v]).replace("\\", "\\\\").replace('"', '\\"')
+        attrs = [f'label="{label}"']
         if v in sd:
             attrs.append('style=filled, fillcolor=gray85')
         elif v in ke:

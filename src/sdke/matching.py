@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import BoundExceededError, GraphError, MatchingError
-from .graph import Edge, Graph, as_edge, delete_edge
+from .errors import BoundExceededError, MatchingError
+from .graph import Edge, Graph
 
 DEFAULT_ENUMERATION_ORDER = 16
 
@@ -103,10 +103,6 @@ def parse_matching(text: str, n: int) -> Matching:
         except ValueError:
             raise MatchingError(f"malformed matching line {ln!r}") from None
     return matching_from_edges(n, pairs)
-
-
-def serialize_matching(matching: Matching) -> str:
-    return "".join(f"{u} {v}\n" for u, v in matching.edge_pairs())
 
 
 def maximum_matching(graph: Graph) -> Matching:
@@ -309,11 +305,3 @@ def enumerate_maximum_matchings(
 ) -> list[Matching]:
     """All matchings of maximum cardinality, as a list (see iter_maximum_matchings)."""
     return list(iter_maximum_matchings(graph, max_order=max_order))
-
-
-def exists_max_matching_avoiding(graph: Graph, e: tuple[int, int]) -> bool:
-    """True iff some maximum matching avoids edge e, i.e. mu(G-e) = mu(G)."""
-    e = as_edge(*e)
-    if e not in graph.edge_set:
-        raise GraphError(f"edge ({e[0]},{e[1]}) not in graph")
-    return matching_number(delete_edge(graph, e)) == matching_number(graph)

@@ -235,29 +235,20 @@ def _check_mu_additivity(graph, part) -> CheckResult:
 
 
 def _check_ke_status(graph, part, max_order) -> list[CheckResult]:
-    ke_check = is_koenig_egervary(part.ke_part, max_order=max_order)
-    out = [
-        CheckResult(
-            "ke_part_is_koenig_egervary",
-            ke_check.is_ke,
-            None
-            if ke_check.is_ke
-            else {"alpha": ke_check.alpha, "mu": ke_check.mu, "n": ke_check.n},
-        )
-    ]
-    if part.sd_part.n:
-        sd_check = is_koenig_egervary(part.sd_part, max_order=max_order)
-        out.append(
-            CheckResult(
-                "sd_part_not_koenig_egervary",
-                not sd_check.is_ke,
-                None
-                if not sd_check.is_ke
-                else {"alpha": sd_check.alpha, "mu": sd_check.mu, "n": sd_check.n},
-            )
-        )
-    else:
-        out.append(CheckResult("sd_part_not_koenig_egervary", True))
+    # The KE part must be Koenig-Egervary and the SD part must not be; an
+    # empty part passes either way.
+    out = []
+    for name, side, want_ke in (
+        ("ke_part_is_koenig_egervary", part.ke_part, True),
+        ("sd_part_not_koenig_egervary", part.sd_part, False),
+    ):
+        check = is_koenig_egervary(side, max_order=max_order) if side.n else None
+        if check is None or check.is_ke == want_ke:
+            out.append(CheckResult(name, True))
+        else:
+            out.append(CheckResult(
+                name, False, {"alpha": check.alpha, "mu": check.mu, "n": check.n}
+            ))
     return out
 
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from itertools import combinations, permutations
 
-from sdke import Graph, Matching, iter_maximum_matchings, simple_odd_cycles
-from sdke.alternating import _bit_indices, _state_search
+from sdke import Graph, Matching, delete_edge, iter_maximum_matchings, simple_odd_cycles
+from sdke.alternating import _bit_indices
 from sdke.configurations import _blossoms, _covered, _cycle_table
 
 
@@ -244,6 +244,54 @@ def enumerate_mm_walks_tiny(g: Graph, pairing, v: int, max_edges: int) -> set[tu
     return out
 
 
+def state_search(
+    g: Graph, pairing, starts: list[tuple[int, bool]]
+) -> dict[tuple[int, bool], tuple[int, bool] | None]:
+    """BFS over (vertex, matched_last) states; returns the parent map.
+
+    The definition-level search: (x, True) steps to (y, False) for every
+    non-matching edge xy, and (x, False) to (M(x), True).  Every start
+    state maps to None.  The pairing may leave vertices unsaturated
+    (pairing[x] == x); such a vertex has no transition from its False
+    state.
+    """
+    parents: dict[tuple[int, bool], tuple[int, bool] | None] = dict.fromkeys(starts)
+    queue = deque(parents)
+    while queue:
+        state = queue.popleft()
+        x, matched_last = state
+        if matched_last:
+            nxt = [(y, False) for y in g.adjacency[x] if y != pairing[x]]
+        elif pairing[x] != x:
+            nxt = [(pairing[x], True)]
+        else:
+            nxt = []
+        for s in nxt:
+            if s not in parents:
+                parents[s] = state
+                queue.append(s)
+    return parents
+
+
+def mm_reach_by_state_search(g: Graph, pairing, v: int) -> frozenset[int]:
+    """Vertices reachable from v by an mm-alternating walk.
+
+    The walk's first edge is v's matching edge, so the search starts at
+    (M(v), True); u is reachable when (u, True) is.
+    """
+    reached = state_search(g, pairing, [(pairing[v], True)])
+    return frozenset(x for (x, matched_last) in reached if matched_last)
+
+
+def exists_max_matching_avoiding(g: Graph, e: tuple[int, int]) -> bool:
+    """True iff some maximum matching avoids edge e, i.e. mu(G - e) = mu(G).
+
+    Both matching numbers come from ``brute_matching_number``.  A pair
+    that is not an edge of g raises GraphError.
+    """
+    return brute_matching_number(delete_edge(g, e)) == brute_matching_number(g)
+
+
 def states_reaching_bfs(g: Graph, pairing, target: tuple[int, bool]) -> set[tuple[int, bool]]:
     """(vertex, matched_last) states that reach target, by predecessor BFS.
 
@@ -353,12 +401,12 @@ def configuration_vertices_by_state_search(
     exposed = [v for v in range(g.n) if pairing[v] == v]
 
     fwd_base = {
-        b: _state_search(g, pairing, [(pairing[b], True)])
+        b: state_search(g, pairing, [(pairing[b], True)])
         for b in bases
         if pairing[b] != b
     }
     bwd_base = {
-        b: {(x, not p) for (x, p) in _state_search(g, pairing, [(b, False)])}
+        b: {(x, not p) for (x, p) in state_search(g, pairing, [(b, False)])}
         for b in bases
     }
     covered: set[int] = set()
@@ -376,7 +424,7 @@ def configuration_vertices_by_state_search(
                 add_walk_vertices(fwd_base[b1], bwd_base[b2])
 
     for r in exposed:
-        fwd = _state_search(g, pairing, [(y, False) for y in g.adjacency[r]])
+        fwd = state_search(g, pairing, [(y, False) for y in g.adjacency[r]])
         for b in bases:
             if b == r:
                 covered |= by_base[b]

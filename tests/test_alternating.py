@@ -29,7 +29,11 @@ from fixtures import (
     posy12,
     tangle8,
 )
-from oracles import enumerate_mm_walks_tiny, mm_reach_by_length_dp
+from oracles import (
+    enumerate_mm_walks_tiny,
+    mm_reach_by_length_dp,
+    mm_reach_by_state_search,
+)
 
 
 def reach_labels(g, m, label):
@@ -81,16 +85,20 @@ def test_reachability_lemma_small_graphs():
 
 
 def test_reachable_sets_against_oracles():
-    # Every entry equals the per-vertex search and the layered walk DP,
-    # under every perfect matching.
+    # Under every perfect matching, every entry equals the state-search
+    # oracle and the layered walk DP, and so does the one-vertex BFS; v
+    # has an mm-closed walk iff v is in the oracle's reach from M(v).
     graphs = [g for _, g in matchable_corpus(40, max_n=10)] + [posy12(), tangle8()]
     for i, g in enumerate(graphs):
         for m in enumerate_perfect_matchings(g):
             sets = reachable_sets(g, m)
             assert len(sets) == g.n, i
             for v in range(g.n):
-                assert sets[v] == reachable_set(g, m, v), (i, v)
+                want = mm_reach_by_state_search(g, m.pairing, v)
+                assert sets[v] == want, (i, v)
                 assert sets[v] == mm_reach_by_length_dp(g, m.pairing, v, 4 * g.n), (i, v)
+                assert reachable_set(g, m, v) == want, (i, v)
+                assert has_mm_closed_walk(g, m, v) == (v in want), (i, v)
 
 
 def test_reachable_sets_fixture_values():
@@ -180,7 +188,7 @@ def test_state_search_agrees_with_length_dp():
         m = maximum_matching(g)
         for v in range(g.n):
             dp = mm_reach_by_length_dp(g, m.pairing, v, 4 * g.n)
-            assert reachable_set(g, m, v) == dp, f"seed {seed} v {v}"
+            assert mm_reach_by_state_search(g, m.pairing, v) == dp, f"seed {seed} v {v}"
 
 
 def test_verify_walk_k2():

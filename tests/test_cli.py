@@ -24,6 +24,7 @@ from fixtures import (
     k10_pendant,
     ladder8,
     mixed32,
+    path_graph,
     posy12,
     tangle8,
 )
@@ -222,6 +223,19 @@ def test_perm_above_bound_is_domain_error(tmp_path, capsys):
     assert "permanent bound 22" in data["error"]["message"]
 
 
+def test_method_selects_its_route(tmp_path, capsys):
+    # Both routes give the same value, so each route's order bound shows
+    # which one ran: P21 is within the direct bounds, above the Sachs one.
+    path = tmp_path / "p21.edges"
+    path.write_text(serialize_edge_list(path_graph(21)))
+    for cmd, direct in (("det", "elimination"), ("perm", "ryser")):
+        code, data = run_json(capsys, [cmd, str(path), "--method", direct])
+        assert (code, data["method"], data[cmd]) == (0, direct, "0")
+        code, data = run_json(capsys, [cmd, str(path), "--method", "sachs"])
+        assert code == 1
+        assert "Sachs enumeration bound 20" in data["error"]["message"]
+
+
 def test_gen_roundtrip(capsys):
     code = run_cli(["gen", "--n", "8", "--p", "0.3", "--seed", "5"])
     out = capsys.readouterr().out
@@ -283,6 +297,23 @@ GOLDEN_SHA256 = {
         "4a8e887534ec4ff9dcce715718a1f47358b444a0c27737ee20161f62fe5233fc",
     ("tangle8", "verify"):
         "6723016a29736f1b47cf2d046ff4354bc60b8f6371856a3071f9ac36b8003074",
+    # det and perm by each method, recorded before the two handlers merged.
+    ("posy12", "det"):
+        "a2bde78e6aa9dcf16bf30c292d7d34ed2efccff018047bc0b25ff17a09ddfdfe",
+    ("posy12", "det --method sachs"):
+        "f3aee166481e65bdb2fe4c6bfb9f55ac79c53637b625db9c7f6c4ec8f005658c",
+    ("posy12", "perm"):
+        "110f1731859a91c4f3155a12abfc035de856faefc7137b434cf8ee0aa3639dec",
+    ("posy12", "perm --method sachs"):
+        "41e59bfe3f82d78296d82d71ef49fcfe7284ca835efde2e847e8845615f30620",
+    ("tangle8", "det"):
+        "dc23b8c5009fb73e1daf0275f908ce078680ccdb7c3728925e974f402583654f",
+    ("tangle8", "det --method sachs"):
+        "bf0fb82e403b895478787ce88b13f6041ccd01bfa5a835bee3273f4687920f1e",
+    ("tangle8", "perm"):
+        "571c91827bd4a57de7fa6b7d2baca8aeb2910345a0d93e8fa51c5f1a927aab40",
+    ("tangle8", "perm --method sachs"):
+        "05edab97d9e9fd452019180085eb25d29d90ed0d8d0a77594d415de7c30aa05f",
     # Odd order, so every maximum matching leaves one vertex unmatched.
     ("flower9", "matchings --maximum"):
         "8c886e6777c5093869311b9c298c5af3e4155c8525ed102d2e6f3cd23dce9334",

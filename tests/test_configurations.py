@@ -2,9 +2,7 @@ import pytest
 
 from sdke import (
     BoundExceededError,
-    blossoms,
     build_graph,
-    configuration_vertices,
     delete_edge,
     disjoint_union,
     enumerate_maximum_matchings,
@@ -15,9 +13,9 @@ from sdke import (
     sd_vertices_of,
     simple_odd_cycles,
 )
-from sdke.alternating import _state_search
 from sdke import configurations
-from sdke.configurations import _state_reach
+from sdke.alternating import _bit_indices
+from sdke.configurations import _blossoms, _covered, _cycle_table, _state_reach
 from conftest import matchable_corpus, mixed_corpus
 from fixtures import (
     FLOWER9_M,
@@ -36,8 +34,22 @@ from oracles import (
     blossoms_by_cycle_scan,
     configuration_vertices_by_state_search,
     sd_vertices_stop_at_full,
+    state_search,
     states_reaching_bfs,
 )
+
+
+def blossoms(g, m, odd_cycles=None):
+    """(vertex set, base) of every blossom of m, from the bitset cycle table."""
+    bits, rows = _cycle_table(g, simple_odd_cycles(g) if odd_cycles is None else odd_cycles)
+    return [(frozenset(_bit_indices(verts)), base) for verts, base in _blossoms(rows, bits, m.pairing)]
+
+
+def configuration_vertices(g, m, odd_cycles=None):
+    """Vertices on some flower or posy of m, from the bitset search."""
+    bits, rows = _cycle_table(g, simple_odd_cycles(g) if odd_cycles is None else odd_cycles)
+    found = _blossoms(rows, bits, m.pairing)
+    return frozenset(_bit_indices(_covered(g, m.pairing, found)))
 
 
 def test_odd_cycles_triangle_and_c5():
@@ -139,7 +151,7 @@ def test_backward_reach_by_skew_symmetry_matches_predecessor_bfs():
             for x in range(g.n):
                 for p in (True, False):
                     want = states_reaching_bfs(g, m.pairing, (x, p))
-                    reached = _state_search(g, m.pairing, [(x, not p)])
+                    reached = state_search(g, m.pairing, [(x, not p)])
                     flipped = {(y, not q) for (y, q) in reached}
                     assert flipped == want, f"seed {seed} state {(x, p)}"
                     bits = reach[x + n if p else x]

@@ -33,7 +33,11 @@ from fixtures import (
     posy12,
     tangle8,
 )
-from oracles import sd_split_per_pair_bfs, shortest_mm_closed_walk_bfs
+from oracles import (
+    exists_max_matching_avoiding,
+    sd_split_per_pair_bfs,
+    shortest_mm_closed_walk_bfs,
+)
 
 
 def test_ladder8_is_all_ke():
@@ -320,8 +324,6 @@ def test_stability_rejects_non_ke_edges():
 
 
 def test_stability_avoidable_edges_on_corpus():
-    from sdke import exists_max_matching_avoiding
-
     checked = 0
     for seed, g in matchable_corpus(30, max_n=10):
         p = sd_ke_partition(g)
@@ -332,7 +334,8 @@ def test_stability_avoidable_edges_on_corpus():
         for e in ke_edges[:3]:
             rep = check_stability_under_deletion(g, e)
             assert rep.inclusion_ok, f"seed {seed} {e}"
-            if exists_max_matching_avoiding(g, e):
+            assert rep.avoidable == exists_max_matching_avoiding(g, e), f"seed {seed} {e}"
+            if rep.avoidable:
                 assert rep.equal, f"seed {seed} {e}"
             checked += 1
     assert checked > 20

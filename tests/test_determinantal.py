@@ -226,6 +226,32 @@ def test_factorization_ladder8():
     assert r.det_product_ok and r.perm_product_ok
 
 
+def test_factorization_computes_each_order_n_value_once(monkeypatch):
+    # When one part is empty the other is G itself, so det and perm of
+    # order n are computed once, on G, and the parts' values still match.
+    calls = []
+
+    def counting(fn):
+        def counted(graph, **kwargs):
+            calls.append((fn.__name__, graph.n))
+            return fn(graph, **kwargs)
+        return counted
+
+    monkeypatch.setattr(determinantal, "det_adjacency", counting(det_adjacency))
+    monkeypatch.setattr(determinantal, "perm_adjacency", counting(perm_adjacency))
+    for g, all_sd in ((tangle8(), True), (ladder8(), False), (cycle_graph(4), False)):
+        calls.clear()
+        r = factorization_report(g)
+        assert (len(r.partition.sd_vertices) == g.n) == all_sd
+        order_n = sorted(name for name, n in calls if n == g.n)
+        assert order_n == ["det_adjacency", "perm_adjacency"], g
+        for value, part in ((r.det_sd, r.partition.sd_part), (r.det_ke, r.partition.ke_part)):
+            assert value == det_adjacency(part)
+        for value, part in ((r.perm_sd, r.partition.sd_part), (r.perm_ke, r.partition.ke_part)):
+            assert value == perm_adjacency(part)
+        assert r.det_product_ok and r.perm_product_ok
+
+
 def test_factorization_posy12():
     r = factorization_report(posy12())
     assert r.det_ke == -1  # the pendant pair is a single edge

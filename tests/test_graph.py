@@ -136,6 +136,13 @@ def test_export_dot_plain():
     assert "0 -- 1;" in text and text.startswith("graph G {")
 
 
+def test_export_dot_escapes_labels():
+    text = export_dot(build_graph(2, [(0, 1)], labels=['a"b', "c\\d"]))
+    assert '0 [label="a\\"b"];' in text
+    assert '1 [label="c\\\\d"];' in text
+    assert 'label="7"' in export_dot(build_graph(8, [(0, 7)]))
+
+
 def test_export_dot_matching_styled():
     g = build_graph(2, [(0, 1)])
     from sdke import maximum_matching

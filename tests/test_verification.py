@@ -204,6 +204,30 @@ def test_injected_counterexamples_reverify_as_failures():
     assert all(r.counterexample is not None for r in failing)
 
 
+def test_ke_status_checks_name_each_failing_part():
+    # Swapping posy12's parts makes both verdicts wrong; each check names
+    # the offending part's numbers.  An empty part passes either way.
+    import dataclasses
+
+    from sdke.verification import _check_ke_status
+
+    p = sd_ke_partition(posy12())
+    swapped = dataclasses.replace(p, sd_part=p.ke_part, ke_part=p.sd_part)
+    ke, sd = _check_ke_status(None, swapped, max_order=12)
+    for result, name, side in (
+        (ke, "ke_part_is_koenig_egervary", p.sd_part),
+        (sd, "sd_part_not_koenig_egervary", p.ke_part),
+    ):
+        chk = is_koenig_egervary(side)
+        assert (result.name, result.passed) == (name, False)
+        assert result.counterexample == {"alpha": chk.alpha, "mu": chk.mu, "n": chk.n}
+    for doctored in (
+        dataclasses.replace(p, sd_part=build_graph(0, [])),
+        dataclasses.replace(p, ke_part=build_graph(0, [])),
+    ):
+        assert all(r.passed for r in _check_ke_status(None, doctored, max_order=12))
+
+
 def test_counterexample_payload_identifies_matched_cut_edge():
     from sdke.verification import _check_cut_unmatched
 
