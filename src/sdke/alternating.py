@@ -112,13 +112,25 @@ def verify_walk(graph: Graph, matching: Matching, walk: AlternatingWalk) -> bool
 
 
 def _perfect_pairing(graph: Graph, matching: Matching) -> tuple[int, ...]:
-    """The pairing of matching, after checking it is a perfect matching of graph."""
+    """The pairing of matching, after checking it is a perfect matching of graph.
+
+    One pass asks of each vertex u with partner v that v < u, or that
+    v > u and uv is an edge.  Only a matching that fails it is handed to
+    ``Matching.validate``, so a matched non-edge is still reported as a
+    MatchingError before a missing partner.
+    """
+    pairing = matching.pairing
+    edges = graph.edge_set
+    if matching.n == graph.n:
+        for u, v in enumerate(pairing):
+            if not (v < u or v > u and (u, v) in edges):
+                break
+        else:
+            return pairing
     matching.validate(graph)
-    if not matching.is_perfect:
-        raise NotMatchableError(
-            "SD-KE separation requires a graph with a perfect matching"
-        )
-    return matching.pairing
+    raise NotMatchableError(
+        "SD-KE separation requires a graph with a perfect matching"
+    )
 
 
 def reachable_set(graph: Graph, matching: Matching, v: int) -> frozenset[int]:
@@ -154,24 +166,19 @@ def _component_reach(arcs: list[list[int]]) -> tuple[list[int], list[int]]:
     """Strong component of every vertex, and every component's reach.
 
     A reach is a bitset with bit x for each vertex x the component's
-    members reach, themselves included.  One sweep in increasing component
-    number finds each successor's reach complete (``_strong_components``
-    numbers sinks first), so a component's reach is its own members plus
-    an OR per arc that leaves it.
+    members reach, themselves included.  One sweep over the vertices in
+    increasing component number finds each successor's reach complete
+    (``_strong_components`` numbers sinks first), so a component's reach
+    is its own members plus an OR per arc.  An arc inside the component
+    ORs in the part of its own reach built so far, which changes nothing.
     """
     comp = _strong_components(arcs)
-    members: list[list[int]] = [[] for _ in range(max(comp, default=-1) + 1)]
-    for x, c in enumerate(comp):
-        members[c].append(x)
-    reach: list[int] = []
-    for c, xs in enumerate(members):
-        bits = 0
-        for x in xs:
-            bits |= 1 << x
-            for z in arcs[x]:
-                if comp[z] != c:
-                    bits |= reach[comp[z]]
-        reach.append(bits)
+    reach = [0] * (max(comp, default=-1) + 1)
+    for x in sorted(range(len(arcs)), key=comp.__getitem__):
+        bits = reach[comp[x]] | 1 << x
+        for z in arcs[x]:
+            bits |= reach[comp[z]]
+        reach[comp[x]] = bits
     return comp, reach
 
 

@@ -23,13 +23,17 @@ strong-component pass and one condensation sweep give every state's
 reach.  The state graph is skew-symmetric under the parity flip (the
 states that reach (x, p) are the flips of those reached from
 (x, not p)), so backward reach is the half-swap of a forward one.  The
-loop over maximum matchings stops once the union covers the ceiling, the
-connected components that hold an odd cycle: every covered vertex is
-joined by a walk to a blossom.  A graph without odd cycles enumerates no
-matching.  So only the simple-cycle and matching enumerations are
-exponential; a cycle-count cap guards against dense inputs.  On
-matchable graphs this agrees with the fast pair-wise separation, which
-the test suite exercises.
+loop over maximum matchings stops once the union covers the ceiling.
+It starts as the connected components that hold an odd cycle, since
+every covered vertex is joined by a walk to a blossom, and after the
+first matching it keeps only the components that matching's flowers and
+posies touched: by Sterboul–Deming the others are König–Egerváry and
+have none under any maximum matching.  A graph without odd cycles
+enumerates no matching, and one whose odd components are all
+König–Egerváry enumerates one.  So only the simple-cycle and matching
+enumerations are exponential; a cycle-count cap guards against dense
+inputs.  On matchable graphs this agrees with the fast pair-wise
+separation, which the test suite exercises.
 """
 
 from __future__ import annotations
@@ -190,12 +194,20 @@ def sd_vertices_bruteforce(
 ) -> frozenset[int]:
     """SD vertex set by configuration search over all maximum matchings.
 
-    The search stops once the union reaches its ceiling: the vertices of
-    the connected components that hold an odd cycle.  Every vertex that
-    ``_covered`` adds lies on a blossom or on a walk that ends at one, so
-    no maximum matching covers a vertex outside the ceiling.  A graph
-    without odd cycles has no blossom, hence the empty set, and no
-    matching is enumerated for it.
+    The search stops once the union reaches its ceiling.  At first the
+    ceiling is the vertices of the connected components that hold an odd
+    cycle: every vertex that ``_covered`` adds lies on a blossom or on a
+    walk that ends at one, so no maximum matching covers a vertex outside
+    it.  A graph without odd cycles has no blossom, hence the empty set,
+    and no matching is enumerated for it.
+
+    After the first maximum matching M the ceiling keeps only the
+    components that M's flowers and posies touched.  Proof that this is
+    exact: an untouched component H is König–Egerváry by Sterboul–Deming,
+    as M restricted to H is a maximum matching of H without a flower or
+    posy; and under any maximum matching a flower or posy in H would put
+    its blossom's base both in and out of a maximum independent set of H,
+    which holds every exposed vertex and one end of every matched edge.
     """
     if graph.n > max_order:
         raise BoundExceededError(
@@ -205,15 +217,18 @@ def sd_vertices_bruteforce(
     odd = 0
     for _, verts, _ in rows:
         odd |= verts
-    ceiling = 0
+    odd_components = []
     for comp in connected_components(graph):
         mask = sum(1 << v for v in comp)
         if mask & odd:
-            ceiling |= mask
+            odd_components.append(mask)
     covered = 0
-    if ceiling:
+    if odd_components:
+        ceiling = None
         for m in iter_maximum_matchings(graph, max_order=max_order):
             covered |= _covered(graph, m.pairing, _blossoms(rows, bits, m.pairing))
+            if ceiling is None:
+                ceiling = sum(mask for mask in odd_components if mask & covered)
             if covered == ceiling:
                 break
     return frozenset(_bit_indices(covered))

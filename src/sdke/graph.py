@@ -170,11 +170,19 @@ def connected_components(graph: Graph) -> list[frozenset[int]]:
     return comps
 
 
+# Vertices a header may declare beyond one per input character.
+_SPARE_VERTICES = 1 << 16
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list file format.
 
     Lines starting with '#' are comments.  The first non-comment line is
-    "n m"; exactly m lines "u v" with 0-based ids follow.
+    "n m"; exactly m lines "u v" with 0-based ids follow.  n may exceed
+    the input's length in characters by at most 65,536, since the text
+    can name fewer vertices than it has characters and the rest are
+    isolated; a larger n raises GraphError before anything of size n is
+    built.
     """
     lines = [
         ln.strip()
@@ -190,6 +198,11 @@ def parse_edge_list(text: str) -> Graph:
         n, m = int(head[0]), int(head[1])
     except ValueError:
         raise GraphError(f"malformed header line {lines[0]!r}") from None
+    if n > len(text) + _SPARE_VERTICES:
+        raise GraphError(
+            f"header declares {n} vertices, more than {_SPARE_VERTICES} beyond "
+            f"the input's {len(text)} characters"
+        )
     body = lines[1:]
     if len(body) != m:
         raise GraphError(f"header declares {m} edges but {len(body)} lines follow")

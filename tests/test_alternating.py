@@ -121,6 +121,17 @@ def test_reachable_sets_requires_perfect_matching():
         reachable_sets(g, matching_from_edges(3, [(0, 1)]))
     with pytest.raises(MatchingError, match="not an edge"):
         reachable_sets(build_graph(2, []), matching_from_edges(2, [(0, 1)]))
+    # A matched non-edge is reported before the matching's size is judged,
+    # and of several, the one with the lowest end.
+    with pytest.raises(MatchingError, match=r"^matched pair \(0,2\) is not an edge$"):
+        reachable_sets(g, matching_from_edges(3, [(2, 0)]))
+    p6 = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
+    with pytest.raises(MatchingError, match=r"^matched pair \(0,3\) is not an edge$"):
+        reachable_sets(p6, matching_from_edges(6, [(4, 1), (3, 0), (2, 5)]))
+    with pytest.raises(MatchingError, match=r"^matched pair \(3,5\) is not an edge$"):
+        reachable_sets(p6, matching_from_edges(6, [(1, 2), (3, 5)]))
+    with pytest.raises(MatchingError, match="matching over 2 vertices"):
+        reachable_sets(p6, matching_from_edges(2, [(0, 1)]))
 
 
 def test_has_mm_closed_walk_fixture_values():

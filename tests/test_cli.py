@@ -377,6 +377,15 @@ def test_malformed_graph_is_domain_error(tmp_path, capsys):
     assert data["error"]["type"] == "GraphError"
 
 
+def test_huge_header_is_domain_error(tmp_path, capsys):
+    huge = tmp_path / "huge.edges"
+    huge.write_text("1000000000 0\n")
+    code, data = run_json(capsys, ["decompose", str(huge)])
+    assert code == 1
+    assert data["error"]["type"] == "GraphError"
+    assert "header declares 1000000000 vertices" in data["error"]["message"]
+
+
 def test_stdin_input(files, capsys, monkeypatch):
     import io
 

@@ -213,3 +213,37 @@ def test_no_odd_cycle_enumerates_no_matching(monkeypatch):
     monkeypatch.setattr(configurations, "iter_maximum_matchings", refuse)
     assert sd_vertices_bruteforce(cycle_graph(6)) == frozenset()
     assert sd_vertices_bruteforce(ladder8()) == frozenset()
+
+
+def triangle_two_pendants():
+    """Triangle 0-1-2 with pendants 3 and 4 on 0: n = 5, alpha = 3, mu = 2, KE."""
+    return build_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2)])
+
+
+def test_ke_odd_component_leaves_ceiling_after_one_matching(monkeypatch):
+    # The graph holds an odd cycle but is König–Egerváry, so the first
+    # maximum matching has no flower or posy and the search stops there;
+    # without the Sterboul–Deming ceiling it drew both maximum matchings.
+    g = triangle_two_pendants()
+    assert len(enumerate_maximum_matchings(g)) == 2
+    drawn = []
+
+    def spy(*args, **kwargs):
+        for m in enumerate_maximum_matchings(*args, **kwargs):
+            drawn.append(m)
+            yield m
+
+    monkeypatch.setattr(configurations, "iter_maximum_matchings", spy)
+    assert sd_vertices_bruteforce(g) == frozenset()
+    assert len(drawn) == 1
+
+
+def test_ke_odd_component_beside_flower_matches_full_stop_oracle():
+    # The KE component is dropped from the ceiling whichever side of the
+    # union it is on, and the flower's component is still covered.
+    t = triangle_two_pendants()
+    sd9 = sd_vertices_bruteforce(flower9())
+    for g, shift in ((disjoint_union(flower9(), t), 0), (disjoint_union(t, flower9()), t.n)):
+        want = sd_vertices_stop_at_full(g)
+        assert want == {v + shift for v in sd9}
+        assert sd_vertices_bruteforce(g, max_order=g.n) == want

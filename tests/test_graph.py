@@ -114,6 +114,18 @@ def test_parse_errors(text, match):
         parse_edge_list(text)
 
 
+def test_parse_rejects_header_beyond_input_length():
+    # n may exceed the text's length by at most 65,536; above that the
+    # parser raises before it builds anything of size n.
+    with pytest.raises(GraphError, match="header declares 1000000000 vertices"):
+        parse_edge_list("1000000000 0\n")
+    text = "65544 0\n"
+    assert parse_edge_list(text).n == len(text) + 65536
+    with pytest.raises(GraphError, match="header declares 65545 vertices"):
+        parse_edge_list("65545 0\n")
+    assert parse_edge_list("# " + "x" * 100 + "\n65645 0\n").n == 65645
+
+
 @given(st.integers(2, 9).flatmap(lambda n: st.tuples(
     st.just(n),
     st.sets(st.tuples(st.integers(0, 8), st.integers(0, 8))

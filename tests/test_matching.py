@@ -54,6 +54,21 @@ def test_matching_from_edges_rejects_reuse():
         matching_from_edges(3, [(0, 1), (1, 2)])
 
 
+def test_validate_names_lowest_non_edge_pair():
+    # Path 0-1-2-3-4-5: none of the pairs (1,4), (0,3), (2,5) is an edge;
+    # the one with the lowest end is reported, written u < v.
+    g = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
+    m = matching_from_edges(6, [(4, 1), (3, 0), (2, 5)])
+    with pytest.raises(MatchingError, match=r"^matched pair \(0,3\) is not an edge$"):
+        m.validate(g)
+    m = matching_from_edges(6, [(1, 2), (3, 5)])
+    with pytest.raises(MatchingError, match=r"^matched pair \(3,5\) is not an edge$"):
+        m.validate(g)
+    matching_from_edges(6, [(1, 0), (3, 2), (5, 4)]).validate(g)
+    with pytest.raises(MatchingError, match="matching over 2 vertices"):
+        matching_from_edges(2, [(0, 1)]).validate(g)
+
+
 def test_maximum_matching_k2():
     m = maximum_matching(build_graph(2, [(0, 1)]))
     assert m.edge_pairs() == [(0, 1)] and m.size == 1
