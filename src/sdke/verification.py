@@ -1,23 +1,27 @@
 """Independent oracles and theorem-level property checks.
 
-Every check here goes through the public operations of the other modules
-only, so a passing suite certifies the public API.  Failures carry a
-counterexample payload that can be re-verified by hand.
+Every check uses the public operations of other modules or its own
+route to the same answer, so a passing suite certifies the public API.
+Failures carry a counterexample payload that can be re-verified by hand.
 
-The suite does each piece of work once.  One ``reachable_sets`` call per
-perfect matching serves the reach invariance, the SD set under that
-matching (v is SD iff v is in R(v) and M(v) is in R(M(v))), and, on the
-partition's matching, the partner and closure checks and full
-reachability.  The Sachs-cut verdict is read off the permanents of the
-factorization report, which equal it exactly; Sachs subgraphs are
-enumerated only to name a counterexample.  A check that hits a work bound
-on some input does not pass: it fails with the skipped work listed.
+The suite does each piece of work once.  One Warshall closure per chunk
+of perfect matchings, on integers whose bits range over the chunk, gives
+every matching's reachable sets and SD set (v is SD iff v is in R(v) and
+M(v) is in R(M(v))) for the invariance checks; ``reachable_sets`` of the
+partition's matching serves the partner, closure and full-reach checks.
+The Sachs-cut verdict is read off the permanents of the factorization
+report, which equal it exactly; Sachs subgraphs are enumerated only to
+name a counterexample.  A check that hits a work bound on some input
+does not pass: it fails with the skipped work listed.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import islice
+from operator import or_
 from typing import Any
 
 from .alternating import _bit_indices, reachable_sets, verify_walk
@@ -29,10 +33,13 @@ from .determinantal import (
 )
 from .errors import BoundExceededError, NotMatchableError, SdkeError
 from .graph import Graph, build_graph, connected_components
-from .matching import enumerate_perfect_matchings, matching_number
+from .matching import iter_perfect_matchings, matching_number
 
 DEFAULT_ALPHA_ORDER = 30
 DEFAULT_SUITE_ORDER = 12
+_CHUNK = 256  # perfect matchings per reach closure; its integers grow with it
+_MAX_MATCHINGS = 1 << 18  # perfect matchings per suite; K14 has 135,135
+_MAX_RANDOM_ORDER = 20_000  # the generators' O(n^2) pair loop: 9 s at n = 10^4
 
 
 def independence_number(graph: Graph, *, max_order: int = DEFAULT_ALPHA_ORDER) -> int:
@@ -137,58 +144,83 @@ def _check_partner_reachable(graph, matching, reach) -> CheckResult:
     return CheckResult("reachable_includes_partner", True)
 
 
-def _sd_from_reach(matching, reach) -> frozenset[int]:
-    """SD set under matching, read off its reachable sets.
+def _packed_reach(graph, partner, k):
+    """R_i(v) under k perfect matchings at once, from one Warshall closure.
 
-    v has an mm-closed walk iff v is in R(v), and a pair is SD iff both
-    of its members have one.
+    partner[v][w] holds bit i iff M_i(v) = w.  Bit u*k + i of row x means
+    x reaches u in D under matching i; pivot j ORs row j into each row x,
+    masked to the matchings under which x reaches j.  Entry v is row M_i(v).
     """
-    return frozenset(
-        v for v, w in enumerate(matching.pairing) if v in reach[v] and w in reach[w]
-    )
+    n, full = graph.n, (1 << k) - 1
+    ones = sum(1 << u * k for u in range(n))
+    into = [0] * n  # bits u*k + i of every u with M_i(u) = y
+    for u, row in enumerate(partner):
+        for y, bits in row.items():
+            into[y] |= bits << u * k
+    rows = [reduce(or_, map(into.__getitem__, nbrs), full << x * k)
+            for x, nbrs in enumerate(graph.adjacency)]
+    for j, pivot in enumerate(rows):
+        for x, row in enumerate(rows):
+            rows[x] = row | pivot & (row >> j * k & full) * ones
+    return [reduce(or_, (rows[w] & bits * ones for w, bits in row.items()), 0)
+            for row in partner]
 
 
 def _check_matching_invariance(graph, matchings, partition_matching):
-    """Reach and SD-set invariance, from one ``reachable_sets`` per matching.
+    """Reach and SD-set invariance over every perfect matching at once.
 
-    Returns the results of ``reachability_matching_invariance`` and
-    ``partition_matching_independence``, and the reachable sets under
-    partition_matching.  The SD reference is the strong-component split of
-    the first matching; every matching's own SD set is read off its
-    reachable sets.  Only the reference sets are kept across matchings.
+    Returns both check results and the reachable sets under
+    partition_matching.  Every matching's reach, the first's included,
+    comes from the ``_packed_reach`` closure of its chunk, and its SD set
+    from the same bits (v is SD iff v in R(v) and M(v) in R(M(v))); the
+    references are ``reachable_sets`` and ``sd_vertices_under`` of the first.
     """
+    n = graph.n
+    reference = reachable_sets(graph, matchings[0])
     sd0 = sd_vertices_under(graph, matchings[0])
-    reference = reach = invariance = independence = None
-    for m in matchings:
-        sets = reachable_sets(graph, m)
-        if m == partition_matching:
-            reach = sets
-        if reference is None:
-            reference = sets
-        elif invariance is None and sets != reference:
-            v = next(i for i, (a, b) in enumerate(zip(sets, reference)) if a != b)
+    invariance = independence = None
+    for lo in range(0, len(matchings), _CHUNK):
+        chunk = matchings[lo:lo + _CHUNK]
+        k, full = len(chunk), (1 << len(chunk)) - 1
+        partner = [dict.fromkeys(nbrs, 0) for nbrs in graph.adjacency]
+        for i, m in enumerate(chunk):
+            for v, w in enumerate(m.pairing):
+                partner[v][w] |= 1 << i
+        packed = _packed_reach(graph, partner, k)
+        expect = [full * sum(1 << u * k for u in r) for r in reference]
+        if invariance is None and packed != expect:
+            ones = sum(1 << u * k for u in range(n))
+            i, v = min((i, v) for v in range(n) for i in range(k)
+                       if (packed[v] ^ expect[v]) >> i & ones)
             invariance = CheckResult(
                 "reachability_matching_invariance",
                 False,
                 {
                     "vertex": v,
                     "matching_a": matchings[0].edge_pairs(),
-                    "matching_b": m.edge_pairs(),
+                    "matching_b": chunk[i].edge_pairs(),
                     "reach_a": sorted(reference[v]),
-                    "reach_b": sorted(sets[v]),
+                    "reach_b": [u for u in range(n) if packed[v] >> u * k + i & 1],
                 },
             )
-        sd = _sd_from_reach(m, sets)
-        if independence is None and sd != sd0:
+        # sd[v]: the matchings of the chunk under which v is SD.
+        closed = [bits >> v * k & full for v, bits in enumerate(packed)]
+        sd = [reduce(or_, (bits & closed[w] for w, bits in row.items()), 0) & closed[v]
+              for v, row in enumerate(partner)]
+        off = [bits ^ (full if v in sd0 else 0) for v, bits in enumerate(sd)]
+        if independence is None and any(off):
+            i = min((bits & -bits).bit_length() - 1 for bits in off if bits)
             independence = CheckResult(
                 "partition_matching_independence",
                 False,
                 {
-                    "matching": m.edge_pairs(),
-                    "sd": sorted(sd),
+                    "matching": chunk[i].edge_pairs(),
+                    "sd": [v for v in range(n) if sd[v] >> i & 1],
                     "sd_reference": sorted(sd0),
                 },
             )
+    same = partition_matching == matchings[0]
+    reach = reference if same else reachable_sets(graph, partition_matching)
     return (
         invariance or CheckResult("reachability_matching_invariance", True),
         independence or CheckResult("partition_matching_independence", True),
@@ -353,13 +385,16 @@ def run_theorem_suite(
         raise BoundExceededError(
             f"graph order {graph.n} exceeds theorem-suite bound {max_order}"
         )
-    matchings = enumerate_perfect_matchings(graph, max_order=max_order)
+    found = iter_perfect_matchings(graph, max_order=max_order)
+    matchings = list(islice(found, _MAX_MATCHINGS + 1))
+    if len(matchings) > _MAX_MATCHINGS:
+        raise BoundExceededError(f"more than {_MAX_MATCHINGS} perfect matchings: suite bound")
     if not matchings:
         raise NotMatchableError("graph is not matchable")
     factorization = factorization_report(graph)
     part = factorization.partition
-    # One reach pass per perfect matching serves checks 1, 2, 3 and 8; the
-    # partition's matching is one of them.
+    # One packed closure per chunk of perfect matchings serves checks 1 and
+    # 3; checks 2 and 8 read the reachable sets of the partition's matching.
     invariance, independence, reach = _check_matching_invariance(
         graph, matchings, part.matching
     )
@@ -390,6 +425,8 @@ def random_matchable_graph(n: int, extra_edge_prob: float, seed: int) -> Graph:
         raise SdkeError(f"matchable graphs have even order, got {n}")
     if not 0.0 <= extra_edge_prob <= 1.0:
         raise SdkeError(f"probability out of range: {extra_edge_prob}")
+    if n > _MAX_RANDOM_ORDER:
+        raise BoundExceededError(f"order {n} exceeds generator bound {_MAX_RANDOM_ORDER}")
     rng = random.Random(seed)
     order = list(range(n))
     rng.shuffle(order)
@@ -405,6 +442,8 @@ def random_graph(n: int, edge_prob: float, seed: int) -> Graph:
     """Plain seeded Erdos-Renyi style graph; no matchability guarantee."""
     if not 0.0 <= edge_prob <= 1.0:
         raise SdkeError(f"probability out of range: {edge_prob}")
+    if n > _MAX_RANDOM_ORDER:
+        raise BoundExceededError(f"order {n} exceeds generator bound {_MAX_RANDOM_ORDER}")
     rng = random.Random(seed)
     edges = [
         (u, v)

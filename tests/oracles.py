@@ -10,9 +10,18 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from itertools import combinations, permutations
 
-from sdke import Graph, Matching, delete_edge, iter_maximum_matchings, simple_odd_cycles
+from sdke import (
+    Graph,
+    Matching,
+    delete_edge,
+    iter_maximum_matchings,
+    reachable_sets,
+    sd_vertices_under,
+    simple_odd_cycles,
+)
 from sdke.alternating import _bit_indices
 from sdke.configurations import _blossoms, _covered, _cycle_table
+from sdke.verification import CheckResult
 
 
 def brute_matching_number(g: Graph) -> int:
@@ -356,6 +365,66 @@ def sd_split_per_pair_bfs(g: Graph, pairing) -> frozenset[int]:
         ):
             sd.update((v, u))
     return frozenset(sd)
+
+
+def sd_from_reach(matching: Matching, reach) -> frozenset[int]:
+    """SD set under matching, read off its reachable sets.
+
+    v has an mm-closed walk iff v is in R(v), and a pair is SD iff both
+    of its members have one.
+    """
+    return frozenset(
+        v for v, w in enumerate(matching.pairing) if v in reach[v] and w in reach[w]
+    )
+
+
+def matching_invariance_per_matching(graph: Graph, matchings, partition_matching):
+    """The theorem suite's invariance checks, by one ``reachable_sets`` per matching.
+
+    Returns what ``verification._check_matching_invariance`` returns: the
+    ``reachability_matching_invariance`` and
+    ``partition_matching_independence`` results, and the reachable sets
+    under partition_matching.  The reference reach is its own first call,
+    and every matching, the first included, is compared with it, so a
+    test can fault the reference apart from a matching's own sets; each
+    matching's SD set is ``sd_from_reach`` of its own sets.
+    """
+    sd0 = sd_vertices_under(graph, matchings[0])
+    reference = reachable_sets(graph, matchings[0])
+    reach = invariance = independence = None
+    for m in matchings:
+        sets = reachable_sets(graph, m)
+        if m == partition_matching:
+            reach = sets
+        if invariance is None and sets != reference:
+            v = next(i for i, (a, b) in enumerate(zip(sets, reference)) if a != b)
+            invariance = CheckResult(
+                "reachability_matching_invariance",
+                False,
+                {
+                    "vertex": v,
+                    "matching_a": matchings[0].edge_pairs(),
+                    "matching_b": m.edge_pairs(),
+                    "reach_a": sorted(reference[v]),
+                    "reach_b": sorted(sets[v]),
+                },
+            )
+        sd = sd_from_reach(m, sets)
+        if independence is None and sd != sd0:
+            independence = CheckResult(
+                "partition_matching_independence",
+                False,
+                {
+                    "matching": m.edge_pairs(),
+                    "sd": sorted(sd),
+                    "sd_reference": sorted(sd0),
+                },
+            )
+    return (
+        invariance or CheckResult("reachability_matching_invariance", True),
+        independence or CheckResult("partition_matching_independence", True),
+        reach,
+    )
 
 
 def blossoms_by_cycle_scan(

@@ -247,6 +247,27 @@ def test_gen_roundtrip(capsys):
     assert capsys.readouterr().out == out
 
 
+def test_gen_above_bound_is_domain_error(capsys):
+    code, data = run_json(capsys, ["gen", "--n", "1000000000", "--p", "0", "--seed", "1"])
+    assert code == 1
+    assert data["error"]["type"] == "BoundExceededError"
+    assert "order 1000000000 exceeds generator bound" in data["error"]["message"]
+
+
+def test_verify_caps_perfect_matchings(tmp_path, capsys, monkeypatch):
+    # --max-n lifts only the order bound; K30 has about 6e15 perfect
+    # matchings, and verify must stop at the cap with a JSON error.
+    from sdke import verification
+
+    monkeypatch.setattr(verification, "_MAX_MATCHINGS", 1000)
+    path = tmp_path / "k30.edges"
+    path.write_text(serialize_edge_list(complete_graph(30)))
+    code, data = run_json(capsys, ["verify", str(path), "--max-n", "30"])
+    assert code == 1
+    assert data["error"]["type"] == "BoundExceededError"
+    assert "more than 1000 perfect matchings" in data["error"]["message"]
+
+
 def test_export_dot(files, capsys):
     code = run_cli(["export-dot", files["k2"]])
     out = capsys.readouterr().out

@@ -30,7 +30,7 @@ from fixtures import (
     posy12,
     tangle8,
 )
-from oracles import brute_alpha
+from oracles import brute_alpha, matching_invariance_per_matching, sd_from_reach
 
 
 def test_alpha_fixtures():
@@ -102,8 +102,10 @@ def test_theorem_suite_builds_one_partition(monkeypatch):
 
 def test_theorem_suite_reachability_calls(monkeypatch):
     # Wrap both reachability routines in every sdke namespace that binds
-    # them.  The suite takes all reachable sets in one call per perfect
-    # matching; the partition's matching is one of them.
+    # them.  The suite takes the reference reachable sets of the first
+    # perfect matching, and those of the partition's matching when it is
+    # another one; the reach under every matching comes from its own
+    # packed closure.
     from sdke.alternating import reachable_set, reachable_sets
 
     calls = {"reachable_set": 0, "reachable_sets": 0}
@@ -120,13 +122,14 @@ def test_theorem_suite_reachability_calls(monkeypatch):
             for attr, value in list(vars(module).items()):
                 if callable(value) and value in wrapped:
                     monkeypatch.setattr(module, attr, wrapped[value])
-    for g in (complete_graph(8), posy12(), tangle8()):
+    seen = set()
+    for g in (complete_graph(8), posy12(), tangle8(), random_matchable_graph(8, 0.2, 8)):
         calls.update(reachable_set=0, reachable_sets=0)
         assert run_theorem_suite(g).all_passed
-        assert calls == {
-            "reachable_set": 0,
-            "reachable_sets": len(enumerate_perfect_matchings(g)),
-        }
+        other = sd_ke_partition(g).matching != enumerate_perfect_matchings(g)[0]
+        seen.add(other)
+        assert calls == {"reachable_set": 0, "reachable_sets": 1 + other}
+    assert seen == {False, True}
 
 
 def test_theorem_suite_rejects_non_matchable():
@@ -324,13 +327,11 @@ def test_theorem_suite_enumerates_no_sachs_subgraph_when_perm_factors(monkeypatc
 
 
 def test_reach_derived_sd_set_equals_split_under_every_matching():
-    from sdke.verification import _sd_from_reach
-
     graphs = [g for _, g in matchable_corpus(120, max_n=10)]
     graphs += [ladder8(), tangle8(), posy12(), complete_graph(6)]
     for g in graphs:
         for m in enumerate_perfect_matchings(g):
-            assert _sd_from_reach(m, reachable_sets(g, m)) == sd_vertices_under(g, m)
+            assert sd_from_reach(m, reachable_sets(g, m)) == sd_vertices_under(g, m)
 
 
 def test_partner_check_catches_a_reach_set_not_closed_under_a_step():
@@ -384,23 +385,107 @@ def test_stability_check_reports_a_real_failure_before_skips(monkeypatch):
     }
 
 
+def _fault_packed_reach(monkeypatch, at, v, u):
+    # Clear bit u of R(v) under matchings[at] in the packed route; the
+    # chunks are closed in order, so the call count gives the chunk.
+    from sdke import verification
+
+    closure = verification._packed_reach
+    chunks = []
+
+    def faulty(graph, partner, k):
+        packed = closure(graph, partner, k)
+        i = at - len(chunks) * verification._CHUNK
+        chunks.append(k)
+        if 0 <= i < k:
+            packed[v] &= ~(1 << u * k + i)
+        return packed
+
+    monkeypatch.setattr(verification, "_packed_reach", faulty)
+
+
+def _fault_reachable_sets(monkeypatch, module, call, v, u):
+    # R(v) loses u in the given call of module's reachable_sets.
+    calls = []
+
+    def faulty(graph, m):
+        sets = reachable_sets(graph, m)
+        calls.append(1)
+        if len(calls) == call + 1:
+            return sets[:v] + (sets[v] - {u},) + sets[v + 1:]
+        return sets
+
+    monkeypatch.setattr(module, "reachable_sets", faulty)
+
+
+def test_packed_closure_equals_per_matching_oracle(monkeypatch):
+    # Chunks of 1, 3 and 7 matchings put chunk boundaries inside every
+    # graph with more than a few perfect matchings; K10 has 945.
+    from sdke import verification
+
+    graphs = [g for _, g in matchable_corpus(200, max_n=12)]
+    graphs += [ladder8(), tangle8(), posy12(), cycle_graph(4), k10_pendant()]
+    graphs += [complete_graph(n) for n in range(2, 11, 2)]
+    for g in graphs:
+        matchings = enumerate_perfect_matchings(g)
+        for pm in (matchings[0], sd_ke_partition(g).matching, matchings[-1]):
+            want = matching_invariance_per_matching(g, matchings, pm)
+            for chunk in (1, 3, 7):
+                monkeypatch.setattr(verification, "_CHUNK", chunk)
+                assert verification._check_matching_invariance(g, matchings, pm) == want
+
+
+def test_packed_closure_faults_give_the_oracle_payloads(monkeypatch):
+    # One bit of one matching's reach cleared in the packed route, at and
+    # around chunk boundaries, fails both checks with the payloads the
+    # per-matching oracle gives under the same fault in that matching's
+    # own reachable_sets call (its call at + 1; call 0 is the reference).
+    # A fault in the public reference is the same call 0 on both routes.
+    import oracles
+    from sdke import verification
+
+    graphs = [tangle8(), posy12(), complete_graph(6)]
+    graphs += [g for _, g in matchable_corpus(60, max_n=12)][:12]
+    failures = 0
+    for g in graphs:
+        matchings = enumerate_perfect_matchings(g)
+        for chunk in (2, 5):
+            monkeypatch.setattr(verification, "_CHUNK", chunk)
+            ats = {0, 1, chunk - 1, chunk, len(matchings) - 1}
+            for at in sorted(a for a in ats if a < len(matchings)):
+                for v in {0, g.n - 1}:
+                    for u in {v, matchings[0].pairing[v]}:
+                        with monkeypatch.context() as m:
+                            _fault_packed_reach(m, at, v, u)
+                            _fault_reachable_sets(m, oracles, at + 1, v, u)
+                            got = verification._check_matching_invariance(
+                                g, matchings, matchings[0])
+                            want = oracles.matching_invariance_per_matching(
+                                g, matchings, matchings[0])
+                        assert got[:2] == want[:2], (at, v, u)
+                        failures += not got[0].passed
+                    with monkeypatch.context() as m:
+                        _fault_reachable_sets(m, verification, 0, v, v)
+                        _fault_reachable_sets(m, oracles, 0, v, v)
+                        got = verification._check_matching_invariance(
+                            g, matchings, matchings[0])
+                        want = oracles.matching_invariance_per_matching(
+                            g, matchings, matchings[0])
+                    assert got[:2] == want[:2], v
+    assert failures > 100
+
+
 def test_matching_invariance_payloads_name_the_second_matching(monkeypatch):
-    # Under a doctored reach routine, R(v) loses v for the second perfect
-    # matching only: both reach invariance and the reach-derived SD set
-    # must then fail and name that matching.
+    # With the packed route doctored so that R(v) loses v for the second
+    # perfect matching only, both reach invariance and the reach-derived
+    # SD set must fail and name that matching.
     from sdke import verification
 
     g = tangle8()
     matchings = enumerate_perfect_matchings(g)
     assert len(matchings) >= 2
 
-    def doctored(graph, m):
-        sets = reachable_sets(graph, m)
-        if m == matchings[1]:
-            return (sets[0] - {0},) + sets[1:]
-        return sets
-
-    monkeypatch.setattr(verification, "reachable_sets", doctored)
+    _fault_packed_reach(monkeypatch, 1, 0, 0)
     invariance, independence, reach = verification._check_matching_invariance(
         g, matchings, matchings[0]
     )
@@ -419,3 +504,32 @@ def test_matching_invariance_payloads_name_the_second_matching(monkeypatch):
         "sd": [x for x in sd if x not in (0, matchings[1].pairing[0])],
         "sd_reference": sd,
     }
+
+
+def test_theorem_suite_caps_perfect_matchings(monkeypatch):
+    # K6 has exactly 15 perfect matchings.  The cap is checked on the
+    # enumeration itself, so K30 stops after cap + 1 of its 6.2e15.
+    from sdke import verification
+
+    monkeypatch.setattr(verification, "_MAX_MATCHINGS", 15)
+    assert run_theorem_suite(complete_graph(6)).all_passed
+    monkeypatch.setattr(verification, "_MAX_MATCHINGS", 14)
+    with pytest.raises(BoundExceededError, match="more than 14 perfect matchings"):
+        run_theorem_suite(complete_graph(6))
+    monkeypatch.setattr(verification, "_MAX_MATCHINGS", 1000)
+    with pytest.raises(BoundExceededError, match="more than 1000 perfect matchings"):
+        run_theorem_suite(complete_graph(30), max_order=30)
+
+
+def test_generators_bound_the_order(monkeypatch):
+    from sdke import verification
+
+    for make in (random_matchable_graph, random_graph):
+        with pytest.raises(BoundExceededError, match="generator bound"):
+            make(10**9, 0.0, 1)
+    monkeypatch.setattr(verification, "_MAX_RANDOM_ORDER", 10)
+    assert random_matchable_graph(10, 0.5, 1).n == random_graph(10, 0.5, 1).n == 10
+    with pytest.raises(BoundExceededError, match="order 12 exceeds generator bound 10"):
+        random_matchable_graph(12, 0.5, 1)
+    with pytest.raises(BoundExceededError, match="order 11 exceeds generator bound 10"):
+        random_graph(11, 0.5, 1)
