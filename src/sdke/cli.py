@@ -107,7 +107,10 @@ def _cmd_decompose(args) -> int:
     matching = _resolve_matching(graph, args.matching)
     part = sd_ke_partition(graph, matching)
     if args.dot:
-        Path(args.dot).write_text(export_dot(graph, partition=part, matching=matching))
+        try:
+            Path(args.dot).write_text(export_dot(graph, partition=part, matching=matching))
+        except OSError as exc:
+            raise SdkeError(f"cannot write {args.dot}: {exc}") from exc
     if args.text:
         print("sd:", " ".join(map(str, graph.labels_of(sorted(part.sd_vertices)))))
         print("ke:", " ".join(map(str, graph.labels_of(sorted(part.ke_vertices)))))

@@ -154,6 +154,8 @@ def det_adjacency(graph: Graph) -> int:
     n = graph.n
     if n == 0:
         return 1
+    if not all(graph.adjacency):  # a zero row; no n-by-n matrix for isolated vertices
+        return 0
     m = [[0] * n for _ in range(n)]
     for u, v in graph.edges:
         m[u][v] = m[v][u] = 1

@@ -11,8 +11,10 @@ M(v) is in R(M(v))) for the invariance checks; ``reachable_sets`` of the
 partition's matching serves the partner, closure and full-reach checks.
 The Sachs-cut verdict is read off the permanents of the factorization
 report, which equal it exactly; Sachs subgraphs are enumerated only to
-name a counterexample.  A check that hits a work bound on some input
-does not pass: it fails with the skipped work listed.
+name a counterexample.  One matching of G serves the stability check of
+every KE edge, and the exhaustive SD search runs only on G - e for an
+unavoidable e of a graph with SD vertices.  A check that hits a work
+bound on some input does not pass: it fails with the skipped work listed.
 """
 
 from __future__ import annotations
@@ -25,15 +27,15 @@ from operator import or_
 from typing import Any
 
 from .alternating import _bit_indices, reachable_sets, verify_walk
-from .decomposition import check_stability_under_deletion, sd_vertices_under
+from .decomposition import _sd_vertices, sd_vertices_under
 from .determinantal import (
     FactorizationReport,
     factorization_report,
     sachs_cut_disjointness,
 )
 from .errors import BoundExceededError, NotMatchableError, SdkeError
-from .graph import Graph, build_graph, connected_components
-from .matching import iter_perfect_matchings, matching_number
+from .graph import Graph, build_graph, connected_components, delete_edge
+from .matching import iter_perfect_matchings, matching_number, maximum_matching
 
 DEFAULT_ALPHA_ORDER = 30
 DEFAULT_SUITE_ORDER = 12
@@ -344,30 +346,41 @@ def _check_multiplicativity(r: FactorizationReport) -> CheckResult:
 
 
 def _check_stability(graph, part, max_order) -> CheckResult:
-    # An edge whose check hits a work bound is not checked: it is listed
-    # under "skipped" and fails the check, unless a real failure comes first.
-    ke_edges = [
-        e for e in graph.edges
-        if e[0] in part.ke_vertices and e[1] in part.ke_vertices
-    ]
+    """Delete each KE edge e and compare SD(G - e) with SD(G).
+
+    The partition's matching M of G, the one ``check_stability_under_deletion``
+    computes, serves every edge; only an e in M costs a matching of G - e.
+    If e is unavoidable and SD(G) is empty, SD(G) <= SD(G - e) holds for any
+    answer and nothing is computed.  An edge that hits a work bound is listed
+    under "skipped" and fails the check, unless a real failure comes first.
+    """
+    matching, sd_before = part.matching, part.sd_vertices
     skipped = []
-    for u, v in ke_edges:
-        try:
-            report = check_stability_under_deletion(graph, (u, v), max_order=max_order)
-        except BoundExceededError as exc:
-            skipped.append({"edge": (u, v), "bound": str(exc)})
+    for e in graph.edges:
+        if e[0] not in part.ke_vertices or e[1] not in part.ke_vertices:
             continue
-        if not report.ok:
-            return CheckResult(
-                "stability_under_deletion",
-                False,
-                {
-                    "edge": (u, v),
-                    "avoidable": report.avoidable,
-                    "sd_before": sorted(report.sd_before),
-                    "sd_after": sorted(report.sd_after),
-                },
-            )
+        smaller = delete_edge(graph, e)
+        after = maximum_matching(smaller) if matching.contains_edge(e) else matching
+        avoidable = after.size == matching.size
+        if not (avoidable or sd_before):
+            continue
+        try:
+            sd_after = _sd_vertices(smaller, after, max_order=max_order)
+        except BoundExceededError as exc:
+            skipped.append({"edge": e, "bound": str(exc)})
+            continue
+        if sd_before <= sd_after and (sd_before == sd_after or not avoidable):
+            continue
+        return CheckResult(
+            "stability_under_deletion",
+            False,
+            {
+                "edge": e,
+                "avoidable": avoidable,
+                "sd_before": sorted(sd_before),
+                "sd_after": sorted(sd_after),
+            },
+        )
     if skipped:
         return CheckResult("stability_under_deletion", False, {"skipped": skipped})
     return CheckResult("stability_under_deletion", True)

@@ -11,8 +11,10 @@ from collections import defaultdict, deque
 from itertools import combinations, permutations
 
 from sdke import (
+    BoundExceededError,
     Graph,
     Matching,
+    check_stability_under_deletion,
     delete_edge,
     iter_maximum_matchings,
     reachable_sets,
@@ -425,6 +427,39 @@ def matching_invariance_per_matching(graph: Graph, matchings, partition_matching
         independence or CheckResult("partition_matching_independence", True),
         reach,
     )
+
+
+def stability_per_edge(graph: Graph, part, max_order: int) -> CheckResult:
+    """The theorem suite's stability check, by one public call per KE edge.
+
+    Returns what ``verification._check_stability`` returns.  Each
+    ``check_stability_under_deletion`` call recomputes the maximum
+    matching and SD set of G, and takes the exhaustive route on every
+    non-matchable G - e, even where SD(G) is empty.
+    """
+    skipped = []
+    for u, v in graph.edges:
+        if u not in part.ke_vertices or v not in part.ke_vertices:
+            continue
+        try:
+            report = check_stability_under_deletion(graph, (u, v), max_order=max_order)
+        except BoundExceededError as exc:
+            skipped.append({"edge": (u, v), "bound": str(exc)})
+            continue
+        if not report.ok:
+            return CheckResult(
+                "stability_under_deletion",
+                False,
+                {
+                    "edge": (u, v),
+                    "avoidable": report.avoidable,
+                    "sd_before": sorted(report.sd_before),
+                    "sd_after": sorted(report.sd_after),
+                },
+            )
+    if skipped:
+        return CheckResult("stability_under_deletion", False, {"skipped": skipped})
+    return CheckResult("stability_under_deletion", True)
 
 
 def blossoms_by_cycle_scan(

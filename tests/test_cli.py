@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -103,6 +104,31 @@ def test_decompose_writes_dot(files, tmp_path, capsys):
     assert code == 0
     text = out.read_text()
     assert "fillcolor=lightblue" in text and "color=red" in text
+
+
+def test_decompose_dot_into_missing_directory_is_domain_error(files, tmp_path, capsys):
+    out = tmp_path / "missing" / "g.dot"
+    code = run_cli(["decompose", files["posy12"], "--dot", str(out)])
+    stdout = capsys.readouterr().out
+    assert code == 1
+    assert json.loads(stdout)["error"]["type"] == "SdkeError"
+    assert f"cannot write {out}" in stdout
+    assert not out.parent.exists()
+
+
+def test_det_with_isolated_vertices_builds_no_matrix(tmp_path, capsys):
+    # A header may declare up to 65,536 vertices beyond the text's length;
+    # a zero row gives 0 before any n-by-n matrix is built.
+    path = tmp_path / "isolated.edges"
+    path.write_text("3000 1\n0 1\n")
+    tracemalloc.start()
+    try:
+        code, data = run_json(capsys, ["det", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and data["det"] == "0"
+    assert peak < 8 << 20  # the 3000-by-3000 matrix alone takes 72 MB
 
 
 def test_det_sachs_k2(files, capsys):

@@ -8,11 +8,13 @@ from sdke import (
     NotMatchableError,
     SdkeError,
     build_graph,
+    delete_edge,
     enumerate_perfect_matchings,
     factorization_report,
     independence_number,
     is_koenig_egervary,
     is_matchable,
+    maximum_matching,
     random_graph,
     random_matchable_graph,
     reachable_sets,
@@ -27,10 +29,17 @@ from fixtures import (
     cycle_graph,
     k10_pendant,
     ladder8,
+    path_graph,
     posy12,
     tangle8,
 )
-from oracles import brute_alpha, matching_invariance_per_matching, sd_from_reach
+from oracles import (
+    brute_alpha,
+    exists_max_matching_avoiding,
+    matching_invariance_per_matching,
+    sd_from_reach,
+    stability_per_edge,
+)
 
 
 def test_alpha_fixtures():
@@ -365,24 +374,128 @@ def test_stability_check_fails_on_a_skipped_edge():
 
 def test_stability_check_reports_a_real_failure_before_skips(monkeypatch):
     from sdke import verification
-    from sdke.decomposition import StabilityReport
 
     g = ladder8()
     first, second = g.edges[:2]
 
-    def fake(graph, e, **bounds):
+    def fake(graph, matching, **bounds):
+        (e,) = g.edge_set - graph.edge_set
         if e == first:
             raise BoundExceededError("work bound")
         if e == second:
-            return StabilityReport(e, True, frozenset(), frozenset({0}), True, False)
-        return StabilityReport(e, True, frozenset(), frozenset(), True, True)
+            return frozenset({0})
+        return frozenset()
 
-    monkeypatch.setattr(verification, "check_stability_under_deletion", fake)
+    monkeypatch.setattr(verification, "_sd_vertices", fake)
     result = verification._check_stability(g, sd_ke_partition(g), 12)
     assert not result.passed
     assert result.counterexample == {
         "edge": second, "avoidable": True, "sd_before": [], "sd_after": [0]
     }
+
+
+def _stability_graphs():
+    graphs = [g for _, g in matchable_corpus(200, max_n=12)]
+    return graphs + [ladder8(), tangle8(), posy12(), k10_pendant(), complete_graph(6),
+                     path_graph(4)]
+
+
+def test_stability_loop_equals_per_edge_oracle():
+    from sdke.verification import _check_stability
+
+    for i, g in enumerate(_stability_graphs()):
+        part = sd_ke_partition(g)
+        assert _check_stability(g, part, 12) == stability_per_edge(g, part, 12), f"graph {i}"
+
+
+def test_stability_faults_give_the_oracle_payloads(monkeypatch):
+    # The same fault in the exhaustive route (one vertex of SD(G) dropped)
+    # or in the split route on G - e (one vertex added) must fail the loop
+    # and the per-edge oracle with the same payload.
+    from sdke import configurations, decomposition
+    from sdke.verification import _check_stability
+
+    search, split = configurations.sd_vertices_bruteforce, decomposition.sd_vertices_under
+    graphs = [g for g in _stability_graphs() if g.n <= 10 or g == posy12()]
+    failed = {"exhaustive": 0, "split": 0}
+    for g in graphs:
+        part = sd_ke_partition(g)
+        sd, size = part.sd_vertices, g.num_edges
+
+        def drop(graph, **bounds):
+            return search(graph, **bounds) - {min(sd)}
+
+        def add(graph, matching):
+            got = split(graph, matching)
+            if graph.num_edges == size or len(got) == graph.n:
+                return got
+            return got | {min(set(range(graph.n)) - got)}
+
+        for route, attr, module, fault in (
+            ("exhaustive", "sd_vertices_bruteforce", configurations, drop),
+            ("split", "sd_vertices_under", decomposition, add),
+        ):
+            if route == "exhaustive" and not sd:
+                continue
+            with monkeypatch.context() as patch:
+                patch.setattr(module, attr, fault)
+                got = _check_stability(g, part, 12)
+                want = stability_per_edge(g, part, 12)
+            assert got == want, (route, g.edges)
+            failed[route] += not got.passed
+    assert failed["exhaustive"] >= 5 and failed["split"] >= 50, failed
+
+
+def test_stability_reuses_the_matching_of_g(monkeypatch):
+    # Only a KE edge of G's matching costs a maximum matching, of G - e.
+    from sdke import verification
+
+    found = []
+
+    def counted(graph):
+        found.append(graph)
+        return maximum_matching(graph)
+
+    monkeypatch.setattr(verification, "maximum_matching", counted)
+    for g in (ladder8(), posy12(), path_graph(4)):
+        part = sd_ke_partition(g)
+        found.clear()
+        verification._check_stability(g, part, 12)
+        assert found == [
+            delete_edge(g, e) for e in g.edges
+            if part.matching.contains_edge(e) and set(e) <= part.ke_vertices
+        ]
+
+
+def test_exhaustive_search_runs_only_where_the_verdict_depends_on_it(monkeypatch):
+    # P4 has no SD vertices, so its two unavoidable end edges need no
+    # search (the per-edge oracle runs one for each); posy12 has SD
+    # vertices and runs one search per unavoidable KE edge.
+    from sdke import configurations
+    from sdke.verification import _check_stability
+
+    search = configurations.sd_vertices_bruteforce
+    calls = []
+
+    def counted(graph, **bounds):
+        calls.append(graph)
+        return search(graph, **bounds)
+
+    monkeypatch.setattr(configurations, "sd_vertices_bruteforce", counted)
+    p4 = path_graph(4)
+    assert _check_stability(p4, sd_ke_partition(p4), 12).passed
+    assert calls == []
+    assert stability_per_edge(p4, sd_ke_partition(p4), 12).passed
+    assert len(calls) == 2
+    g = posy12()
+    part = sd_ke_partition(g)
+    unavoidable = [
+        e for e in g.edges
+        if set(e) <= part.ke_vertices and not exists_max_matching_avoiding(g, e)
+    ]
+    calls.clear()
+    assert _check_stability(g, part, 12).passed
+    assert unavoidable and calls == [delete_edge(g, e) for e in unavoidable]
 
 
 def _fault_packed_reach(monkeypatch, at, v, u):
