@@ -31,8 +31,6 @@ from .graph import (
 )
 from .matching import (
     Matching,
-    enumerate_maximum_matchings,
-    enumerate_perfect_matchings,
     is_matchable,
     iter_maximum_matchings,
     iter_perfect_matchings,
@@ -52,8 +50,6 @@ from .alternating import (
 )
 from .decomposition import (
     SdKePartition,
-    StabilityReport,
-    check_stability_under_deletion,
     sd_ke_partition,
     sd_vertices_of,
     sd_vertices_under,

@@ -37,13 +37,16 @@ from .matching import (
 from .verification import DEFAULT_SUITE_ORDER, random_matchable_graph, run_theorem_suite
 
 
-class _UsageError(Exception):
-    pass
+class _ParserExit(Exception):
+    """(status, message) of a usage error, --help or --version."""
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # keep usage failures catchable
-        raise _UsageError(message)
+    def exit(self, status=0, message=None):  # run_cli returns the status
+        raise _ParserExit(status, message)
+
+    def error(self, message):
+        self.exit(2, f"usage error: {message}\n")
 
 
 def _read_text(path: str) -> str:
@@ -290,9 +293,10 @@ def run_cli(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
+    except _ParserExit as exc:
+        status, message = exc.args
+        sys.stderr.write(message or "")
+        return status
     try:
         return args.func(args)
     except SdkeError as exc:

@@ -1,4 +1,4 @@
-"""The SD-KE separation of a matchable graph, and edge-deletion stability.
+"""The SD-KE separation of a matchable graph, and the SD set of any graph.
 
 The separation classifies vertices in matched pairs: a pair {v, M(v)}
 belongs to the KE side as soon as either member admits no mm-alternating
@@ -30,8 +30,7 @@ from .alternating import (
     _perfect_pairing,
     _strong_components,
 )
-from .errors import GraphError
-from .graph import Edge, Graph, as_edge, delete_edge, induced_subgraph
+from .graph import Edge, Graph, induced_subgraph
 from .matching import Matching, maximum_matching
 
 
@@ -109,14 +108,14 @@ def sd_vertices_under(graph: Graph, matching: Matching) -> frozenset[int]:
     return _split(graph, _perfect_pairing(graph, matching))[2]
 
 
-def sd_vertices_of(graph: Graph, **bounds) -> frozenset[int]:
+def sd_vertices_of(graph: Graph) -> frozenset[int]:
     """SD vertex set of an arbitrary graph.
 
     Matchable graphs use the strong-component split under a maximum
     matching; other graphs fall back to the exhaustive configuration
     search over all maximum matchings.
     """
-    return _sd_vertices(graph, maximum_matching(graph), **bounds)
+    return _sd_vertices(graph, maximum_matching(graph))
 
 
 def _sd_vertices(graph: Graph, matching: Matching, **bounds) -> frozenset[int]:
@@ -124,57 +123,3 @@ def _sd_vertices(graph: Graph, matching: Matching, **bounds) -> frozenset[int]:
     if matching.is_perfect:
         return sd_vertices_under(graph, matching)
     return configurations.sd_vertices_bruteforce(graph, **bounds)
-
-
-@dataclass
-class StabilityReport:
-    """Outcome of deleting a KE-part edge and recomputing the SD set."""
-
-    edge: Edge
-    avoidable: bool
-    sd_before: frozenset[int]
-    sd_after: frozenset[int]
-    inclusion_ok: bool
-    equal: bool
-
-    @property
-    def ok(self) -> bool:
-        # Deletion never shrinks the SD set; an avoidable edge preserves it.
-        return self.inclusion_ok and (self.equal or not self.avoidable)
-
-
-def check_stability_under_deletion(
-    graph: Graph, e: tuple[int, int], **bounds
-) -> StabilityReport:
-    """Delete one KE-part edge and compare SD vertex sets.
-
-    The edge must lie inside the KE part (cut edges and SD-part edges are
-    rejected).  When some maximum matching avoids the edge, i.e. when
-    mu(G - e) = mu(G), the SD set must be unchanged; otherwise it may only
-    grow.  One maximum matching of each graph serves both the sizes and
-    the SD sets.  When the maximum matching M of G avoids e, M is also a
-    maximum matching of G - e, so no second search is run; the SD set of
-    G - e does not depend on that choice (the split is the same under every
-    perfect matching, and the exhaustive route ignores the matching).
-    """
-    e = as_edge(*e)
-    if e not in graph.edge_set:
-        raise GraphError(f"edge ({e[0]},{e[1]}) not in graph")
-    matching = maximum_matching(graph)
-    sd_before = _sd_vertices(graph, matching, **bounds)
-    if e[0] in sd_before or e[1] in sd_before:
-        raise GraphError(
-            f"edge ({e[0]},{e[1]}) is not inside the KE part"
-        )
-    smaller = delete_edge(graph, e)
-    matching_after = maximum_matching(smaller) if matching.contains_edge(e) else matching
-    avoidable = matching_after.size == matching.size
-    sd_after = _sd_vertices(smaller, matching_after, **bounds)
-    return StabilityReport(
-        edge=e,
-        avoidable=avoidable,
-        sd_before=sd_before,
-        sd_after=sd_after,
-        inclusion_ok=sd_before <= sd_after,
-        equal=sd_before == sd_after,
-    )

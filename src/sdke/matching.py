@@ -11,8 +11,8 @@ The enumerators are meant for desk-scale oracle work and refuse graphs
 above a configurable order bound.  One recursive generator yields the
 matchings of a given size, pruned by the exact number of vertices such a
 matching leaves unmatched; ``iter_perfect_matchings`` and
-``iter_maximum_matchings`` run it at n/2 and at the matching number, the
-CLI streams them, and ``enumerate_*`` is the list of each.
+``iter_maximum_matchings`` run it at n/2 and at the matching number; the
+CLI and the theorem suite iterate them.
 """
 
 from __future__ import annotations
@@ -291,17 +291,3 @@ def iter_maximum_matchings(
     """
     _check_order(graph, max_order)
     return _matchings(graph, matching_number(graph))
-
-
-def enumerate_perfect_matchings(
-    graph: Graph, *, max_order: int = DEFAULT_ENUMERATION_ORDER
-) -> list[Matching]:
-    """All perfect matchings, as a list (see iter_perfect_matchings)."""
-    return list(iter_perfect_matchings(graph, max_order=max_order))
-
-
-def enumerate_maximum_matchings(
-    graph: Graph, *, max_order: int = DEFAULT_ENUMERATION_ORDER
-) -> list[Matching]:
-    """All matchings of maximum cardinality, as a list (see iter_maximum_matchings)."""
-    return list(iter_maximum_matchings(graph, max_order=max_order))

@@ -1,7 +1,8 @@
 """Independent oracles and theorem-level property checks.
 
-Every check uses the public operations of other modules or its own
-route to the same answer, so a passing suite certifies the public API.
+Every check uses public operations of other modules, two private helpers
+(``alternating._bit_indices`` and ``decomposition._sd_vertices``), or its
+own route to the same answer.
 Failures carry a counterexample payload that can be re-verified by hand.
 
 The suite does each piece of work once.  One Warshall closure per chunk
@@ -348,8 +349,8 @@ def _check_multiplicativity(r: FactorizationReport) -> CheckResult:
 def _check_stability(graph, part, max_order) -> CheckResult:
     """Delete each KE edge e and compare SD(G - e) with SD(G).
 
-    The partition's matching M of G, the one ``check_stability_under_deletion``
-    computes, serves every edge; only an e in M costs a matching of G - e.
+    The partition's matching M of G serves every edge; only an e in M costs
+    a matching of G - e.
     If e is unavoidable and SD(G) is empty, SD(G) <= SD(G - e) holds for any
     answer and nothing is computed.  An edge that hits a work bound is listed
     under "skipped" and fails the check, unless a real failure comes first.

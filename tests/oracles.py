@@ -14,9 +14,9 @@ from sdke import (
     BoundExceededError,
     Graph,
     Matching,
-    check_stability_under_deletion,
     delete_edge,
     iter_maximum_matchings,
+    iter_perfect_matchings,
     reachable_sets,
     sd_vertices_under,
     simple_odd_cycles,
@@ -429,39 +429,6 @@ def matching_invariance_per_matching(graph: Graph, matchings, partition_matching
     )
 
 
-def stability_per_edge(graph: Graph, part, max_order: int) -> CheckResult:
-    """The theorem suite's stability check, by one public call per KE edge.
-
-    Returns what ``verification._check_stability`` returns.  Each
-    ``check_stability_under_deletion`` call recomputes the maximum
-    matching and SD set of G, and takes the exhaustive route on every
-    non-matchable G - e, even where SD(G) is empty.
-    """
-    skipped = []
-    for u, v in graph.edges:
-        if u not in part.ke_vertices or v not in part.ke_vertices:
-            continue
-        try:
-            report = check_stability_under_deletion(graph, (u, v), max_order=max_order)
-        except BoundExceededError as exc:
-            skipped.append({"edge": (u, v), "bound": str(exc)})
-            continue
-        if not report.ok:
-            return CheckResult(
-                "stability_under_deletion",
-                False,
-                {
-                    "edge": (u, v),
-                    "avoidable": report.avoidable,
-                    "sd_before": sorted(report.sd_before),
-                    "sd_after": sorted(report.sd_after),
-                },
-            )
-    if skipped:
-        return CheckResult("stability_under_deletion", False, {"skipped": skipped})
-    return CheckResult("stability_under_deletion", True)
-
-
 def blossoms_by_cycle_scan(
     g: Graph, matching: Matching, odd_cycles: list[tuple[int, ...]]
 ) -> list[tuple[frozenset[int], int]]:
@@ -537,6 +504,65 @@ def configuration_vertices_by_state_search(
                 covered.add(r)
                 add_walk_vertices(fwd, bwd_base[b])
     return frozenset(covered)
+
+
+def sd_vertices_by_search(g: Graph, *, max_order: int = 12) -> frozenset[int]:
+    """SD vertex set of any graph, by explicit searches over its matchings.
+
+    A matchable graph takes one closed-walk search per vertex of every
+    pair of its first perfect matching (``sd_split_per_pair_bfs``); any
+    other graph the union of ``configuration_vertices_by_state_search``
+    over all its maximum matchings, which raises BoundExceededError above
+    max_order vertices (the theorem suite's default is 12) or on too many
+    odd cycles.
+    """
+    if 2 * brute_matching_number(g) == g.n:
+        first = next(iter_perfect_matchings(g, max_order=g.n))
+        return sd_split_per_pair_bfs(g, first.pairing)
+    cycles = simple_odd_cycles(g)
+    return frozenset().union(*(
+        configuration_vertices_by_state_search(g, m, cycles)
+        for m in iter_maximum_matchings(g, max_order=max_order)
+    ))
+
+
+def stability_per_edge(graph: Graph, max_order: int) -> CheckResult:
+    """The theorem suite's stability check, recomputed per KE edge.
+
+    Returns what ``verification._check_stability`` returns, from its own
+    routes: SD(G) and every SD(G - e) by ``sd_vertices_by_search``, and
+    mu(G - e) by ``brute_matching_number``.  It computes SD(G - e) for
+    every KE edge, even where the verdict cannot depend on it, so it could
+    list an edge as skipped that the loop never searches; no graph the
+    tests use has one.
+    """
+    sd_before = sd_vertices_by_search(graph, max_order=max_order)
+    mu = brute_matching_number(graph)
+    skipped = []
+    for u, v in graph.edges:
+        if u in sd_before or v in sd_before:
+            continue
+        smaller = delete_edge(graph, (u, v))
+        avoidable = brute_matching_number(smaller) == mu
+        try:
+            sd_after = sd_vertices_by_search(smaller, max_order=max_order)
+        except BoundExceededError as exc:
+            skipped.append({"edge": (u, v), "bound": str(exc)})
+            continue
+        if not sd_before <= sd_after or (avoidable and sd_before != sd_after):
+            return CheckResult(
+                "stability_under_deletion",
+                False,
+                {
+                    "edge": (u, v),
+                    "avoidable": avoidable,
+                    "sd_before": sorted(sd_before),
+                    "sd_after": sorted(sd_after),
+                },
+            )
+    if skipped:
+        return CheckResult("stability_under_deletion", False, {"skipped": skipped})
+    return CheckResult("stability_under_deletion", True)
 
 
 def sd_vertices_stop_at_full(graph: Graph) -> frozenset[int]:

@@ -10,11 +10,11 @@ from sdke import (
     delete_edge,
     det_adjacency,
     det_via_sachs,
-    enumerate_maximum_matchings,
-    enumerate_perfect_matchings,
     enumerate_sachs,
     factorization_report,
     independence_number,
+    iter_maximum_matchings,
+    iter_perfect_matchings,
     matching_number,
     perm_adjacency,
     perm_via_sachs,
@@ -137,7 +137,7 @@ def test_criterion_5_cut_disjointness():
             if part.cut:
                 for s in enumerate_sachs(g):
                     assert not (s.edges() & part.cut), f"seed {seed}"
-            for m in enumerate_maximum_matchings(g):
+            for m in iter_maximum_matchings(g):
                 for e in part.cut:
                     assert not m.contains_edge(e), f"seed {seed}"
 
@@ -148,7 +148,7 @@ def test_criterion_6_reachability_invariance():
         for seed, g in matchable_corpus(1000, max_n=12):
             if count == 100:
                 break
-            fam = enumerate_perfect_matchings(g)
+            fam = list(iter_perfect_matchings(g))
             reference = [reachable_set(g, fam[0], v) for v in range(g.n)]
             for m in fam[1:]:
                 got = [reachable_set(g, m, v) for v in range(g.n)]

@@ -6,8 +6,8 @@ from sdke import (
     MatchingError,
     NotMatchableError,
     build_graph,
-    enumerate_perfect_matchings,
     has_mm_closed_walk,
+    iter_perfect_matchings,
     matching_from_edges,
     maximum_matching,
     reachable_set,
@@ -78,7 +78,7 @@ def test_partner_always_reachable():
 def test_reachability_lemma_small_graphs():
     # Reachable sets agree across every perfect matching of the host.
     for seed, g in matchable_corpus(40, max_n=10):
-        fam = enumerate_perfect_matchings(g)
+        fam = list(iter_perfect_matchings(g))
         ref = [reachable_set(g, fam[0], v) for v in range(g.n)]
         for m in fam[1:]:
             assert [reachable_set(g, m, v) for v in range(g.n)] == ref, f"seed {seed}"
@@ -90,7 +90,7 @@ def test_reachable_sets_against_oracles():
     # has an mm-closed walk iff v is in the oracle's reach from M(v).
     graphs = [g for _, g in matchable_corpus(40, max_n=10)] + [posy12(), tangle8()]
     for i, g in enumerate(graphs):
-        for m in enumerate_perfect_matchings(g):
+        for m in iter_perfect_matchings(g):
             sets = reachable_sets(g, m)
             assert len(sets) == g.n, i
             for v in range(g.n):

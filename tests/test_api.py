@@ -17,16 +17,14 @@ PUBLIC_NAMES = {
     "disjoint_union", "export_dot", "graph_hash", "induced_subgraph",
     "parse_edge_list", "serialize_edge_list",
     # matching
-    "Matching", "enumerate_maximum_matchings", "enumerate_perfect_matchings",
-    "is_matchable", "iter_maximum_matchings", "iter_perfect_matchings",
-    "matching_from_edges", "matching_number", "maximum_matching",
-    "parse_matching",
+    "Matching", "is_matchable", "iter_maximum_matchings",
+    "iter_perfect_matchings", "matching_from_edges", "matching_number",
+    "maximum_matching", "parse_matching",
     # alternating
     "AlternatingWalk", "has_mm_closed_walk", "reachable_set", "reachable_sets",
     "semi_jposy_witness", "verify_walk", "walk_violation",
     # decomposition
-    "SdKePartition", "StabilityReport", "check_stability_under_deletion",
-    "sd_ke_partition", "sd_vertices_of", "sd_vertices_under",
+    "SdKePartition", "sd_ke_partition", "sd_vertices_of", "sd_vertices_under",
     # configurations
     "sd_vertices_bruteforce", "simple_odd_cycles",
     # determinantal

@@ -10,8 +10,8 @@ import pytest
 
 from sdke import (
     AlternatingWalk,
-    enumerate_maximum_matchings,
-    enumerate_perfect_matchings,
+    iter_maximum_matchings,
+    iter_perfect_matchings,
     parse_edge_list,
     random_matchable_graph,
     serialize_edge_list,
@@ -231,8 +231,8 @@ def test_matchings_limit_keeps_a_prefix_of_the_full_count(tmp_path, capsys):
     k8 = complete_graph(8)
     path = tmp_path / "k8.edges"
     path.write_text(serialize_edge_list(k8))
-    for flag, full in (("--perfect", enumerate_perfect_matchings(k8)),
-                       ("--maximum", enumerate_maximum_matchings(k8))):
+    for flag, full in (("--perfect", list(iter_perfect_matchings(k8))),
+                       ("--maximum", list(iter_maximum_matchings(k8)))):
         listed = [[list(e) for e in m.edge_pairs()] for m in full]
         for limit in (0, 1, 7, 105, 200):
             code, data = run_json(capsys, ["matchings", str(path), flag, "--limit", str(limit)])
@@ -397,6 +397,17 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli(["no-such-command", "x"]) == 2
     assert run_cli(["det", "in.edges", "--method", "bogus"]) == 2
     assert run_cli(["matchings", "in.edges", "--limit", "-1"]) == 2
+
+
+def test_version_and_help_return_0(capsys):
+    # argparse exits from inside parse_args for both; run_cli must return.
+    from sdke import __version__
+
+    assert run_cli(["--version"]) == 0
+    assert capsys.readouterr() == (f"{__version__}\n", "")
+    assert run_cli(["verify", "--help"]) == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: sdke verify [-h] [--max-n MAX_N] input\n") and err == ""
 
 
 def test_import_does_not_load_numpy():

@@ -1,11 +1,12 @@
 """A bounded fuzz pass over the command line.
 
 Malformed and oversized edge-list text, matching files and arguments go
-through ``run_cli`` in process.  Every run must end in exit 0, 1 or 2
-without an exception escaping; exit 1 prints one JSON error object and
-exit 2 a usage message.  A graph has at most 12 vertices and 14 edge
-lines, or a huge header over those lines, so the enumerating commands
-stay small.
+through ``run_cli`` in process, some with ``--help`` or ``--version``.
+Every run must end in exit 0, 1 or 2 without an exception escaping; exit
+1 prints one JSON error object, exit 2 a usage message, and a help or
+version exit its text on stdout.  A graph has at most 12 vertices and 14
+edge lines, or a huge header over those lines, so the enumerating
+commands stay small.
 """
 
 import io
@@ -86,7 +87,7 @@ _JSON_COMMANDS = {"decompose", "det", "perm", "verify", "sachs", "matchings"}
 
 @st.composite
 def _argvs(draw):
-    command = draw(st.sampled_from((*_OPTIONS, "gen", "bogus")))
+    command = draw(st.sampled_from((*_OPTIONS, "gen", "bogus", "--help", "--version")))
     if command == "gen":
         flags = draw(st.lists(st.sampled_from(tuple(_GEN_VALUES)), min_size=2, max_size=3,
                               unique=True))
@@ -95,8 +96,8 @@ def _argvs(draw):
             argv += [flag, draw(st.sampled_from(_GEN_VALUES[flag]))]
         return argv
     argv = [command, draw(st.sampled_from(_INPUTS))]
-    for group in draw(st.lists(st.sampled_from(_OPTIONS.get(command, (("--x",),))),
-                               max_size=3)):
+    options = _OPTIONS.get(command, (("--x",),)) + (("--help",),)
+    for group in draw(st.lists(st.sampled_from(options), max_size=3)):
         argv += group
     return argv
 
@@ -129,5 +130,7 @@ def test_cli_exits_cleanly_on_malformed_and_oversized_input(graph, argv):
         assert set(data["error"]) == {"type", "message"}, argv
     elif code == 2:
         assert out.getvalue() == "" and err.getvalue().startswith("usage error"), argv
+    elif "--help" in argv or argv[0] == "--version":
+        assert out.getvalue() and err.getvalue() == "", argv
     elif argv[0] in _JSON_COMMANDS and "--text" not in argv:
         json.loads(out.getvalue())

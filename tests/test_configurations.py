@@ -5,7 +5,7 @@ from sdke import (
     build_graph,
     delete_edge,
     disjoint_union,
-    enumerate_maximum_matchings,
+    iter_maximum_matchings,
     matching_from_edges,
     maximum_matching,
     sd_ke_partition,
@@ -146,7 +146,7 @@ def test_backward_reach_by_skew_symmetry_matches_predecessor_bfs():
     cases = 0
     for seed, g in mixed_corpus(72, max_n=12):
         n = g.n
-        for m in enumerate_maximum_matchings(g):
+        for m in iter_maximum_matchings(g):
             reach = _state_reach(g, m.pairing)
             for x in range(g.n):
                 for p in (True, False):
@@ -172,7 +172,7 @@ def test_bitset_search_matches_state_search_oracles():
     pairs = 0
     for i, g in enumerate(graphs):
         cycles = simple_odd_cycles(g)
-        for m in enumerate_maximum_matchings(g):
+        for m in iter_maximum_matchings(g):
             assert blossoms(g, m, cycles) == blossoms_by_cycle_scan(g, m, cycles), f"graph {i}"
             want = configuration_vertices_by_state_search(g, m, cycles)
             assert configuration_vertices(g, m, cycles) == want, f"graph {i} {m}"
@@ -225,11 +225,11 @@ def test_ke_odd_component_leaves_ceiling_after_one_matching(monkeypatch):
     # maximum matching has no flower or posy and the search stops there;
     # without the Sterboul–Deming ceiling it drew both maximum matchings.
     g = triangle_two_pendants()
-    assert len(enumerate_maximum_matchings(g)) == 2
+    assert len(list(iter_maximum_matchings(g))) == 2
     drawn = []
 
     def spy(*args, **kwargs):
-        for m in enumerate_maximum_matchings(*args, **kwargs):
+        for m in iter_maximum_matchings(*args, **kwargs):
             drawn.append(m)
             yield m
 

@@ -9,8 +9,6 @@ from sdke import (
     Matching,
     MatchingError,
     build_graph,
-    enumerate_maximum_matchings,
-    enumerate_perfect_matchings,
     is_matchable,
     iter_maximum_matchings,
     iter_perfect_matchings,
@@ -162,13 +160,13 @@ def test_is_matchable():
 
 
 def test_enumerate_perfect_k2_c4():
-    assert len(enumerate_perfect_matchings(build_graph(2, [(0, 1)]))) == 1
-    assert len(enumerate_perfect_matchings(cycle_graph(4))) == 2
+    assert len(list(iter_perfect_matchings(build_graph(2, [(0, 1)])))) == 1
+    assert len(list(iter_perfect_matchings(cycle_graph(4)))) == 2
 
 
 def test_enumerate_perfect_ladder8_contains_both_drawn():
     g = ladder8()
-    fam = enumerate_perfect_matchings(g)
+    fam = list(iter_perfect_matchings(g))
     pairs = {frozenset(m.edge_pairs()) for m in fam}
     for drawn in (LADDER8_M1, LADDER8_M2):
         assert frozenset(label_matching(g, drawn).edge_pairs()) in pairs
@@ -176,7 +174,7 @@ def test_enumerate_perfect_ladder8_contains_both_drawn():
 
 def test_enumerate_perfect_matches_brute_force():
     for seed, g in mixed_corpus(40, max_n=10):
-        fam = enumerate_perfect_matchings(g)
+        fam = list(iter_perfect_matchings(g))
         assert len({frozenset(m.edge_pairs()) for m in fam}) == len(fam)
         assert {frozenset(m.edge_pairs()) for m in fam} == brute_perfect_matchings(g), f"seed {seed}"
         for m in fam:
@@ -184,31 +182,27 @@ def test_enumerate_perfect_matches_brute_force():
 
 
 def test_enumerate_maximum_p3_c4_c5():
-    assert len(enumerate_maximum_matchings(path_graph(3))) == 2
-    assert len(enumerate_maximum_matchings(cycle_graph(4))) == 2
-    assert len(enumerate_maximum_matchings(cycle_graph(5))) == 5
+    assert len(list(iter_maximum_matchings(path_graph(3)))) == 2
+    assert len(list(iter_maximum_matchings(cycle_graph(4)))) == 2
+    assert len(list(iter_maximum_matchings(cycle_graph(5)))) == 5
 
 
 def test_enumerate_maximum_matches_brute_force():
     # Up to n = 10, so some graphs leave two or more vertices unmatched.
     for seed, g in mixed_corpus(40, max_n=10):
-        fam = enumerate_maximum_matchings(g)
+        fam = list(iter_maximum_matchings(g))
         assert {frozenset(m.edge_pairs()) for m in fam} == brute_maximum_matchings(g), f"seed {seed}"
 
 
 def test_enumeration_bound():
-    with pytest.raises(BoundExceededError):
-        enumerate_perfect_matchings(complete_graph(18))
-    # The bound is configuration: tighten it and a small graph is rejected,
-    # loosen it and an 18-vertex cycle enumerates fine.
-    with pytest.raises(BoundExceededError):
-        enumerate_maximum_matchings(cycle_graph(6), max_order=4)
-    assert len(enumerate_perfect_matchings(cycle_graph(18), max_order=18)) == 2
     # The iterators refuse at the call, before the first matching is asked for.
     with pytest.raises(BoundExceededError):
         iter_perfect_matchings(complete_graph(18))
+    # The bound is configuration: tighten it and a small graph is rejected,
+    # loosen it and an 18-vertex cycle enumerates fine.
     with pytest.raises(BoundExceededError):
         iter_maximum_matchings(cycle_graph(6), max_order=4)
+    assert len(list(iter_perfect_matchings(cycle_graph(18), max_order=18))) == 2
 
 
 def test_exists_max_matching_avoiding():
@@ -226,7 +220,7 @@ def test_exists_avoiding_agrees_with_enumeration():
     for seed, g in mixed_corpus(40, max_n=10):
         if not g.edges:
             continue
-        maxima = enumerate_maximum_matchings(g)
+        maxima = list(iter_maximum_matchings(g))
         for e in g.edges:
             expected = any(not m.contains_edge(e) for m in maxima)
             assert exists_max_matching_avoiding(g, e) == expected, f"seed {seed} {e}"
@@ -236,7 +230,7 @@ def test_union_of_two_perfect_matchings_structure():
     # Shared edges aside, the union must decompose into even cycles that
     # alternate between the two matchings.
     for seed, g in mixed_corpus(60, max_n=10):
-        fam = enumerate_perfect_matchings(g)
+        fam = list(iter_perfect_matchings(g))
         if len(fam) < 2:
             continue
         for m1 in fam[:4]:

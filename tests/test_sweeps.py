@@ -83,7 +83,7 @@ def test_matching_invariance_sweep():
     graphs += [(f"K{n}", sdke.build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)]))
                for n in range(2, 13, 2)]
     for name, g in graphs:
-        matchings = sdke.enumerate_perfect_matchings(g)
+        matchings = list(sdke.iter_perfect_matchings(g))
         pm = sdke.sd_ke_partition(g).matching
         got = verification._check_matching_invariance(g, matchings, pm)
         assert got == matching_invariance_per_matching(g, matchings, pm), name
@@ -91,8 +91,8 @@ def test_matching_invariance_sweep():
 
 def test_stability_sweep():
     # The theorem suite's stability loop, on one matching of G, must equal
-    # one check_stability_under_deletion call per KE edge on 900 seeded
-    # matchable graphs.
+    # the per-edge oracle, which shares no SD or stability code with it, on
+    # 900 seeded matchable graphs.
     for n in range(4, 13, 2):
         for p in (0.2, 0.3, 0.4):
             for s in range(60):
@@ -100,4 +100,4 @@ def test_stability_sweep():
                 part = sdke.sd_ke_partition(g)
                 got = verification._check_stability(g, part, 12)
                 name = f"random_matchable_graph({n}, {p}, {s})"
-                assert got == stability_per_edge(g, part, 12), name
+                assert got == stability_per_edge(g, 12), name
