@@ -9,12 +9,11 @@ such subgraph ever uses a cut edge, which is why the products factor.
 
 from sdke import (
     det_adjacency,
-    det_via_sachs,
     enumerate_sachs,
     factorization_report,
     perm_adjacency,
-    perm_via_sachs,
     random_matchable_graph,
+    sachs_census,
     sachs_cut_disjointness,
     sd_ke_partition,
 )
@@ -22,10 +21,12 @@ from sdke import (
 g = random_matchable_graph(12, 0.25, seed=7)
 print(f"random matchable graph: {g.n} vertices, {g.num_edges} edges")
 
+count, det, perm = sachs_census(g)  # one pass over the Sachs subgraphs
 print("det  via elimination :", det_adjacency(g))
-print("det  via Sachs census:", det_via_sachs(g))
+print("det  via Sachs census:", det)
 print("perm via Glynn       :", perm_adjacency(g))
-print("perm via Sachs census:", perm_via_sachs(g))
+print("perm via Sachs census:", perm)
+print("Sachs subgraphs      :", count)
 print()
 
 census = {}

@@ -62,19 +62,16 @@ from .determinantal import (
     FactorizationReport,
     SachsSubgraph,
     det_adjacency,
-    det_via_sachs,
     enumerate_sachs,
     factorization_report,
     perm_adjacency,
-    perm_via_sachs,
+    sachs_census,
     sachs_cut_disjointness,
 )
 from .verification import (
     CheckResult,
-    KeCheck,
     TheoremReport,
     independence_number,
-    is_koenig_egervary,
     random_graph,
     random_matchable_graph,
     run_theorem_suite,

@@ -18,13 +18,7 @@ from typing import Any
 from . import __version__
 from .alternating import AlternatingWalk
 from .decomposition import SdKePartition, sd_ke_partition
-from .determinantal import (
-    det_adjacency,
-    det_via_sachs,
-    enumerate_sachs,
-    perm_adjacency,
-    perm_via_sachs,
-)
+from .determinantal import det_adjacency, enumerate_sachs, perm_adjacency, sachs_census
 from .errors import SdkeError
 from .graph import Graph, export_dot, graph_hash, parse_edge_list, serialize_edge_list
 from .matching import (
@@ -247,8 +241,10 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_decompose)
 
     for name, what, routes in (
-        ("det", "determinant", {"elimination": det_adjacency, "sachs": det_via_sachs}),
-        ("perm", "permanent", {"ryser": perm_adjacency, "sachs": perm_via_sachs}),
+        ("det", "determinant", {"elimination": det_adjacency,
+                                "sachs": lambda g: sachs_census(g)[1]}),
+        ("perm", "permanent", {"ryser": perm_adjacency,
+                               "sachs": lambda g: sachs_census(g)[2]}),
     ):
         p = sub.add_parser(name, help=f"{what} of the adjacency matrix")
         p.add_argument("input")

@@ -50,11 +50,12 @@ DEFAULT_MAX_CYCLES = 200_000
 CycleRow = tuple[int, int, int]
 
 
-def simple_odd_cycles(graph: Graph, *, max_cycles: int = DEFAULT_MAX_CYCLES) -> list[tuple[int, ...]]:
+def simple_odd_cycles(graph: Graph) -> list[tuple[int, ...]]:
     """All simple odd cycles, each listed once (min vertex first).
 
     The orientation is fixed by requiring the second vertex to be smaller
-    than the last, so each cycle appears exactly once.
+    than the last, so each cycle appears exactly once.  More than
+    ``DEFAULT_MAX_CYCLES`` of them raise BoundExceededError.
     """
     cycles: list[tuple[int, ...]] = []
     adj = graph.adjacency
@@ -66,9 +67,9 @@ def simple_odd_cycles(graph: Graph, *, max_cycles: int = DEFAULT_MAX_CYCLES) -> 
             if y == s and len(path) >= 3 and path[1] < path[-1]:
                 if len(path) % 2 == 1:
                     cycles.append(tuple(path))
-                    if len(cycles) > max_cycles:
+                    if len(cycles) > DEFAULT_MAX_CYCLES:
                         raise BoundExceededError(
-                            f"more than {max_cycles} simple cycles"
+                            f"more than {DEFAULT_MAX_CYCLES} simple cycles"
                         )
             elif y > s and not on_path[y]:
                 on_path[y] = True
@@ -187,10 +188,7 @@ def _covered(graph: Graph, pairing: tuple[int, ...], found: list[tuple[int, int]
 
 
 def sd_vertices_bruteforce(
-    graph: Graph,
-    *,
-    max_order: int = DEFAULT_CONFIG_ORDER,
-    max_cycles: int = DEFAULT_MAX_CYCLES,
+    graph: Graph, *, max_order: int = DEFAULT_CONFIG_ORDER
 ) -> frozenset[int]:
     """SD vertex set by configuration search over all maximum matchings.
 
@@ -213,7 +211,7 @@ def sd_vertices_bruteforce(
         raise BoundExceededError(
             f"graph order {graph.n} exceeds configuration-search bound {max_order}"
         )
-    bits, rows = _cycle_table(graph, simple_odd_cycles(graph, max_cycles=max_cycles))
+    bits, rows = _cycle_table(graph, simple_odd_cycles(graph))
     odd = 0
     for _, verts, _ in rows:
         odd |= verts

@@ -134,19 +134,19 @@ def enumerate_sachs(
     yield from rec(0)
 
 
-def det_via_sachs(graph: Graph, *, max_order: int = DEFAULT_SACHS_ORDER) -> int:
-    """Determinant by the signed component-census sum over Sachs subgraphs."""
-    return sum(
-        (-1) ** s.num_even_components * 2**s.num_cycles
-        for s in enumerate_sachs(graph, max_order=max_order)
-    )
+def sachs_census(graph: Graph) -> tuple[int, int, int]:
+    """(count, det, perm) from one pass over the Sachs subgraphs.
 
-
-def perm_via_sachs(graph: Graph, *, max_order: int = DEFAULT_SACHS_ORDER) -> int:
-    """Permanent by the unsigned component-census sum over Sachs subgraphs."""
-    return sum(
-        2**s.num_cycles for s in enumerate_sachs(graph, max_order=max_order)
-    )
+    Each Sachs subgraph S counts once, adds (-1)^(k_e(S)) * 2^(c(S)) to
+    the determinant and 2^(c(S)) to the permanent.
+    """
+    count = det = perm = 0
+    for s in enumerate_sachs(graph):
+        weight = 1 << s.num_cycles
+        count += 1
+        det += -weight if s.num_even_components % 2 else weight
+        perm += weight
+    return count, det, perm
 
 
 def det_adjacency(graph: Graph) -> int:
@@ -329,10 +329,6 @@ class FactorizationReport:
     perm_ke: int | None = None
     perm_product_ok: bool | None = None
 
-    @property
-    def cut_size(self) -> int:
-        return len(self.partition.cut)
-
 
 def factorization_report(
     graph: Graph, *, include_permanent: bool = True
@@ -366,7 +362,7 @@ def factorization_report(
 
 
 def sachs_cut_disjointness(
-    graph: Graph, cut: frozenset[Edge], *, max_order: int = DEFAULT_SACHS_ORDER
+    graph: Graph, cut: frozenset[Edge]
 ) -> tuple[bool, tuple[SachsSubgraph, Edge] | None]:
     """Check that no Sachs subgraph uses an edge of the given cut.
 
@@ -375,7 +371,7 @@ def sachs_cut_disjointness(
     offending subgraph and edge come back as a counterexample witness.
     """
     if cut:
-        for s in enumerate_sachs(graph, max_order=max_order):
+        for s in enumerate_sachs(graph):
             hit = s.edges() & cut
             if hit:
                 return False, (s, min(hit))

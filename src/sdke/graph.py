@@ -235,9 +235,9 @@ def export_dot(graph: Graph, partition=None, matching=None) -> str:
     """Render the graph as DOT text.
 
     Labels are quoted, with backslashes and double quotes escaped.
-    Matching edges, if a matching is given, are drawn bold red.  If a
-    partition is given, its SD vertices are filled gray and KE vertices
-    light blue.
+    Matching edges, if a matching is given, are drawn bold red; a matching
+    that is not one of this graph raises MatchingError.  If a partition
+    is given, its SD vertices are filled gray and KE vertices light blue.
     """
     sd: frozenset[int] = frozenset()
     ke: frozenset[int] = frozenset()
@@ -249,10 +249,8 @@ def export_dot(graph: Graph, partition=None, matching=None) -> str:
                 raise GraphError(f"partition references unknown vertex {v}")
     matched: set[Edge] = set()
     if matching is not None:
-        for u, v in matching.edge_pairs():
-            if not graph.has_edge(u, v):
-                raise GraphError(f"matching edge ({u},{v}) not in graph")
-            matched.add(as_edge(u, v))
+        matching.validate(graph)
+        matched.update(matching.edge_pairs())
     lines = ["graph G {", "  node [shape=circle];"]
     for v in range(graph.n):
         label = str(graph.labels[v]).replace("\\", "\\\\").replace('"', '\\"')

@@ -5,11 +5,15 @@ Every check uses public operations of other modules, two private helpers
 own route to the same answer.
 Failures carry a counterexample payload that can be re-verified by hand.
 
-The suite does each piece of work once.  One Warshall closure per chunk
-of perfect matchings, on integers whose bits range over the chunk, gives
-every matching's reachable sets and SD set (v is SD iff v is in R(v) and
-M(v) is in R(M(v))) for the invariance checks; ``reachable_sets`` of the
-partition's matching serves the partner, closure and full-reach checks.
+The suite does each piece of work once, in one pass.  The factorization
+report comes first, and its partition's matching is the one reference:
+one ``reachable_sets`` call on it serves the invariance, partner, closure
+and full-reach checks.  The perfect matchings are then streamed once, a
+chunk at a time; one Warshall closure per chunk, on integers whose bits
+range over the chunk, gives every matching's reachable sets and SD set
+(v is SD iff v is in R(v) and M(v) is in R(M(v))), and the same partner
+masks show which matchings hold a cut edge.  The matching numbers of the
+parts serve both the additivity and the Koenig-Egervary checks.
 The Sachs-cut verdict is read off the permanents of the factorization
 report, which equal it exactly; Sachs subgraphs are enumerated only to
 name a counterexample.  One matching of G serves the stability check of
@@ -28,13 +32,13 @@ from operator import or_
 from typing import Any
 
 from .alternating import _bit_indices, reachable_sets, verify_walk
-from .decomposition import _sd_vertices, sd_vertices_under
+from .decomposition import _sd_vertices
 from .determinantal import (
     FactorizationReport,
     factorization_report,
     sachs_cut_disjointness,
 )
-from .errors import BoundExceededError, NotMatchableError, SdkeError
+from .errors import BoundExceededError, SdkeError
 from .graph import Graph, build_graph, connected_components, delete_edge
 from .matching import iter_perfect_matchings, matching_number, maximum_matching
 
@@ -76,28 +80,6 @@ def independence_number(graph: Graph, *, max_order: int = DEFAULT_ALPHA_ORDER) -
 
     expand((1 << n) - 1, 0)
     return best
-
-
-@dataclass(frozen=True)
-class KeCheck:
-    """Independence and matching numbers with the Koenig-Egervary verdict."""
-
-    alpha: int
-    mu: int
-    n: int
-
-    @property
-    def is_ke(self) -> bool:
-        return self.alpha + self.mu == self.n
-
-
-def is_koenig_egervary(graph: Graph, *, max_order: int = DEFAULT_ALPHA_ORDER) -> KeCheck:
-    """Decide alpha(G) + mu(G) = |G| with exact values."""
-    return KeCheck(
-        alpha=independence_number(graph, max_order=max_order),
-        mu=matching_number(graph),
-        n=graph.n,
-    )
 
 
 @dataclass
@@ -169,28 +151,34 @@ def _packed_reach(graph, partner, k):
             for row in partner]
 
 
-def _check_matching_invariance(graph, matchings, partition_matching):
-    """Reach and SD-set invariance over every perfect matching at once.
+def _check_perfect_matchings(graph, part, found):
+    """Reach invariance, SD-set invariance and unmatched cut, in one pass.
 
-    Returns both check results and the reachable sets under
-    partition_matching.  Every matching's reach, the first's included,
-    comes from the ``_packed_reach`` closure of its chunk, and its SD set
-    from the same bits (v is SD iff v in R(v) and M(v) in R(M(v))); the
-    references are ``reachable_sets`` and ``sd_vertices_under`` of the first.
+    ``found`` is an iterator of the perfect matchings.  They are drawn
+    ``_CHUNK`` at a time and counted against ``_MAX_MATCHINGS``; only the
+    chunk being checked and the one being drawn are alive.  The reference
+    is the partition: its matching's ``reachable_sets``, returned for the
+    partner, closure and full-reach checks, and its SD set.  A chunk's
+    reach comes from one ``_packed_reach`` closure, its SD sets from the
+    same bits (v is SD iff v in R(v) and M(v) in R(M(v))), and the
+    matchings that hold a cut edge from the partner masks of the cut.
     """
     n = graph.n
-    reference = reachable_sets(graph, matchings[0])
-    sd0 = sd_vertices_under(graph, matchings[0])
-    invariance = independence = None
-    for lo in range(0, len(matchings), _CHUNK):
-        chunk = matchings[lo:lo + _CHUNK]
+    reach = reachable_sets(graph, part.matching)
+    sd0 = part.sd_vertices
+    invariance = independence = unmatched = None
+    count = 0
+    while chunk := list(islice(found, _CHUNK)):
+        count += len(chunk)
+        if count > _MAX_MATCHINGS:
+            raise BoundExceededError(f"more than {_MAX_MATCHINGS} perfect matchings: suite bound")
         k, full = len(chunk), (1 << len(chunk)) - 1
         partner = [dict.fromkeys(nbrs, 0) for nbrs in graph.adjacency]
         for i, m in enumerate(chunk):
             for v, w in enumerate(m.pairing):
                 partner[v][w] |= 1 << i
         packed = _packed_reach(graph, partner, k)
-        expect = [full * sum(1 << u * k for u in r) for r in reference]
+        expect = [full * sum(1 << u * k for u in r) for r in reach]
         if invariance is None and packed != expect:
             ones = sum(1 << u * k for u in range(n))
             i, v = min((i, v) for v in range(n) for i in range(k)
@@ -200,9 +188,9 @@ def _check_matching_invariance(graph, matchings, partition_matching):
                 False,
                 {
                     "vertex": v,
-                    "matching_a": matchings[0].edge_pairs(),
+                    "matching_a": part.matching.edge_pairs(),
                     "matching_b": chunk[i].edge_pairs(),
-                    "reach_a": sorted(reference[v]),
+                    "reach_a": sorted(reach[v]),
                     "reach_b": [u for u in range(n) if packed[v] >> u * k + i & 1],
                 },
             )
@@ -222,11 +210,17 @@ def _check_matching_invariance(graph, matchings, partition_matching):
                     "sd_reference": sorted(sd0),
                 },
             )
-    same = partition_matching == matchings[0]
-    reach = reference if same else reachable_sets(graph, partition_matching)
+        crossing = reduce(or_, (partner[u][w] for u, w in part.cut), 0)
+        if unmatched is None and crossing:
+            m = chunk[(crossing & -crossing).bit_length() - 1]
+            e = next(e for e in part.cut if m.contains_edge(e))
+            unmatched = CheckResult(
+                "cut_edges_unmatched", False, {"edge": e, "matching": m.edge_pairs()}
+            )
     return (
         invariance or CheckResult("reachability_matching_invariance", True),
         independence or CheckResult("partition_matching_independence", True),
+        unmatched or CheckResult("cut_edges_unmatched", True),
         reach,
     )
 
@@ -245,22 +239,8 @@ def _check_witnesses(graph, part) -> CheckResult:
     return CheckResult("sd_witnesses_verify", True)
 
 
-def _check_cut_unmatched(graph, part, matchings) -> CheckResult:
-    for m in matchings:
-        for e in part.cut:
-            if m.contains_edge(e):
-                return CheckResult(
-                    "cut_edges_unmatched",
-                    False,
-                    {"edge": e, "matching": m.edge_pairs()},
-                )
-    return CheckResult("cut_edges_unmatched", True)
-
-
-def _check_mu_additivity(graph, part) -> CheckResult:
+def _check_mu_additivity(graph, mu_sd, mu_ke) -> CheckResult:
     mu_g = matching_number(graph)
-    mu_sd = matching_number(part.sd_part)
-    mu_ke = matching_number(part.ke_part)
     ok = mu_g == mu_sd + mu_ke
     return CheckResult(
         "mu_additivity",
@@ -269,21 +249,19 @@ def _check_mu_additivity(graph, part) -> CheckResult:
     )
 
 
-def _check_ke_status(graph, part, max_order) -> list[CheckResult]:
-    # The KE part must be Koenig-Egervary and the SD part must not be; an
-    # empty part passes either way.
+def _check_ke_status(part, mu_sd, mu_ke, max_order) -> list[CheckResult]:
+    # The KE part must be Koenig-Egervary (alpha + mu = n) and the SD part
+    # must not be; an empty part passes either way.
     out = []
-    for name, side, want_ke in (
-        ("ke_part_is_koenig_egervary", part.ke_part, True),
-        ("sd_part_not_koenig_egervary", part.sd_part, False),
+    for name, side, mu, want_ke in (
+        ("ke_part_is_koenig_egervary", part.ke_part, mu_ke, True),
+        ("sd_part_not_koenig_egervary", part.sd_part, mu_sd, False),
     ):
-        check = is_koenig_egervary(side, max_order=max_order) if side.n else None
-        if check is None or check.is_ke == want_ke:
+        alpha = independence_number(side, max_order=max_order) if side.n else None
+        if alpha is None or (alpha + mu == side.n) == want_ke:
             out.append(CheckResult(name, True))
         else:
-            out.append(CheckResult(
-                name, False, {"alpha": check.alpha, "mu": check.mu, "n": check.n}
-            ))
+            out.append(CheckResult(name, False, {"alpha": alpha, "mu": mu, "n": side.n}))
     return out
 
 
@@ -394,33 +372,26 @@ def run_theorem_suite(
 
     All checks must pass on any correct input; a failure is always a
     counterexample to a proved statement, i.e. an implementation bug.
+    The factorization report comes first, so a graph that it refuses is
+    refused before any perfect matching is drawn.
     """
     if graph.n > max_order:
         raise BoundExceededError(
             f"graph order {graph.n} exceeds theorem-suite bound {max_order}"
         )
-    found = iter_perfect_matchings(graph, max_order=max_order)
-    matchings = list(islice(found, _MAX_MATCHINGS + 1))
-    if len(matchings) > _MAX_MATCHINGS:
-        raise BoundExceededError(f"more than {_MAX_MATCHINGS} perfect matchings: suite bound")
-    if not matchings:
-        raise NotMatchableError("graph is not matchable")
     factorization = factorization_report(graph)
     part = factorization.partition
-    # One packed closure per chunk of perfect matchings serves checks 1 and
-    # 3; checks 2 and 8 read the reachable sets of the partition's matching.
-    invariance, independence, reach = _check_matching_invariance(
-        graph, matchings, part.matching
-    )
+    found = iter_perfect_matchings(graph, max_order=max_order)
+    invariance, independence, unmatched, reach = _check_perfect_matchings(graph, part, found)
+    mu_sd, mu_ke = matching_number(part.sd_part), matching_number(part.ke_part)
     report = TheoremReport(factorization)
     report.checks.append(invariance)
     report.checks.append(_check_partner_reachable(graph, part.matching, reach))
     report.checks.append(independence)
     report.checks.append(_check_witnesses(graph, part))
-    # On a matchable graph the maximum matchings are the perfect ones.
-    report.checks.append(_check_cut_unmatched(graph, part, matchings))
-    report.checks.append(_check_mu_additivity(graph, part))
-    report.checks.extend(_check_ke_status(graph, part, max_order=max_order))
+    report.checks.append(unmatched)
+    report.checks.append(_check_mu_additivity(graph, mu_sd, mu_ke))
+    report.checks.extend(_check_ke_status(part, mu_sd, mu_ke, max_order))
     report.checks.append(_check_full_reachability(graph, part, reach))
     report.checks.append(_check_sachs_cut(graph, factorization))
     report.checks.append(_check_multiplicativity(factorization))

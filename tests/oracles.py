@@ -18,7 +18,6 @@ from sdke import (
     iter_maximum_matchings,
     iter_perfect_matchings,
     reachable_sets,
-    sd_vertices_under,
     simple_odd_cycles,
 )
 from sdke.alternating import _bit_indices
@@ -380,51 +379,56 @@ def sd_from_reach(matching: Matching, reach) -> frozenset[int]:
     )
 
 
-def matching_invariance_per_matching(graph: Graph, matchings, partition_matching):
-    """The theorem suite's invariance checks, by one ``reachable_sets`` per matching.
+def matching_invariance_per_matching(graph: Graph, matchings, part):
+    """The suite's per-matching checks, by one ``reachable_sets`` per matching.
 
-    Returns what ``verification._check_matching_invariance`` returns: the
-    ``reachability_matching_invariance`` and
-    ``partition_matching_independence`` results, and the reachable sets
-    under partition_matching.  The reference reach is its own first call,
-    and every matching, the first included, is compared with it, so a
-    test can fault the reference apart from a matching's own sets; each
-    matching's SD set is ``sd_from_reach`` of its own sets.
+    Returns what ``verification._check_perfect_matchings`` returns: the
+    ``reachability_matching_invariance``,
+    ``partition_matching_independence`` and ``cut_edges_unmatched``
+    results, and the reachable sets under the partition's matching.  The
+    reference reach is its own first call, and every matching is compared
+    with it, so a test can fault the reference apart from a matching's own
+    sets; each matching's SD set is ``sd_from_reach`` of its own sets and
+    is compared with ``part.sd_vertices``.  A matched cut edge is found by
+    asking every matching about every cut edge.
     """
-    sd0 = sd_vertices_under(graph, matchings[0])
-    reference = reachable_sets(graph, matchings[0])
-    reach = invariance = independence = None
+    reach = reachable_sets(graph, part.matching)
+    invariance = independence = unmatched = None
     for m in matchings:
         sets = reachable_sets(graph, m)
-        if m == partition_matching:
-            reach = sets
-        if invariance is None and sets != reference:
-            v = next(i for i, (a, b) in enumerate(zip(sets, reference)) if a != b)
+        if invariance is None and sets != reach:
+            v = next(i for i, (a, b) in enumerate(zip(sets, reach)) if a != b)
             invariance = CheckResult(
                 "reachability_matching_invariance",
                 False,
                 {
                     "vertex": v,
-                    "matching_a": matchings[0].edge_pairs(),
+                    "matching_a": part.matching.edge_pairs(),
                     "matching_b": m.edge_pairs(),
-                    "reach_a": sorted(reference[v]),
+                    "reach_a": sorted(reach[v]),
                     "reach_b": sorted(sets[v]),
                 },
             )
         sd = sd_from_reach(m, sets)
-        if independence is None and sd != sd0:
+        if independence is None and sd != part.sd_vertices:
             independence = CheckResult(
                 "partition_matching_independence",
                 False,
                 {
                     "matching": m.edge_pairs(),
                     "sd": sorted(sd),
-                    "sd_reference": sorted(sd0),
+                    "sd_reference": sorted(part.sd_vertices),
                 },
             )
+        for e in part.cut:
+            if unmatched is None and m.contains_edge(e):
+                unmatched = CheckResult(
+                    "cut_edges_unmatched", False, {"edge": e, "matching": m.edge_pairs()}
+                )
     return (
         invariance or CheckResult("reachability_matching_invariance", True),
         independence or CheckResult("partition_matching_independence", True),
+        unmatched or CheckResult("cut_edges_unmatched", True),
         reach,
     )
 

@@ -9,7 +9,6 @@ import time
 from sdke import (
     delete_edge,
     det_adjacency,
-    det_via_sachs,
     enumerate_sachs,
     factorization_report,
     independence_number,
@@ -17,8 +16,8 @@ from sdke import (
     iter_perfect_matchings,
     matching_number,
     perm_adjacency,
-    perm_via_sachs,
     reachable_set,
+    sachs_census,
     sd_ke_partition,
     sd_vertices_of,
 )
@@ -109,12 +108,10 @@ def test_criterion_3_harary_agreement():
             (path_graph(4), 1, 1),
         ]
         for g, det, perm in fixtures:
-            assert det_via_sachs(g) == det_adjacency(g) == det
-            assert perm_via_sachs(g) == perm_adjacency(g) == perm
+            assert sachs_census(g)[1:] == (det_adjacency(g), perm_adjacency(g)) == (det, perm)
         count = 0
         for seed, g in mixed_corpus(200, max_n=12):
-            assert det_via_sachs(g) == det_adjacency(g), f"seed {seed}"
-            assert perm_via_sachs(g) == perm_adjacency(g), f"seed {seed}"
+            assert sachs_census(g)[1:] == (det_adjacency(g), perm_adjacency(g)), f"seed {seed}"
             count += 1
         assert count == 200
 

@@ -186,10 +186,13 @@ def test_verify_runs_each_permanent_once(files, capsys, monkeypatch):
 
 
 def test_verify_not_matchable_is_domain_error(files, capsys):
+    # The factorization report comes first, so the partition refuses.
     code, data = run_json(capsys, ["verify", files["c5"]])
     assert code == 1
-    assert "matchable" in data["error"]["message"]
-    assert data["error"]["type"] == "NotMatchableError"
+    assert data["error"] == {
+        "type": "NotMatchableError",
+        "message": "SD-KE separation requires a graph with a perfect matching",
+    }
 
 
 def test_verify_fails_when_stability_skips_an_edge(tmp_path, capsys):
@@ -280,18 +283,50 @@ def test_gen_above_bound_is_domain_error(capsys):
     assert "order 1000000000 exceeds generator bound" in data["error"]["message"]
 
 
-def test_verify_caps_perfect_matchings(tmp_path, capsys, monkeypatch):
-    # --max-n lifts only the order bound; K30 has about 6e15 perfect
-    # matchings, and verify must stop at the cap with a JSON error.
+def _count_suite_draws(monkeypatch):
+    # The perfect matchings the theorem suite draws, one entry each.
     from sdke import verification
 
-    monkeypatch.setattr(verification, "_MAX_MATCHINGS", 1000)
+    drawn = []
+
+    def counted(*args, **kwargs):
+        for m in iter_perfect_matchings(*args, **kwargs):
+            drawn.append(1)
+            yield m
+
+    monkeypatch.setattr(verification, "iter_perfect_matchings", counted)
+    return drawn
+
+
+def test_verify_caps_perfect_matchings(tmp_path, capsys, monkeypatch):
+    # --max-n lifts only the order bound; K8 has 105 perfect matchings,
+    # and verify must stop at the cap with a JSON error.
+    from sdke import verification
+
+    monkeypatch.setattr(verification, "_MAX_MATCHINGS", 100)
+    drawn = _count_suite_draws(monkeypatch)
+    path = tmp_path / "k8.edges"
+    path.write_text(serialize_edge_list(complete_graph(8)))
+    code, data = run_json(capsys, ["verify", str(path), "--max-n", "8"])
+    assert code == 1
+    assert data["error"]["type"] == "BoundExceededError"
+    assert "more than 100 perfect matchings" in data["error"]["message"]
+    assert 100 < len(drawn) <= 105
+
+
+def test_verify_refuses_k30_before_drawing_a_matching(tmp_path, capsys, monkeypatch):
+    # K30 is within --max-n 30 but above the permanent bound, which the
+    # factorization report meets before any perfect matching is drawn.
+    drawn = _count_suite_draws(monkeypatch)
     path = tmp_path / "k30.edges"
     path.write_text(serialize_edge_list(complete_graph(30)))
     code, data = run_json(capsys, ["verify", str(path), "--max-n", "30"])
     assert code == 1
-    assert data["error"]["type"] == "BoundExceededError"
-    assert "more than 1000 perfect matchings" in data["error"]["message"]
+    assert data["error"] == {
+        "type": "BoundExceededError",
+        "message": "graph order 30 exceeds permanent bound 22",
+    }
+    assert drawn == []
 
 
 def test_export_dot(files, capsys):

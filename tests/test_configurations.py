@@ -67,9 +67,12 @@ def test_odd_cycles_each_once_k5():
     assert len(set(cycles)) == len(cycles)
 
 
-def test_cycle_bound():
-    with pytest.raises(BoundExceededError):
-        simple_odd_cycles(complete_graph(9), max_cycles=10)
+def test_cycle_bound(monkeypatch):
+    from sdke import configurations
+
+    monkeypatch.setattr(configurations, "DEFAULT_MAX_CYCLES", 10)
+    with pytest.raises(BoundExceededError, match="more than 10 simple cycles"):
+        simple_odd_cycles(complete_graph(9))
 
 
 def test_flower9_blossoms():
@@ -108,12 +111,15 @@ def test_bruteforce_order_bound():
     assert sd_vertices_bruteforce(cycle_graph(14), max_order=14) == frozenset()
 
 
-def test_agrees_with_fast_partition_on_matchable_graphs():
+def test_agrees_with_fast_partition_on_matchable_graphs(monkeypatch):
     # On matchable inputs the configuration search must reproduce the
     # pair-wise separation exactly; this cross-validates both.
+    from sdke import configurations
+
+    monkeypatch.setattr(configurations, "DEFAULT_MAX_CYCLES", 500_000)
     for seed, g in matchable_corpus(40, max_n=10):
         fast = sd_ke_partition(g).sd_vertices
-        slow = sd_vertices_bruteforce(g, max_cycles=500_000)
+        slow = sd_vertices_bruteforce(g)
         assert fast == slow, f"seed {seed}"
 
 

@@ -8,12 +8,11 @@ from sdke import (
     SachsSubgraph,
     build_graph,
     det_adjacency,
-    det_via_sachs,
     disjoint_union,
     enumerate_sachs,
     factorization_report,
     perm_adjacency,
-    perm_via_sachs,
+    sachs_census,
     sachs_cut_disjointness,
     sd_ke_partition,
 )
@@ -96,9 +95,8 @@ def test_sachs_bound():
     (build_graph(0, []), 1, 1),
 ])
 def test_fixture_values_all_four_routes(g, det, perm):
-    assert det_via_sachs(g) == det
+    assert sachs_census(g)[1:] == (det, perm)
     assert det_adjacency(g) == det
-    assert perm_via_sachs(g) == perm
     assert perm_adjacency(g) == perm
 
 
@@ -110,8 +108,19 @@ def test_det_perm_against_permutation_expansion():
 
 def test_sachs_routes_agree_with_direct_routes():
     for seed, g in mixed_corpus(60, max_n=10):
-        assert det_via_sachs(g) == det_adjacency(g), f"seed {seed}"
-        assert perm_via_sachs(g) == perm_adjacency(g), f"seed {seed}"
+        assert sachs_census(g)[1:] == (det_adjacency(g), perm_adjacency(g)), f"seed {seed}"
+
+
+def test_sachs_census_against_brute_force():
+    # One pass gives the count, det and perm that three independent
+    # brute-force routes give: edge subsets for the count, permutation
+    # expansion for the matrix functions.
+    for seed, g in mixed_corpus(60, max_n=7):
+        assert sachs_census(g) == (brute_sachs_count(g), brute_det(g), brute_perm(g)), seed
+    assert sachs_census(build_graph(0, [])) == (1, 1, 1)
+    assert sachs_census(build_graph(3, [])) == (0, 0, 0)
+    with pytest.raises(BoundExceededError, match="Sachs enumeration bound 20"):
+        sachs_census(path_graph(21))
 
 
 def test_perm_exceeds_det_in_magnitude():
@@ -265,7 +274,7 @@ def test_factorization_mixed32_known_values():
     assert r.det_sd == -5
     assert r.det_g == 5
     assert r.det_product_ok
-    assert r.cut_size == 2
+    assert len(r.partition.cut) == 2
 
 
 def test_factorization_requires_matchable():
@@ -278,8 +287,7 @@ def test_factorization_sachs_methods():
     g = posy12()
     part = sd_ke_partition(g)
     graphs = (g, part.sd_part, part.ke_part)
-    det_g, det_sd, det_ke = (det_via_sachs(h) for h in graphs)
-    perm_g, perm_sd, perm_ke = (perm_via_sachs(h) for h in graphs)
+    (_, det_g, perm_g), (_, det_sd, perm_sd), (_, det_ke, perm_ke) = map(sachs_census, graphs)
     assert det_g == det_sd * det_ke == det_adjacency(g)
     assert perm_g == perm_sd * perm_ke == perm_adjacency(g)
 

@@ -162,6 +162,18 @@ def test_export_dot_matching_styled():
     assert "0 -- 1 [style=bold, color=red];" in text
 
 
+def test_export_dot_validates_the_matching():
+    # A matching of another order, or one that pairs a non-edge, is
+    # refused by the matching's own validation.
+    from sdke import MatchingError, matching_from_edges
+
+    c4 = cycle_graph(4)
+    with pytest.raises(MatchingError, match="matching over 3 vertices used with graph of order 4"):
+        export_dot(c4, matching=matching_from_edges(3, [(0, 1)]))
+    with pytest.raises(MatchingError, match=r"matched pair \(0,2\) is not an edge"):
+        export_dot(c4, matching=matching_from_edges(4, [(0, 2)]))
+
+
 def test_export_dot_partition_colors():
     from sdke import sd_ke_partition
     g = posy12()

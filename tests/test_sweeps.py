@@ -72,21 +72,25 @@ def test_exhaustive_sd_sweep():
         assert got == sd_vertices_stop_at_full(g), name
 
 
-def test_matching_invariance_sweep():
-    # The theorem suite's reach and SD-set invariance checks, from one
-    # packed Warshall closure per chunk of perfect matchings, must equal
-    # the per-matching oracle (one reachable_sets call per matching) on
-    # 1,200 seeded matchable graphs and on K2-K12, whose K12 crosses the
-    # 256-matching chunk boundary 40 times.
+def test_matching_invariance_sweep(monkeypatch):
+    # The theorem suite's one pass over the perfect matchings (reach and
+    # SD-set invariance from one packed Warshall closure per chunk, and
+    # matched cut edges from the same partner masks) must equal the
+    # per-matching oracle (one reachable_sets call per matching) on 1,200
+    # seeded matchable graphs and on K2-K12, at chunks of 1, 3, 7 and 256
+    # matchings; K12's 10,395 cross the 256-matching boundary 40 times.
     graphs = [(f"random_matchable_graph({n}, {p}, {s})", sdke.random_matchable_graph(n, p, s))
               for n in range(4, 13, 2) for p in (0.2, 0.3, 0.4, 0.5) for s in range(60)]
     graphs += [(f"K{n}", sdke.build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)]))
                for n in range(2, 13, 2)]
     for name, g in graphs:
         matchings = list(sdke.iter_perfect_matchings(g))
-        pm = sdke.sd_ke_partition(g).matching
-        got = verification._check_matching_invariance(g, matchings, pm)
-        assert got == matching_invariance_per_matching(g, matchings, pm), name
+        part = sdke.sd_ke_partition(g)
+        want = matching_invariance_per_matching(g, matchings, part)
+        for chunk in (1, 3, 7, 256):
+            monkeypatch.setattr(verification, "_CHUNK", chunk)
+            got = verification._check_perfect_matchings(g, part, iter(matchings))
+            assert got == want, (name, chunk)
 
 
 def test_stability_sweep():

@@ -11,9 +11,9 @@ from sdke import (
     delete_edge,
     factorization_report,
     independence_number,
-    is_koenig_egervary,
     is_matchable,
     iter_perfect_matchings,
+    matching_number,
     maximum_matching,
     random_graph,
     random_matchable_graph,
@@ -33,6 +33,7 @@ from fixtures import (
     posy12,
     tangle8,
 )
+from sdke.verification import _check_ke_status
 from oracles import (
     brute_alpha,
     exists_max_matching_avoiding,
@@ -61,21 +62,30 @@ def test_alpha_bound():
         independence_number(build_graph(40, []))
 
 
+def _ke_gap(g):
+    # n - alpha - mu, which is 0 exactly on Koenig-Egervary graphs.
+    return g.n - independence_number(g) - matching_number(g)
+
+
 def test_ke_check_fixtures():
-    assert is_koenig_egervary(cycle_graph(4)).is_ke  # 2 + 2 = 4
-    assert not is_koenig_egervary(cycle_graph(5)).is_ke  # 2 + 2 != 5
-    assert is_koenig_egervary(ladder8()).is_ke
-    assert not is_koenig_egervary(tangle8()).is_ke
-    chk = is_koenig_egervary(tangle8())
-    assert chk.alpha + chk.mu < chk.n
+    assert _ke_gap(cycle_graph(4)) == 0  # 2 + 2 = 4
+    assert _ke_gap(cycle_graph(5)) == 1  # 2 + 2 != 5
+    assert _ke_gap(ladder8()) == 0
+    assert _ke_gap(tangle8()) > 0
+
+
+def _ke_status(part):
+    mu_sd, mu_ke = matching_number(part.sd_part), matching_number(part.ke_part)
+    return _check_ke_status(part, mu_sd, mu_ke, max_order=12)
 
 
 def test_parts_ke_status_on_corpus():
     for seed, g in matchable_corpus(40, max_n=12):
         p = sd_ke_partition(g)
-        assert is_koenig_egervary(p.ke_part).is_ke, f"seed {seed}"
+        assert _ke_gap(p.ke_part) == 0, f"seed {seed}"
         if p.sd_part.n:
-            assert not is_koenig_egervary(p.sd_part).is_ke, f"seed {seed}"
+            assert _ke_gap(p.sd_part) > 0, f"seed {seed}"
+        assert all(r.passed for r in _ke_status(p)), f"seed {seed}"
 
 
 def test_theorem_suite_fixtures():
@@ -110,14 +120,16 @@ def test_theorem_suite_builds_one_partition(monkeypatch):
 
 
 def test_theorem_suite_reachability_calls(monkeypatch):
-    # Wrap both reachability routines in every sdke namespace that binds
-    # them.  The suite takes the reference reachable sets of the first
-    # perfect matching, and those of the partition's matching when it is
-    # another one; the reach under every matching comes from its own
-    # packed closure.
+    # Wrap both reachability routines and the one-matching SD split in
+    # every sdke namespace that binds them.  The partition's matching is
+    # the one reference, whether or not it is the first perfect matching:
+    # one reachable_sets call, and no SD split of G (the stability check
+    # splits G - e only); the reach under every matching comes from its
+    # own packed closure.
     from sdke.alternating import reachable_set, reachable_sets
 
     calls = {"reachable_set": 0, "reachable_sets": 0}
+    split = []
 
     def counting(fn):
         def counted(*args, **kwargs):
@@ -125,7 +137,12 @@ def test_theorem_suite_reachability_calls(monkeypatch):
             return fn(*args, **kwargs)
         return counted
 
-    wrapped = {reachable_set: counting(reachable_set), reachable_sets: counting(reachable_sets)}
+    def split_counted(graph, matching):
+        split.append(graph)
+        return sd_vertices_under(graph, matching)
+
+    wrapped = {reachable_set: counting(reachable_set), reachable_sets: counting(reachable_sets),
+               sd_vertices_under: split_counted}
     for name, module in list(sys.modules.items()):
         if name == "sdke" or name.startswith("sdke."):
             for attr, value in list(vars(module).items()):
@@ -134,16 +151,20 @@ def test_theorem_suite_reachability_calls(monkeypatch):
     seen = set()
     for g in (complete_graph(8), posy12(), tangle8(), random_matchable_graph(8, 0.2, 8)):
         calls.update(reachable_set=0, reachable_sets=0)
+        split.clear()
         assert run_theorem_suite(g).all_passed
-        other = sd_ke_partition(g).matching != next(iter_perfect_matchings(g))
-        seen.add(other)
-        assert calls == {"reachable_set": 0, "reachable_sets": 1 + other}
+        seen.add(sd_ke_partition(g).matching != next(iter_perfect_matchings(g)))
+        assert calls == {"reachable_set": 0, "reachable_sets": 1}
+        assert g not in split
     assert seen == {False, True}
 
 
 def test_theorem_suite_rejects_non_matchable():
-    with pytest.raises(NotMatchableError):
-        run_theorem_suite(cycle_graph(5))
+    # The partition of the factorization report refuses, at odd and at
+    # even order.
+    for g in (cycle_graph(5), build_graph(4, [(0, 1), (0, 2), (0, 3)])):
+        with pytest.raises(NotMatchableError, match="requires a graph with a perfect matching"):
+            run_theorem_suite(g)
 
 
 def test_theorem_suite_bound():
@@ -203,14 +224,12 @@ def _doctored_partition(g):
 def test_injected_counterexamples_reverify_as_failures():
     # A fabricated wrong partition must trip the checks and carry payloads
     # that identify the offense.
-    from sdke.matching import iter_maximum_matchings
-    from sdke.verification import _check_cut_unmatched, _check_ke_status
+    from sdke.verification import _check_perfect_matchings
 
     g = posy12()
     bad = _doctored_partition(g)
-    maxima = list(iter_maximum_matchings(g))
-    results = [_check_cut_unmatched(g, bad, maxima)]
-    results.extend(_check_ke_status(g, bad, max_order=12))
+    results = list(_check_perfect_matchings(g, bad, iter_perfect_matchings(g))[:3])
+    results.extend(_ke_status(bad))
     failing = [r for r in results if not r.passed]
     assert failing
     assert all(r.counterexample is not None for r in failing)
@@ -221,38 +240,62 @@ def test_ke_status_checks_name_each_failing_part():
     # the offending part's numbers.  An empty part passes either way.
     import dataclasses
 
-    from sdke.verification import _check_ke_status
-
     p = sd_ke_partition(posy12())
     swapped = dataclasses.replace(p, sd_part=p.ke_part, ke_part=p.sd_part)
-    ke, sd = _check_ke_status(None, swapped, max_order=12)
+    ke, sd = _ke_status(swapped)
     for result, name, side in (
         (ke, "ke_part_is_koenig_egervary", p.sd_part),
         (sd, "sd_part_not_koenig_egervary", p.ke_part),
     ):
-        chk = is_koenig_egervary(side)
+        want = {"alpha": brute_alpha(side), "mu": matching_number(side), "n": side.n}
         assert (result.name, result.passed) == (name, False)
-        assert result.counterexample == {"alpha": chk.alpha, "mu": chk.mu, "n": chk.n}
+        assert result.counterexample == want
     for doctored in (
         dataclasses.replace(p, sd_part=build_graph(0, [])),
         dataclasses.replace(p, ke_part=build_graph(0, [])),
     ):
-        assert all(r.passed for r in _check_ke_status(None, doctored, max_order=12))
+        assert all(r.passed for r in _ke_status(doctored))
+    # The matching numbers are the caller's, shared with the additivity
+    # check, and are not computed again: one more on the KE side fails it.
+    mu_sd, mu_ke = matching_number(p.sd_part), matching_number(p.ke_part)
+    ke, sd = _check_ke_status(p, mu_sd, mu_ke + 1, max_order=12)
+    assert sd.passed and not ke.passed
+    assert ke.counterexample == {"alpha": brute_alpha(p.ke_part), "mu": mu_ke + 1, "n": 2}
 
 
-def test_counterexample_payload_identifies_matched_cut_edge():
-    from sdke.verification import _check_cut_unmatched
+def test_counterexample_payload_identifies_matched_cut_edge(monkeypatch):
+    import dataclasses
+    import random
+
+    from sdke import verification
 
     g = posy12()
     p = sd_ke_partition(g)
     # Pretend a matched SD edge is a cut edge: the check must flag it.
-    import dataclasses
-
     doctored = dataclasses.replace(p, cut=frozenset({(0, 1)}))
-    result = _check_cut_unmatched(g, doctored, [p.matching])
+    result = verification._check_perfect_matchings(g, doctored, iter([p.matching]))[2]
     assert not result.passed
     assert result.counterexample["edge"] == (0, 1)
     assert [0, 1] in [list(e) for e in result.counterexample["matching"]]
+    # The true cut passes, and random edge sets as the cut mostly fail:
+    # the partner masks name the first matching that holds a cut edge and
+    # its first such edge, as asking every matching about every cut edge
+    # does, across chunk boundaries.
+    rng = random.Random(3)
+    verdicts = []
+    for _, g in matchable_corpus(60, max_n=10):
+        matchings = list(iter_perfect_matchings(g))
+        part = sd_ke_partition(g)
+        cuts = [part.cut] + [frozenset(rng.sample(g.edges, min(k, g.num_edges))) for k in (1, 2, 4)]
+        for cut in cuts:
+            doctored = dataclasses.replace(part, cut=cut)
+            want = matching_invariance_per_matching(g, matchings, doctored)[2]
+            verdicts.append(want.passed)
+            for chunk in (1, 3, 7):
+                monkeypatch.setattr(verification, "_CHUNK", chunk)
+                got = verification._check_perfect_matchings(g, doctored, iter(matchings))
+                assert got[2] == want, (g.edges, cut, chunk)
+    assert verdicts.count(False) > 30 and verdicts.count(True) > 30
 
 
 def _report_for(g, sd):
@@ -534,7 +577,9 @@ def _fault_reachable_sets(monkeypatch, module, call, v, u):
 
 def test_packed_closure_equals_per_matching_oracle(monkeypatch):
     # Chunks of 1, 3 and 7 matchings put chunk boundaries inside every
-    # graph with more than a few perfect matchings; K10 has 945.
+    # graph with more than a few perfect matchings; K10 has 945.  The
+    # reference is the partition under the first, the default and the
+    # last perfect matching, and a doctored split fails the SD-set check.
     from sdke import verification
 
     graphs = [g for _, g in matchable_corpus(200, max_n=12)]
@@ -542,11 +587,14 @@ def test_packed_closure_equals_per_matching_oracle(monkeypatch):
     graphs += [complete_graph(n) for n in range(2, 11, 2)]
     for g in graphs:
         matchings = list(iter_perfect_matchings(g))
-        for pm in (matchings[0], sd_ke_partition(g).matching, matchings[-1]):
-            want = matching_invariance_per_matching(g, matchings, pm)
+        parts = [sd_ke_partition(g, pm) for pm in (matchings[0], None, matchings[-1])]
+        if parts[0].sd_vertices:
+            parts.append(_doctored_partition(g))
+        for part in parts:
+            want = matching_invariance_per_matching(g, matchings, part)
             for chunk in (1, 3, 7):
                 monkeypatch.setattr(verification, "_CHUNK", chunk)
-                assert verification._check_matching_invariance(g, matchings, pm) == want
+                assert verification._check_perfect_matchings(g, part, iter(matchings)) == want
 
 
 def test_packed_closure_faults_give_the_oracle_payloads(monkeypatch):
@@ -563,6 +611,7 @@ def test_packed_closure_faults_give_the_oracle_payloads(monkeypatch):
     failures = 0
     for g in graphs:
         matchings = list(iter_perfect_matchings(g))
+        part = sd_ke_partition(g, matchings[0])
         for chunk in (2, 5):
             monkeypatch.setattr(verification, "_CHUNK", chunk)
             ats = {0, 1, chunk - 1, chunk, len(matchings) - 1}
@@ -572,20 +621,20 @@ def test_packed_closure_faults_give_the_oracle_payloads(monkeypatch):
                         with monkeypatch.context() as m:
                             _fault_packed_reach(m, at, v, u)
                             _fault_reachable_sets(m, oracles, at + 1, v, u)
-                            got = verification._check_matching_invariance(
-                                g, matchings, matchings[0])
+                            got = verification._check_perfect_matchings(
+                                g, part, iter(matchings))
                             want = oracles.matching_invariance_per_matching(
-                                g, matchings, matchings[0])
-                        assert got[:2] == want[:2], (at, v, u)
+                                g, matchings, part)
+                        assert got[:3] == want[:3], (at, v, u)
                         failures += not got[0].passed
                     with monkeypatch.context() as m:
                         _fault_reachable_sets(m, verification, 0, v, v)
                         _fault_reachable_sets(m, oracles, 0, v, v)
-                        got = verification._check_matching_invariance(
-                            g, matchings, matchings[0])
+                        got = verification._check_perfect_matchings(
+                            g, part, iter(matchings))
                         want = oracles.matching_invariance_per_matching(
-                            g, matchings, matchings[0])
-                    assert got[:2] == want[:2], v
+                            g, matchings, part)
+                    assert got[:3] == want[:3], v
     assert failures > 100
 
 
@@ -600,9 +649,10 @@ def test_matching_invariance_payloads_name_the_second_matching(monkeypatch):
     assert len(matchings) >= 2
 
     _fault_packed_reach(monkeypatch, 1, 0, 0)
-    invariance, independence, reach = verification._check_matching_invariance(
-        g, matchings, matchings[0]
+    invariance, independence, unmatched, reach = verification._check_perfect_matchings(
+        g, sd_ke_partition(g, matchings[0]), iter(matchings)
     )
+    assert unmatched.passed
     assert reach == reachable_sets(g, matchings[0])
     full = sorted(reach[0])
     assert invariance.counterexample == {
@@ -620,9 +670,29 @@ def test_matching_invariance_payloads_name_the_second_matching(monkeypatch):
     }
 
 
+def _track_suite_matchings(monkeypatch):
+    # Wrap the suite's enumerator: one weak reference per perfect matching
+    # it yields, and after each yield the number of them still alive.
+    import weakref
+
+    from sdke import verification
+
+    refs, alive = [], []
+
+    def tracked(*args, **kwargs):
+        for m in iter_perfect_matchings(*args, **kwargs):
+            refs.append(weakref.ref(m))
+            alive.append(sum(r() is not None for r in refs))
+            yield m
+
+    monkeypatch.setattr(verification, "iter_perfect_matchings", tracked)
+    return refs, alive
+
+
 def test_theorem_suite_caps_perfect_matchings(monkeypatch):
-    # K6 has exactly 15 perfect matchings.  The cap is checked on the
-    # enumeration itself, so K30 stops after cap + 1 of its 6.2e15.
+    # K6 has exactly 15 perfect matchings.  The cap is checked as the
+    # chunks arrive, so K8 stops within a chunk of the cap; K30 is
+    # refused by the permanent bound before any matching is drawn.
     from sdke import verification
 
     monkeypatch.setattr(verification, "_MAX_MATCHINGS", 15)
@@ -630,9 +700,28 @@ def test_theorem_suite_caps_perfect_matchings(monkeypatch):
     monkeypatch.setattr(verification, "_MAX_MATCHINGS", 14)
     with pytest.raises(BoundExceededError, match="more than 14 perfect matchings"):
         run_theorem_suite(complete_graph(6))
-    monkeypatch.setattr(verification, "_MAX_MATCHINGS", 1000)
-    with pytest.raises(BoundExceededError, match="more than 1000 perfect matchings"):
+    refs, _ = _track_suite_matchings(monkeypatch)
+    monkeypatch.setattr(verification, "_CHUNK", 4)
+    monkeypatch.setattr(verification, "_MAX_MATCHINGS", 100)
+    with pytest.raises(BoundExceededError, match="more than 100 perfect matchings"):
+        run_theorem_suite(complete_graph(8))
+    assert len(refs) == 104
+    refs.clear()
+    with pytest.raises(BoundExceededError, match="exceeds permanent bound 22"):
         run_theorem_suite(complete_graph(30), max_order=30)
+    assert refs == []
+
+
+def test_theorem_suite_streams_perfect_matchings(monkeypatch):
+    # Only the chunk being checked and the one being drawn are alive: at
+    # most 2 * _CHUNK of K8's 105 perfect matchings at once.
+    from sdke import verification
+
+    monkeypatch.setattr(verification, "_CHUNK", 4)
+    refs, alive = _track_suite_matchings(monkeypatch)
+    assert run_theorem_suite(complete_graph(8)).all_passed
+    assert len(refs) == 105
+    assert max(alive) <= 2 * verification._CHUNK
 
 
 def test_generators_bound_the_order(monkeypatch):
