@@ -43,16 +43,13 @@ from .alternating import (
     AlternatingWalk,
     has_mm_closed_walk,
     reachable_set,
-    reachable_sets,
     semi_jposy_witness,
     verify_walk,
-    walk_violation,
 )
 from .decomposition import (
     SdKePartition,
     sd_ke_partition,
     sd_vertices_of,
-    sd_vertices_under,
 )
 from .configurations import (
     sd_vertices_bruteforce,
@@ -72,7 +69,6 @@ from .verification import (
     CheckResult,
     TheoremReport,
     independence_number,
-    random_graph,
     random_matchable_graph,
     run_theorem_suite,
 )

@@ -21,15 +21,17 @@ every non-matching neighbour y of x.  Every search here runs over D: u
 is reachable from v iff M(v) reaches u in D, and v has an mm-closed walk
 iff M(v) reaches v.  D is skew-symmetric under M (x -> z iff
 M(z) -> M(x)), like a 2-SAT implication graph, so one strong-component
-pass decides every vertex at once.  The same pass gives every reachable
-set: components are numbered sinks first, so a sweep in increasing
-component number finds the reach of each successor already complete, and
-a component reaches its own members plus the reach of every component
-its arcs enter (a bitset OR per arc of the condensation).  One BFS over
-D from M(v) gives v's reachable set alone, or, stopped as soon as v is
-reached, its shortest closed walk.  The walks at every SD vertex come
-from bitset level sweeps, one per strong component and block of
-targets, which rebuild the same walks without a search per vertex.
+pass decides every vertex at once.  The same pass gives every
+reachable set (``_component_reach``, the theorem suite's reference; its
+output is Θ(n²), so only the one-vertex set is public): components are
+numbered sinks first, so a sweep in increasing component number finds
+the reach of each successor already complete, and a component reaches
+its own members plus the reach of every component its arcs enter (a
+bitset OR per arc of the condensation).  One BFS over D from M(v) gives
+v's reachable set alone, or, stopped as soon as v is reached, its
+shortest closed walk.  The walks at every SD vertex come from bitset
+level sweeps, one per strong component and block of targets, which
+rebuild the same walks without a search per vertex.
 """
 
 from __future__ import annotations
@@ -68,47 +70,31 @@ class AlternatingWalk:
         return f"AlternatingWalk({','.join(map(str, self.vertices))}; {self.kind})"
 
 
-def walk_violation(graph: Graph, matching: Matching, walk: AlternatingWalk) -> str | None:
-    """Reason the walk fails its invariants, or None if it is valid.
-
-    Checks: known kind tag, at least one edge, endpoints in range,
-    consecutive vertices adjacent, strict alternation of matching
-    membership, and kind tag consistent with the first and last edges.
-    """
-    if walk.kind not in WALK_KINDS:
-        return f"unknown kind {walk.kind!r}"
-    vs = walk.vertices
-    if len(vs) < 2:
-        return "walk has no edges"
-    if matching.n != graph.n:
-        return "matching order does not match graph"
-    for v in vs:
-        if not (0 <= v < graph.n):
-            return f"vertex {v} out of range"
-    parities = []
-    for a, b in zip(vs, vs[1:]):
-        if not graph.has_edge(a, b):
-            return f"({a},{b}) is not an edge"
-        parities.append(matching.pairing[a] == b)
-    for prev, cur in zip(parities, parities[1:]):
-        if prev == cur:
-            return "consecutive edges do not alternate"
-    want_first = walk.kind[0] == "m"
-    want_last = walk.kind[1] == "m"
-    if parities[0] != want_first:
-        return f"first edge does not match kind {walk.kind!r}"
-    if parities[-1] != want_last:
-        return f"last edge does not match kind {walk.kind!r}"
-    return None
-
-
 def verify_walk(graph: Graph, matching: Matching, walk: AlternatingWalk) -> bool:
-    """Certificate checker: True iff the walk satisfies all its invariants."""
+    """Certificate checker: True iff the walk satisfies all its invariants.
+
+    The matching is one of the graph, the kind tag is known, and the walk
+    has an edge, int vertices in range, consecutive vertices adjacent,
+    strictly alternating matching membership, and end edges as tagged.
+    """
     try:
         matching.validate(graph)
     except ValueError:
         return False
-    return walk_violation(graph, matching, walk) is None
+    vs = walk.vertices
+    if walk.kind not in WALK_KINDS or len(vs) < 2:
+        return False
+    for v in vs:
+        if type(v) is not int or not 0 <= v < graph.n:
+            return False
+    parities = []
+    for a, b in zip(vs, vs[1:]):
+        if not graph.has_edge(a, b):
+            return False
+        parities.append(matching.pairing[a] == b)
+    if any(p == q for p, q in zip(parities, parities[1:])):
+        return False
+    return parities[0] == (walk.kind[0] == "m") and parities[-1] == (walk.kind[1] == "m")
 
 
 def _perfect_pairing(graph: Graph, matching: Matching) -> tuple[int, ...]:
@@ -139,27 +125,12 @@ def reachable_set(graph: Graph, matching: Matching, v: int) -> frozenset[int]:
     Requires a perfect matching: without one the result would depend on
     the matching chosen (consider an odd cycle), so the operation is not
     well defined.  The vertices a BFS over D from M(v) reaches, the
-    search of ``_closed_walk`` without its stop at v: O(V + E), where
-    entry v of ``reachable_sets`` would cost the sets of every vertex.
+    search of ``_closed_walk`` without its stop at v: O(V + E).
     """
     pairing = _perfect_pairing(graph, matching)
     if not (0 <= v < graph.n):
         raise GraphError(f"vertex {v} out of range")
     return frozenset(_bfs(_arcs(graph, pairing), pairing[v]))
-
-
-def reachable_sets(graph: Graph, matching: Matching) -> tuple[frozenset[int], ...]:
-    """``reachable_set`` of every vertex, from one strong-component pass.
-
-    Entry v is everything M(v) reaches in D.  The matching is validated
-    once; each component's reach is a bitset built in one sweep of the
-    condensation, with one OR per arc that leaves a component, and
-    vertices whose partners share a component share one frozenset.
-    """
-    pairing = _perfect_pairing(graph, matching)
-    comp, reach = _component_reach(_arcs(graph, pairing))
-    sets = [frozenset(_bit_indices(bits)) for bits in reach]
-    return tuple(sets[comp[w]] for w in pairing)
 
 
 def _component_reach(arcs: list[list[int]]) -> tuple[list[int], list[int]]:

@@ -99,15 +99,6 @@ def _split(
     return arcs, comp, frozenset(v for v in range(graph.n) if comp[v] == comp[pairing[v]])
 
 
-def sd_vertices_under(graph: Graph, matching: Matching) -> frozenset[int]:
-    """SD vertex set read off one perfect matching of the graph.
-
-    Equal to ``sd_ke_partition(graph, matching).sd_vertices``, from the
-    strong-component split alone: no witnesses, parts or cut.
-    """
-    return _split(graph, _perfect_pairing(graph, matching))[2]
-
-
 def sd_vertices_of(graph: Graph) -> frozenset[int]:
     """SD vertex set of an arbitrary graph.
 
@@ -121,5 +112,5 @@ def sd_vertices_of(graph: Graph) -> frozenset[int]:
 def _sd_vertices(graph: Graph, matching: Matching, **bounds) -> frozenset[int]:
     """SD vertex set of graph, given one of its maximum matchings."""
     if matching.is_perfect:
-        return sd_vertices_under(graph, matching)
+        return _split(graph, _perfect_pairing(graph, matching))[2]
     return configurations.sd_vertices_bruteforce(graph, **bounds)

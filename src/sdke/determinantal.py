@@ -73,9 +73,7 @@ class SachsSubgraph:
         return out
 
 
-def enumerate_sachs(
-    graph: Graph, *, max_order: int = DEFAULT_SACHS_ORDER
-) -> Iterator[SachsSubgraph]:
+def enumerate_sachs(graph: Graph) -> Iterator[SachsSubgraph]:
     """Yield every Sachs subgraph exactly once, in deterministic order.
 
     Recursion always covers the lowest uncovered vertex, either by an
@@ -83,9 +81,9 @@ def enumerate_sachs(
     orientation is canonicalized (second vertex below last), so no cover
     is produced twice.
     """
-    if graph.n > max_order:
+    if graph.n > DEFAULT_SACHS_ORDER:
         raise BoundExceededError(
-            f"graph order {graph.n} exceeds Sachs enumeration bound {max_order}"
+            f"graph order {graph.n} exceeds Sachs enumeration bound {DEFAULT_SACHS_ORDER}"
         )
     n = graph.n
     adj = graph.adjacency
@@ -183,7 +181,7 @@ def det_adjacency(graph: Graph) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def perm_adjacency(graph: Graph, *, max_order: int = DEFAULT_PERMANENT_ORDER) -> int:
+def perm_adjacency(graph: Graph) -> int:
     """Exact permanent of the adjacency matrix, by the cheaper of two engines.
 
     A vertex without neighbours is a zero row, so such a graph answers 0
@@ -195,15 +193,15 @@ def perm_adjacency(graph: Graph, *, max_order: int = DEFAULT_PERMANENT_ORDER) ->
     no row can leave more than ``_FRONTIER_STATES`` states; otherwise
     Glynn's loop runs.  Sparse and banded graphs such as paths, cycles and
     ladders take the DP; dense ones, K_n for n >= 4 among them, take
-    Glynn.  Both engines are exact on Python integers.  The default
-    bound, n = 22, caps Glynn at 2^21 terms, each further vertex doubling
-    the work.  This is the route that ``sdke perm --method ryser``
-    selects.
+    Glynn.  Both engines are exact on Python integers.  The bound,
+    ``DEFAULT_PERMANENT_ORDER`` = 22, caps Glynn at 2^21 terms, each
+    further vertex doubling the work.  This is the route that
+    ``sdke perm --method ryser`` selects.
     """
     n = graph.n
-    if n > max_order:
+    if n > DEFAULT_PERMANENT_ORDER:
         raise BoundExceededError(
-            f"graph order {n} exceeds permanent bound {max_order}"
+            f"graph order {n} exceeds permanent bound {DEFAULT_PERMANENT_ORDER}"
         )
     if n == 0:
         return 1

@@ -86,13 +86,16 @@ def build_graph(
 ) -> Graph:
     """Build a graph on n vertices from a list of (u, v) pairs.
 
-    Loops, out-of-range endpoints and duplicate edges are errors.
+    Loops, endpoints that are not ints (bools included) or lie outside
+    0..n-1, and duplicate edges are errors.
     """
     if n < 0:
         raise GraphError(f"vertex count must be nonnegative, got {n}")
     seen: set[Edge] = set()
     canonical: list[Edge] = []
     for u, v in edge_list:
+        if type(u) is not int or type(v) is not int:
+            raise GraphError(f"edge ({u!r},{v!r}) has an endpoint that is not an int")
         if not (0 <= u < n) or not (0 <= v < n):
             raise GraphError(f"edge ({u},{v}) has endpoint outside 0..{n - 1}")
         e = as_edge(u, v)

@@ -1,25 +1,26 @@
 """Independent oracles and theorem-level property checks.
 
-Every check uses public operations of other modules, two private helpers
-(``alternating._bit_indices`` and ``decomposition._sd_vertices``), or its
-own route to the same answer.
+Every check uses public operations of other modules, private helpers
+(the digraph D and its reach sweep from ``alternating``, and
+``decomposition._sd_vertices``), or its own route to the same answer.
 Failures carry a counterexample payload that can be re-verified by hand.
 
 The suite does each piece of work once, in one pass.  The factorization
 report comes first, and its partition's matching is the one reference:
-one ``reachable_sets`` call on it serves the invariance, partner, closure
-and full-reach checks.  The perfect matchings are then streamed once, a
-chunk at a time; one Warshall closure per chunk, on integers whose bits
-range over the chunk, gives every matching's reachable sets and SD set
-(v is SD iff v is in R(v) and M(v) is in R(M(v))), and the same partner
-masks show which matchings hold a cut edge.  The matching numbers of the
-parts serve both the additivity and the Koenig-Egervary checks.
-The Sachs-cut verdict is read off the permanents of the factorization
-report, which equal it exactly; Sachs subgraphs are enumerated only to
-name a counterexample.  One matching of G serves the stability check of
-every KE edge, and the exhaustive SD search runs only on G - e for an
-unavoidable e of a graph with SD vertices.  A check that hits a work
-bound on some input does not pass: it fails with the skipped work listed.
+one strong-component reach sweep of D under it serves the invariance,
+partner, closure and full-reach checks.  The perfect matchings are then
+streamed once, a chunk at a time; one Warshall closure per chunk, on
+integers whose bits range over the chunk, gives every matching's
+reachable sets and SD set (v is SD iff v is in R(v) and M(v) is in
+R(M(v))), and the same partner masks show which matchings hold a cut
+edge.  The matching numbers of the parts serve both the additivity and
+the Koenig-Egervary checks.  The Sachs-cut verdict is read off the
+permanents of the factorization report, which equal it exactly; Sachs
+subgraphs are enumerated only to name a counterexample.  One matching of
+G serves the stability check of every KE edge, and the exhaustive SD
+search runs only on G - e for an unavoidable e of a graph with SD
+vertices.  A check that hits a work bound on some input does not pass:
+it fails with the skipped work listed.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from itertools import islice
 from operator import or_
 from typing import Any
 
-from .alternating import _bit_indices, reachable_sets, verify_walk
+from .alternating import _arcs, _bit_indices, _component_reach, verify_walk
 from .decomposition import _sd_vertices
 from .determinantal import (
     FactorizationReport,
@@ -46,15 +47,15 @@ DEFAULT_ALPHA_ORDER = 30
 DEFAULT_SUITE_ORDER = 12
 _CHUNK = 256  # perfect matchings per reach closure; its integers grow with it
 _MAX_MATCHINGS = 1 << 18  # perfect matchings per suite; K14 has 135,135
-_MAX_RANDOM_ORDER = 20_000  # the generators' O(n^2) pair loop: 9 s at n = 10^4
+_MAX_RANDOM_ORDER = 20_000  # the generator's O(n^2) pair loop: 9 s at n = 10^4
 
 
-def independence_number(graph: Graph, *, max_order: int = DEFAULT_ALPHA_ORDER) -> int:
+def independence_number(graph: Graph) -> int:
     """Exact independence number by branch and bound over vertex bitsets."""
     n = graph.n
-    if n > max_order:
+    if n > DEFAULT_ALPHA_ORDER:
         raise BoundExceededError(
-            f"graph order {n} exceeds independence-number bound {max_order}"
+            f"graph order {n} exceeds independence-number bound {DEFAULT_ALPHA_ORDER}"
         )
     if n == 0:
         return 0
@@ -157,14 +158,18 @@ def _check_perfect_matchings(graph, part, found):
     ``found`` is an iterator of the perfect matchings.  They are drawn
     ``_CHUNK`` at a time and counted against ``_MAX_MATCHINGS``; only the
     chunk being checked and the one being drawn are alive.  The reference
-    is the partition: its matching's ``reachable_sets``, returned for the
-    partner, closure and full-reach checks, and its SD set.  A chunk's
-    reach comes from one ``_packed_reach`` closure, its SD sets from the
-    same bits (v is SD iff v in R(v) and M(v) in R(M(v))), and the
-    matchings that hold a cut edge from the partner masks of the cut.
+    is the partition: its SD set, and R(v) under its matching, everything
+    M(v) reaches in D, returned for the partner, closure and full-reach
+    checks; vertices whose partners share a strong component share one
+    frozenset.  A chunk's reach comes from one ``_packed_reach`` closure,
+    its SD sets from the same bits (v is SD iff v in R(v) and M(v) in
+    R(M(v))), and the matchings that hold a cut edge from the partner
+    masks of the cut.
     """
-    n = graph.n
-    reach = reachable_sets(graph, part.matching)
+    n, pairing = graph.n, part.matching.pairing
+    comp, bits = _component_reach(_arcs(graph, pairing))
+    sets = [frozenset(_bit_indices(b)) for b in bits]
+    reach = tuple(sets[comp[w]] for w in pairing)
     sd0 = part.sd_vertices
     invariance = independence = unmatched = None
     count = 0
@@ -249,7 +254,7 @@ def _check_mu_additivity(graph, mu_sd, mu_ke) -> CheckResult:
     )
 
 
-def _check_ke_status(part, mu_sd, mu_ke, max_order) -> list[CheckResult]:
+def _check_ke_status(part, mu_sd, mu_ke) -> list[CheckResult]:
     # The KE part must be Koenig-Egervary (alpha + mu = n) and the SD part
     # must not be; an empty part passes either way.
     out = []
@@ -257,7 +262,7 @@ def _check_ke_status(part, mu_sd, mu_ke, max_order) -> list[CheckResult]:
         ("ke_part_is_koenig_egervary", part.ke_part, mu_ke, True),
         ("sd_part_not_koenig_egervary", part.sd_part, mu_sd, False),
     ):
-        alpha = independence_number(side, max_order=max_order) if side.n else None
+        alpha = independence_number(side) if side.n else None
         if alpha is None or (alpha + mu == side.n) == want_ke:
             out.append(CheckResult(name, True))
         else:
@@ -391,7 +396,7 @@ def run_theorem_suite(
     report.checks.append(_check_witnesses(graph, part))
     report.checks.append(unmatched)
     report.checks.append(_check_mu_additivity(graph, mu_sd, mu_ke))
-    report.checks.extend(_check_ke_status(part, mu_sd, mu_ke, max_order))
+    report.checks.extend(_check_ke_status(part, mu_sd, mu_ke))
     report.checks.append(_check_full_reachability(graph, part, reach))
     report.checks.append(_check_sachs_cut(graph, factorization))
     report.checks.append(_check_multiplicativity(factorization))
@@ -422,18 +427,3 @@ def random_matchable_graph(n: int, extra_edge_prob: float, seed: int) -> Graph:
                 edges.add((u, v))
     return build_graph(n, sorted(edges))
 
-
-def random_graph(n: int, edge_prob: float, seed: int) -> Graph:
-    """Plain seeded Erdos-Renyi style graph; no matchability guarantee."""
-    if not 0.0 <= edge_prob <= 1.0:
-        raise SdkeError(f"probability out of range: {edge_prob}")
-    if n > _MAX_RANDOM_ORDER:
-        raise BoundExceededError(f"order {n} exceeds generator bound {_MAX_RANDOM_ORDER}")
-    rng = random.Random(seed)
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if rng.random() < edge_prob
-    ]
-    return build_graph(n, edges)

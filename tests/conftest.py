@@ -5,7 +5,8 @@ The seed lists are fixed here so every reported result is replayable.
 
 from __future__ import annotations
 
-from sdke import random_graph, random_matchable_graph
+from sdke import random_matchable_graph
+from fixtures import random_graph
 
 MATCHABLE_ORDERS = (4, 6, 8, 10, 12, 14)
 MATCHABLE_PROBS = (0.1, 0.2, 0.3)

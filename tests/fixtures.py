@@ -9,6 +9,7 @@ label table.
 
 from __future__ import annotations
 
+import random
 from typing import Hashable
 
 from sdke import Graph, build_graph, matching_from_edges
@@ -36,6 +37,17 @@ def label_ids(g: Graph, labels) -> frozenset[int]:
 def label_matching(g: Graph, pairs):
     index = {lab: i for i, lab in enumerate(g.labels)}
     return matching_from_edges(g.n, [(index[a], index[b]) for a, b in pairs])
+
+
+def random_graph(n: int, edge_prob: float, seed: int) -> Graph:
+    """Seeded Erdos-Renyi graph: each vertex pair present with edge_prob.
+
+    No matchability guarantee; deterministic for a fixed (n, prob, seed).
+    """
+    rng = random.Random(seed)
+    return build_graph(n, [
+        (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < edge_prob
+    ])
 
 
 def path_graph(n: int) -> Graph:

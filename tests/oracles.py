@@ -17,7 +17,6 @@ from sdke import (
     delete_edge,
     iter_maximum_matchings,
     iter_perfect_matchings,
-    reachable_sets,
     simple_odd_cycles,
 )
 from sdke.alternating import _bit_indices
@@ -293,6 +292,11 @@ def mm_reach_by_state_search(g: Graph, pairing, v: int) -> frozenset[int]:
     return frozenset(x for (x, matched_last) in reached if matched_last)
 
 
+def reach_by_state_search(g: Graph, matching: Matching) -> tuple[frozenset[int], ...]:
+    """R(v) under matching for every vertex v, by one state search each."""
+    return tuple(mm_reach_by_state_search(g, matching.pairing, v) for v in range(g.n))
+
+
 def exists_max_matching_avoiding(g: Graph, e: tuple[int, int]) -> bool:
     """True iff some maximum matching avoids edge e, i.e. mu(G - e) = mu(G).
 
@@ -380,7 +384,7 @@ def sd_from_reach(matching: Matching, reach) -> frozenset[int]:
 
 
 def matching_invariance_per_matching(graph: Graph, matchings, part):
-    """The suite's per-matching checks, by one ``reachable_sets`` per matching.
+    """The suite's per-matching checks, by one ``reach_by_state_search`` per matching.
 
     Returns what ``verification._check_perfect_matchings`` returns: the
     ``reachability_matching_invariance``,
@@ -392,10 +396,10 @@ def matching_invariance_per_matching(graph: Graph, matchings, part):
     is compared with ``part.sd_vertices``.  A matched cut edge is found by
     asking every matching about every cut edge.
     """
-    reach = reachable_sets(graph, part.matching)
+    reach = reach_by_state_search(graph, part.matching)
     invariance = independence = unmatched = None
     for m in matchings:
-        sets = reachable_sets(graph, m)
+        sets = reach_by_state_search(graph, m)
         if invariance is None and sets != reach:
             v = next(i for i, (a, b) in enumerate(zip(sets, reach)) if a != b)
             invariance = CheckResult(

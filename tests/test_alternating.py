@@ -11,11 +11,10 @@ from sdke import (
     matching_from_edges,
     maximum_matching,
     reachable_set,
-    reachable_sets,
     semi_jposy_witness,
     verify_walk,
-    walk_violation,
 )
+from sdke.alternating import _arcs, _bit_indices, _component_reach
 from conftest import matchable_corpus
 from fixtures import (
     LADDER8_M1,
@@ -34,6 +33,13 @@ from oracles import (
     mm_reach_by_length_dp,
     mm_reach_by_state_search,
 )
+
+
+def every_reach(g, m):
+    # R(v) of every v from one strong-component sweep of D, as the theorem
+    # suite builds its reference: everything M(v)'s component reaches.
+    comp, bits = _component_reach(_arcs(g, m.pairing))
+    return tuple(frozenset(_bit_indices(bits[comp[w]])) for w in m.pairing)
 
 
 def reach_labels(g, m, label):
@@ -85,13 +91,14 @@ def test_reachability_lemma_small_graphs():
 
 
 def test_reachable_sets_against_oracles():
-    # Under every perfect matching, every entry equals the state-search
-    # oracle and the layered walk DP, and so does the one-vertex BFS; v
-    # has an mm-closed walk iff v is in the oracle's reach from M(v).
+    # Under every perfect matching, the sweep's entry for every vertex
+    # equals the state-search oracle and the layered walk DP, and so does
+    # the one-vertex BFS; v has an mm-closed walk iff v is in the oracle's
+    # reach from M(v).
     graphs = [g for _, g in matchable_corpus(40, max_n=10)] + [posy12(), tangle8()]
     for i, g in enumerate(graphs):
         for m in iter_perfect_matchings(g):
-            sets = reachable_sets(g, m)
+            sets = every_reach(g, m)
             assert len(sets) == g.n, i
             for v in range(g.n):
                 want = mm_reach_by_state_search(g, m.pairing, v)
@@ -104,34 +111,36 @@ def test_reachable_sets_against_oracles():
 def test_reachable_sets_fixture_values():
     g = ladder8()
     m = label_matching(g, LADDER8_M1)
-    labels = [frozenset(g.labels[x] for x in s) for s in reachable_sets(g, m)]
+    labels = [frozenset(g.labels[x] for x in s) for s in every_reach(g, m)]
     assert labels[g.labels.index(1)] == {2, 4, 5, 7}
     assert labels[g.labels.index(2)] == {1, 3, 6, 8}
     t = tangle8()
-    assert reachable_sets(t, label_matching(t, TANGLE8_M1)) == (frozenset(range(8)),) * 8
-    assert reachable_sets(build_graph(0, []), matching_from_edges(0, [])) == ()
+    assert every_reach(t, label_matching(t, TANGLE8_M1)) == (frozenset(range(8)),) * 8
+    assert every_reach(build_graph(0, []), matching_from_edges(0, [])) == ()
 
 
 def test_reachable_sets_requires_perfect_matching():
+    # reachable_set judges the matching before the vertex, so these are
+    # the errors that every vertex's set gives.
     g = build_graph(3, [(0, 1), (1, 2)])
     with pytest.raises(
         NotMatchableError,
         match="^SD-KE separation requires a graph with a perfect matching$",
     ):
-        reachable_sets(g, matching_from_edges(3, [(0, 1)]))
+        reachable_set(g, matching_from_edges(3, [(0, 1)]), 0)
     with pytest.raises(MatchingError, match="not an edge"):
-        reachable_sets(build_graph(2, []), matching_from_edges(2, [(0, 1)]))
+        reachable_set(build_graph(2, []), matching_from_edges(2, [(0, 1)]), 0)
     # A matched non-edge is reported before the matching's size is judged,
     # and of several, the one with the lowest end.
     with pytest.raises(MatchingError, match=r"^matched pair \(0,2\) is not an edge$"):
-        reachable_sets(g, matching_from_edges(3, [(2, 0)]))
+        reachable_set(g, matching_from_edges(3, [(2, 0)]), 0)
     p6 = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
     with pytest.raises(MatchingError, match=r"^matched pair \(0,3\) is not an edge$"):
-        reachable_sets(p6, matching_from_edges(6, [(4, 1), (3, 0), (2, 5)]))
+        reachable_set(p6, matching_from_edges(6, [(4, 1), (3, 0), (2, 5)]), 0)
     with pytest.raises(MatchingError, match=r"^matched pair \(3,5\) is not an edge$"):
-        reachable_sets(p6, matching_from_edges(6, [(1, 2), (3, 5)]))
+        reachable_set(p6, matching_from_edges(6, [(1, 2), (3, 5)]), 0)
     with pytest.raises(MatchingError, match="matching over 2 vertices"):
-        reachable_sets(p6, matching_from_edges(2, [(0, 1)]))
+        reachable_set(p6, matching_from_edges(2, [(0, 1)]), 0)
 
 
 def test_has_mm_closed_walk_fixture_values():
@@ -223,12 +232,18 @@ def test_verify_posy12_fixture_walk():
     ((0, 1, 0), "mm", "alternate"),   # matched edge twice in a row
     ((0, 1), "xy", "unknown kind"),
     ((0, 9), "mm", "out of range"),
+    ((1.0, 0), "mm", "not an int"),
+    (("a", "b"), "mm", "not an int"),
+    ((1, None), "mm", "not an int"),
+    ((True, False), "mm", "not an int"),
 ])
 def test_walk_violations(vertices, kind, reason):
+    # Each walk breaks the one invariant its reason names; verify_walk
+    # answers False, never an exception.  (1, 0) would be valid.
     g = build_graph(3, [(0, 1), (1, 2)])
     m = matching_from_edges(3, [(0, 1)])
-    v = walk_violation(g, m, AlternatingWalk(vertices, kind))
-    assert v is not None and reason in v
+    assert verify_walk(g, m, AlternatingWalk((1, 0), "mm"))
+    assert not verify_walk(g, m, AlternatingWalk(vertices, kind))
 
 
 def test_walk_kind_tags():

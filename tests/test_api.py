@@ -1,12 +1,17 @@
 """The package's public surface: the names ``import sdke`` exports.
 
 Adding or removing a public name is an API change, so it has to be made
-here too, on purpose.
+here too, on purpose, and in the README's table of public names, which
+gives each name's caller outside the tests or the reason it is public.
 """
 
 import inspect
+import re
+from pathlib import Path
 
 import sdke
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 PUBLIC_NAMES = {
     # errors
@@ -21,10 +26,10 @@ PUBLIC_NAMES = {
     "iter_perfect_matchings", "matching_from_edges", "matching_number",
     "maximum_matching", "parse_matching",
     # alternating
-    "AlternatingWalk", "has_mm_closed_walk", "reachable_set", "reachable_sets",
-    "semi_jposy_witness", "verify_walk", "walk_violation",
+    "AlternatingWalk", "has_mm_closed_walk", "reachable_set",
+    "semi_jposy_witness", "verify_walk",
     # decomposition
-    "SdKePartition", "sd_ke_partition", "sd_vertices_of", "sd_vertices_under",
+    "SdKePartition", "sd_ke_partition", "sd_vertices_of",
     # configurations
     "sd_vertices_bruteforce", "simple_odd_cycles",
     # determinantal
@@ -32,7 +37,7 @@ PUBLIC_NAMES = {
     "factorization_report", "perm_adjacency", "sachs_census",
     "sachs_cut_disjointness",
     # verification
-    "CheckResult", "TheoremReport", "independence_number", "random_graph",
+    "CheckResult", "TheoremReport", "independence_number",
     "random_matchable_graph", "run_theorem_suite",
 }
 
@@ -45,4 +50,15 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not inspect.ismodule(value)
     }
     assert exported == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 51
+    assert len(PUBLIC_NAMES) == 47
+
+
+def test_every_public_name_is_in_the_readme_table():
+    # One row per name, "| `name` | caller or reason |", in the section
+    # "Public names"; a row whose second cell is empty says nothing.
+    text = README.read_text(encoding="utf-8")
+    section = text.split("\n## Public names\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| *([^|]*?) *\|$", section, re.MULTILINE)
+    assert {name for name, _ in rows} == PUBLIC_NAMES
+    assert len(rows) == len(PUBLIC_NAMES)
+    assert all(why for _, why in rows)

@@ -15,10 +15,10 @@ from sdke import (
     random_matchable_graph,
     sd_ke_partition,
     sd_vertices_of,
-    sd_vertices_under,
     semi_jposy_witness,
     verify_walk,
 )
+from sdke.decomposition import _sd_vertices
 from conftest import matchable_corpus
 from fixtures import (
     POSY12_M,
@@ -130,7 +130,7 @@ def test_closed_walk_searches_only_sd_vertices(monkeypatch):
             assert calls == {"_closed_walk": [], "_closed_walks": [p.sd_vertices]}, f"seed {seed}"
             calls["_closed_walks"].clear()
             assert sd_vertices_of(g) == p.sd_vertices, f"seed {seed}"
-            assert sd_vertices_under(g, m) == p.sd_vertices, f"seed {seed}"
+            assert _sd_vertices(g, m) == p.sd_vertices, f"seed {seed}"
             assert calls == {"_closed_walk": [], "_closed_walks": []}, f"seed {seed}"
             for v in p.sd_vertices:
                 assert p.witnesses[v] == semi_jposy_witness(g, m, v), f"seed {seed} v {v}"
@@ -190,8 +190,6 @@ def test_partition_requires_perfect_matching():
     g = build_graph(4, [(0, 1), (2, 3)])
     with pytest.raises(NotMatchableError):
         sd_ke_partition(g, matching_from_edges(4, [(0, 1)]))
-    with pytest.raises(NotMatchableError):
-        sd_vertices_under(g, matching_from_edges(4, [(0, 1)]))
 
 
 def test_partition_sd_pairs_closed_under_matching():

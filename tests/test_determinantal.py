@@ -80,10 +80,12 @@ def test_sachs_census():
     assert c3_cycle.num_even_components == 0 and c3_cycle.num_cycles == 1
 
 
-def test_sachs_bound():
+def test_sachs_bound(monkeypatch):
+    # The bound is the module constant, read at call time.
     with pytest.raises(BoundExceededError):
         list(enumerate_sachs(cycle_graph(22)))
-    assert len(list(enumerate_sachs(cycle_graph(22), max_order=22))) == 3
+    monkeypatch.setattr(determinantal, "DEFAULT_SACHS_ORDER", 22)
+    assert len(list(enumerate_sachs(cycle_graph(22)))) == 3
 
 
 @pytest.mark.parametrize("g,det,perm", [
@@ -174,6 +176,13 @@ def test_permanent_bound_refuses_k23_at_once():
     with pytest.raises(BoundExceededError, match="permanent bound 22"):
         perm_adjacency(complete_graph(23))
     assert time.perf_counter() - start < 1.0
+
+
+def test_permanent_bound_is_read_at_call_time(monkeypatch):
+    monkeypatch.setattr(determinantal, "DEFAULT_PERMANENT_ORDER", 3)
+    assert perm_adjacency(cycle_graph(3)) == 2
+    with pytest.raises(BoundExceededError, match="permanent bound 3"):
+        perm_adjacency(cycle_graph(4))
 
 
 def test_permanent_isolated_vertex_answers_at_once():

@@ -39,6 +39,14 @@ def test_build_rejects_out_of_range():
         build_graph(2, [(0, 2)])
 
 
+@pytest.mark.parametrize("edge", [(0.0, 1), ("a", 1), (0, 1.0), (False, True), (None, 1)])
+def test_build_rejects_non_int_endpoints(edge):
+    # A float endpoint used to pass the range check and fail later in
+    # .adjacency; a string failed in the comparison with a TypeError.
+    with pytest.raises(GraphError, match="not an int"):
+        build_graph(2, [edge])
+
+
 def test_build_rejects_duplicate_edge():
     with pytest.raises(GraphError, match="duplicate"):
         build_graph(3, [(0, 1), (1, 0)])

@@ -16,7 +16,6 @@ from sdke import (
     matching_number,
     maximum_matching,
     parse_matching,
-    random_graph,
 )
 from conftest import matchable_corpus, mixed_corpus
 from fixtures import (
@@ -31,6 +30,7 @@ from fixtures import (
     mixed32,
     path_graph,
     posy12,
+    random_graph,
     tangle8,
 )
 from oracles import (

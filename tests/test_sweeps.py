@@ -13,6 +13,7 @@ import pytest
 import sdke
 from sdke import configurations, verification
 from sdke.determinantal import _frontier_plan, _perm_frontier, _perm_glynn
+from fixtures import random_graph
 from oracles import matching_invariance_per_matching, sd_vertices_stop_at_full, stability_per_edge
 
 pytestmark = pytest.mark.slow
@@ -58,7 +59,7 @@ def test_exhaustive_sd_sweep():
     # run out.  They must agree on about 3,000 seeded random graphs and
     # on every non-matchable G - e of 120 seeded matchable graphs, wider
     # than tier-1's 600 graphs.
-    graphs = [(f"random_graph({n}, {p}, {s})", sdke.random_graph(n, p, s))
+    graphs = [(f"random_graph({n}, {p}, {s})", random_graph(n, p, s))
               for n in range(5, 12) for p in (0.25, 0.35, 0.5) for s in range(143)]
     for p in (0.2, 0.3, 0.4):
         for s in range(40):
@@ -76,7 +77,7 @@ def test_matching_invariance_sweep(monkeypatch):
     # The theorem suite's one pass over the perfect matchings (reach and
     # SD-set invariance from one packed Warshall closure per chunk, and
     # matched cut edges from the same partner masks) must equal the
-    # per-matching oracle (one reachable_sets call per matching) on 1,200
+    # per-matching oracle (a state search per vertex and matching) on 1,200
     # seeded matchable graphs and on K2-K12, at chunks of 1, 3, 7 and 256
     # matchings; K12's 10,395 cross the 256-matching boundary 40 times.
     graphs = [(f"random_matchable_graph({n}, {p}, {s})", sdke.random_matchable_graph(n, p, s))

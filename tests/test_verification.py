@@ -15,13 +15,10 @@ from sdke import (
     iter_perfect_matchings,
     matching_number,
     maximum_matching,
-    random_graph,
     random_matchable_graph,
-    reachable_sets,
     run_theorem_suite,
     sachs_cut_disjointness,
     sd_ke_partition,
-    sd_vertices_under,
 )
 from conftest import matchable_corpus, mixed_corpus
 from fixtures import (
@@ -31,13 +28,16 @@ from fixtures import (
     ladder8,
     path_graph,
     posy12,
+    random_graph,
     tangle8,
 )
+from sdke.decomposition import _sd_vertices
 from sdke.verification import _check_ke_status
 from oracles import (
     brute_alpha,
     exists_max_matching_avoiding,
     matching_invariance_per_matching,
+    reach_by_state_search,
     sd_from_reach,
     stability_per_edge,
 )
@@ -57,9 +57,14 @@ def test_alpha_against_subset_oracle():
         assert independence_number(g) == brute_alpha(g), f"seed {seed}"
 
 
-def test_alpha_bound():
+def test_alpha_bound(monkeypatch):
+    # The bound is the module constant, read at call time.
+    from sdke import verification
+
     with pytest.raises(BoundExceededError):
         independence_number(build_graph(40, []))
+    monkeypatch.setattr(verification, "DEFAULT_ALPHA_ORDER", 40)
+    assert independence_number(build_graph(40, [])) == 40
 
 
 def _ke_gap(g):
@@ -76,7 +81,7 @@ def test_ke_check_fixtures():
 
 def _ke_status(part):
     mu_sd, mu_ke = matching_number(part.sd_part), matching_number(part.ke_part)
-    return _check_ke_status(part, mu_sd, mu_ke, max_order=12)
+    return _check_ke_status(part, mu_sd, mu_ke)
 
 
 def test_parts_ke_status_on_corpus():
@@ -120,29 +125,25 @@ def test_theorem_suite_builds_one_partition(monkeypatch):
 
 
 def test_theorem_suite_reachability_calls(monkeypatch):
-    # Wrap both reachability routines and the one-matching SD split in
-    # every sdke namespace that binds them.  The partition's matching is
-    # the one reference, whether or not it is the first perfect matching:
-    # one reachable_sets call, and no SD split of G (the stability check
-    # splits G - e only); the reach under every matching comes from its
-    # own packed closure.
-    from sdke.alternating import reachable_set, reachable_sets
+    # Wrap the one-vertex reach, the all-vertex reach sweep and the SD
+    # split in every sdke namespace that binds them.  The partition's
+    # matching is the one reference, whether or not it is the first
+    # perfect matching: one reach sweep, of D under that matching, and one
+    # split of G, the partition's own (the stability check splits G - e
+    # only); the reach under every matching comes from its own packed
+    # closure.
+    from sdke.alternating import _component_reach, reachable_set
+    from sdke.decomposition import _split
 
-    calls = {"reachable_set": 0, "reachable_sets": 0}
-    split = []
+    calls = {"reachable_set": [], "_component_reach": [], "_split": []}
 
     def counting(fn):
         def counted(*args, **kwargs):
-            calls[fn.__name__] += 1
+            calls[fn.__name__].append(args[0])
             return fn(*args, **kwargs)
         return counted
 
-    def split_counted(graph, matching):
-        split.append(graph)
-        return sd_vertices_under(graph, matching)
-
-    wrapped = {reachable_set: counting(reachable_set), reachable_sets: counting(reachable_sets),
-               sd_vertices_under: split_counted}
+    wrapped = {fn: counting(fn) for fn in (reachable_set, _component_reach, _split)}
     for name, module in list(sys.modules.items()):
         if name == "sdke" or name.startswith("sdke."):
             for attr, value in list(vars(module).items()):
@@ -150,12 +151,18 @@ def test_theorem_suite_reachability_calls(monkeypatch):
                     monkeypatch.setattr(module, attr, wrapped[value])
     seen = set()
     for g in (complete_graph(8), posy12(), tangle8(), random_matchable_graph(8, 0.2, 8)):
-        calls.update(reachable_set=0, reachable_sets=0)
-        split.clear()
+        for log in calls.values():
+            log.clear()
         assert run_theorem_suite(g).all_passed
-        seen.add(sd_ke_partition(g).matching != next(iter_perfect_matchings(g)))
-        assert calls == {"reachable_set": 0, "reachable_sets": 1}
-        assert g not in split
+        assert calls["reachable_set"] == []
+        assert calls["_split"].count(g) == 1
+        # A sweep over n arcs lists is one over a D; the exhaustive search
+        # on a non-matchable G - e sweeps its 2n states.
+        (arcs,) = [a for a in calls["_component_reach"] if len(a) == g.n]
+        pairing = sd_ke_partition(g).matching.pairing
+        assert arcs == [[pairing[y] for y in nbrs if y != pairing[x]]
+                        for x, nbrs in enumerate(g.adjacency)]
+        seen.add(pairing != next(iter_perfect_matchings(g)).pairing)
     assert seen == {False, True}
 
 
@@ -192,6 +199,7 @@ def test_random_matchable_graph_basics():
 
 
 def test_random_graph_deterministic():
+    # The test-only generator behind mixed_corpus.
     assert random_graph(9, 0.4, 11) == random_graph(9, 0.4, 11)
     assert random_graph(9, 0.0, 11).num_edges == 0
     assert random_graph(5, 1.0, 11).num_edges == 10
@@ -258,7 +266,7 @@ def test_ke_status_checks_name_each_failing_part():
     # The matching numbers are the caller's, shared with the additivity
     # check, and are not computed again: one more on the KE side fails it.
     mu_sd, mu_ke = matching_number(p.sd_part), matching_number(p.ke_part)
-    ke, sd = _check_ke_status(p, mu_sd, mu_ke + 1, max_order=12)
+    ke, sd = _check_ke_status(p, mu_sd, mu_ke + 1)
     assert sd.passed and not ke.passed
     assert ke.counterexample == {"alpha": brute_alpha(p.ke_part), "mu": mu_ke + 1, "n": 2}
 
@@ -379,11 +387,13 @@ def test_theorem_suite_enumerates_no_sachs_subgraph_when_perm_factors(monkeypatc
 
 
 def test_reach_derived_sd_set_equals_split_under_every_matching():
+    # The oracle's rule (v in R(v) and M(v) in R(M(v))), on the oracle's
+    # own reach, against the strong-component split.
     graphs = [g for _, g in matchable_corpus(120, max_n=10)]
     graphs += [ladder8(), tangle8(), posy12(), complete_graph(6)]
     for g in graphs:
         for m in iter_perfect_matchings(g):
-            assert sd_from_reach(m, reachable_sets(g, m)) == sd_vertices_under(g, m)
+            assert sd_from_reach(m, reach_by_state_search(g, m)) == _sd_vertices(g, m)
 
 
 def test_partner_check_catches_a_reach_set_not_closed_under_a_step():
@@ -391,7 +401,7 @@ def test_partner_check_catches_a_reach_set_not_closed_under_a_step():
 
     g = posy12()
     m = sd_ke_partition(g).matching
-    reach = list(reachable_sets(g, m))
+    reach = list(reach_by_state_search(g, m))
     assert _check_partner_reachable(g, m, reach).passed
     # From M(11) = 10 the walk goes on through edge 10-8 into the SD core;
     # keeping only 10 holds the partner but is not closed.
@@ -458,7 +468,7 @@ def test_stability_faults_make_the_loop_differ_from_the_oracle(monkeypatch):
     from sdke import configurations, decomposition
     from sdke.verification import _check_stability
 
-    search, split = configurations.sd_vertices_bruteforce, decomposition.sd_vertices_under
+    search, split = configurations.sd_vertices_bruteforce, decomposition._split
     graphs = [g for g in _stability_graphs() if g.n <= 10 or g == posy12()]
     failed = {"exhaustive": 0, "split": 0}
     for g in graphs:
@@ -470,15 +480,15 @@ def test_stability_faults_make_the_loop_differ_from_the_oracle(monkeypatch):
         def drop(graph, **bounds):
             return search(graph, **bounds) - {min(sd)}
 
-        def add(graph, matching):
-            got = split(graph, matching)
+        def add(graph, pairing):
+            arcs, comp, got = split(graph, pairing)
             if graph.num_edges == size or len(got) == graph.n:
-                return got
-            return got | {min(set(range(graph.n)) - got)}
+                return arcs, comp, got
+            return arcs, comp, got | {min(set(range(graph.n)) - got)}
 
         for route, attr, module, fault in (
             ("exhaustive", "sd_vertices_bruteforce", configurations, drop),
-            ("split", "sd_vertices_under", decomposition, add),
+            ("split", "_split", decomposition, add),
         ):
             if route == "exhaustive" and not sd:
                 continue
@@ -561,18 +571,40 @@ def _fault_packed_reach(monkeypatch, at, v, u):
     monkeypatch.setattr(verification, "_packed_reach", faulty)
 
 
-def _fault_reachable_sets(monkeypatch, module, call, v, u):
-    # R(v) loses u in the given call of module's reachable_sets.
+def _fault_oracle_reach(monkeypatch, call, v, u):
+    # R(v) loses u in the given call of the oracle's reach_by_state_search.
+    # Call 0 is the reference; there every R(x) equal to R(v) loses u too:
+    # those x have partners in M(v)'s strong component, whose one set the
+    # suite's reference shares among them.
+    import oracles
+
+    reach = oracles.reach_by_state_search
     calls = []
 
     def faulty(graph, m):
-        sets = reachable_sets(graph, m)
+        sets = reach(graph, m)
         calls.append(1)
         if len(calls) == call + 1:
-            return sets[:v] + (sets[v] - {u},) + sets[v + 1:]
+            hit = {x for x, r in enumerate(sets) if r == sets[v]} if call == 0 else {v}
+            return tuple(r - {u} if x in hit else r for x, r in enumerate(sets))
         return sets
 
-    monkeypatch.setattr(module, "reachable_sets", faulty)
+    monkeypatch.setattr(oracles, "reach_by_state_search", faulty)
+
+
+def _fault_reference_reach(monkeypatch, pairing, v, u):
+    # The suite's reference sweep drops u from the reach of M(v)'s strong
+    # component, the set that every vertex with a partner there shares.
+    from sdke import verification
+
+    sweep = verification._component_reach
+
+    def faulty(arcs):
+        comp, bits = sweep(arcs)
+        bits[comp[pairing[v]]] &= ~(1 << u)
+        return comp, bits
+
+    monkeypatch.setattr(verification, "_component_reach", faulty)
 
 
 def test_packed_closure_equals_per_matching_oracle(monkeypatch):
@@ -601,8 +633,9 @@ def test_packed_closure_faults_give_the_oracle_payloads(monkeypatch):
     # One bit of one matching's reach cleared in the packed route, at and
     # around chunk boundaries, fails both checks with the payloads the
     # per-matching oracle gives under the same fault in that matching's
-    # own reachable_sets call (its call at + 1; call 0 is the reference).
-    # A fault in the public reference is the same call 0 on both routes.
+    # own reach_by_state_search call (its call at + 1; call 0 is the
+    # reference).  A fault in the suite's reference sweep is call 0 of the
+    # oracle, on every vertex that shares the faulted set.
     import oracles
     from sdke import verification
 
@@ -620,7 +653,7 @@ def test_packed_closure_faults_give_the_oracle_payloads(monkeypatch):
                     for u in {v, matchings[0].pairing[v]}:
                         with monkeypatch.context() as m:
                             _fault_packed_reach(m, at, v, u)
-                            _fault_reachable_sets(m, oracles, at + 1, v, u)
+                            _fault_oracle_reach(m, at + 1, v, u)
                             got = verification._check_perfect_matchings(
                                 g, part, iter(matchings))
                             want = oracles.matching_invariance_per_matching(
@@ -628,8 +661,8 @@ def test_packed_closure_faults_give_the_oracle_payloads(monkeypatch):
                         assert got[:3] == want[:3], (at, v, u)
                         failures += not got[0].passed
                     with monkeypatch.context() as m:
-                        _fault_reachable_sets(m, verification, 0, v, v)
-                        _fault_reachable_sets(m, oracles, 0, v, v)
+                        _fault_reference_reach(m, part.matching.pairing, v, v)
+                        _fault_oracle_reach(m, 0, v, v)
                         got = verification._check_perfect_matchings(
                             g, part, iter(matchings))
                         want = oracles.matching_invariance_per_matching(
@@ -649,11 +682,12 @@ def test_matching_invariance_payloads_name_the_second_matching(monkeypatch):
     assert len(matchings) >= 2
 
     _fault_packed_reach(monkeypatch, 1, 0, 0)
+    part = sd_ke_partition(g, matchings[0])
     invariance, independence, unmatched, reach = verification._check_perfect_matchings(
-        g, sd_ke_partition(g, matchings[0]), iter(matchings)
+        g, part, iter(matchings)
     )
     assert unmatched.passed
-    assert reach == reachable_sets(g, matchings[0])
+    assert reach == reach_by_state_search(g, matchings[0])
     full = sorted(reach[0])
     assert invariance.counterexample == {
         "vertex": 0,
@@ -662,7 +696,7 @@ def test_matching_invariance_payloads_name_the_second_matching(monkeypatch):
         "reach_a": full,
         "reach_b": [x for x in full if x != 0],
     }
-    sd = sorted(sd_vertices_under(g, matchings[0]))
+    sd = sorted(part.sd_vertices)
     assert independence.counterexample == {
         "matching": matchings[1].edge_pairs(),
         "sd": [x for x in sd if x not in (0, matchings[1].pairing[0])],
@@ -727,12 +761,9 @@ def test_theorem_suite_streams_perfect_matchings(monkeypatch):
 def test_generators_bound_the_order(monkeypatch):
     from sdke import verification
 
-    for make in (random_matchable_graph, random_graph):
-        with pytest.raises(BoundExceededError, match="generator bound"):
-            make(10**9, 0.0, 1)
+    with pytest.raises(BoundExceededError, match="generator bound"):
+        random_matchable_graph(10**9, 0.0, 1)
     monkeypatch.setattr(verification, "_MAX_RANDOM_ORDER", 10)
-    assert random_matchable_graph(10, 0.5, 1).n == random_graph(10, 0.5, 1).n == 10
+    assert random_matchable_graph(10, 0.5, 1).n == 10
     with pytest.raises(BoundExceededError, match="order 12 exceeds generator bound 10"):
         random_matchable_graph(12, 0.5, 1)
-    with pytest.raises(BoundExceededError, match="order 11 exceeds generator bound 10"):
-        random_graph(11, 0.5, 1)
