@@ -128,8 +128,8 @@ def reachable_set(graph: Graph, matching: Matching, v: int) -> frozenset[int]:
     search of ``_closed_walk`` without its stop at v: O(V + E).
     """
     pairing = _perfect_pairing(graph, matching)
-    if not (0 <= v < graph.n):
-        raise GraphError(f"vertex {v} out of range")
+    if type(v) is not int or not 0 <= v < graph.n:
+        raise GraphError(f"vertex {v!r} is not an int in 0..{graph.n - 1}")
     return frozenset(_bfs(_arcs(graph, pairing), pairing[v]))
 
 
@@ -178,8 +178,8 @@ def semi_jposy_witness(
     witness length.  The result always passes verify_walk.
     """
     pairing = _perfect_pairing(graph, matching)
-    if not (0 <= v < graph.n):
-        raise GraphError(f"vertex {v} out of range")
+    if type(v) is not int or not 0 <= v < graph.n:
+        raise GraphError(f"vertex {v!r} is not an int in 0..{graph.n - 1}")
     return _closed_walk(_arcs(graph, pairing), pairing, v)
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import configurations
 from .alternating import (
     AlternatingWalk,
     _arcs,
@@ -113,4 +112,9 @@ def _sd_vertices(graph: Graph, matching: Matching, **bounds) -> frozenset[int]:
     """SD vertex set of graph, given one of its maximum matchings."""
     if matching.is_perfect:
         return _split(graph, _perfect_pairing(graph, matching))[2]
+    # Imported here, since only a graph without a perfect matching needs the
+    # exhaustive search; called through the module attribute, which a
+    # caller may patch to count its calls.
+    from . import configurations
+
     return configurations.sd_vertices_bruteforce(graph, **bounds)

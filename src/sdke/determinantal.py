@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from math import comb, prod
 from typing import Iterator
 
-from .errors import BoundExceededError
+from .errors import BoundExceededError, GraphError
 from .graph import Edge, Graph
 from .decomposition import SdKePartition, sd_ke_partition
 
@@ -367,7 +367,12 @@ def sachs_cut_disjointness(
     The cut is normally the SD-KE cut, sd_ke_partition(graph).cut.
     Returns (True, None) when the separation property holds; otherwise the
     offending subgraph and edge come back as a counterexample witness.
+    A cut entry that is not an edge of graph, in its (min, max) form,
+    raises GraphError.
     """
+    stray = cut - graph.edge_set
+    if stray:
+        raise GraphError(f"cut edge {min(stray)} is not an edge of the graph")
     if cut:
         for s in enumerate_sachs(graph):
             hit = s.edges() & cut

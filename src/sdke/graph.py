@@ -19,7 +19,9 @@ Edge = tuple[int, int]
 
 
 def as_edge(u: int, v: int) -> Edge:
-    """Canonical (min, max) form of an undirected edge."""
+    """Canonical (min, max) form of an undirected edge of int endpoints."""
+    if type(u) is not int or type(v) is not int:
+        raise GraphError(f"edge ({u!r},{v!r}) has an endpoint that is not an int")
     if u == v:
         raise GraphError(f"loop edge ({u},{v}) not allowed")
     return (u, v) if u < v else (v, u)
@@ -89,16 +91,16 @@ def build_graph(
     Loops, endpoints that are not ints (bools included) or lie outside
     0..n-1, and duplicate edges are errors.
     """
+    if type(n) is not int:
+        raise GraphError(f"vertex count {n!r} is not an int")
     if n < 0:
         raise GraphError(f"vertex count must be nonnegative, got {n}")
     seen: set[Edge] = set()
     canonical: list[Edge] = []
     for u, v in edge_list:
-        if type(u) is not int or type(v) is not int:
-            raise GraphError(f"edge ({u!r},{v!r}) has an endpoint that is not an int")
-        if not (0 <= u < n) or not (0 <= v < n):
-            raise GraphError(f"edge ({u},{v}) has endpoint outside 0..{n - 1}")
         e = as_edge(u, v)
+        if e[0] < 0 or e[1] >= n:
+            raise GraphError(f"edge ({u},{v}) has endpoint outside 0..{n - 1}")
         if e in seen:
             raise GraphError(f"duplicate edge ({e[0]},{e[1]})")
         seen.add(e)
@@ -119,10 +121,11 @@ def induced_subgraph(graph: Graph, vertices: Iterable[int]) -> Graph:
     selected vertices (in increasing original-id order), which is the
     id-remap table.
     """
-    selected = sorted(set(vertices))
-    for v in selected:
-        if not (0 <= v < graph.n):
-            raise GraphError(f"vertex {v} outside 0..{graph.n - 1}")
+    chosen = set(vertices)
+    for v in chosen:
+        if type(v) is not int or not 0 <= v < graph.n:
+            raise GraphError(f"vertex {v!r} is not an int in 0..{graph.n - 1}")
+    selected = sorted(chosen)
     index = {v: i for i, v in enumerate(selected)}
     edges = [
         (index[u], index[v])

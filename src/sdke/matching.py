@@ -77,9 +77,13 @@ class Matching:
 
 
 def matching_from_edges(n: int, pairs: Iterable[tuple[int, int]]) -> Matching:
-    """Build a Matching over n vertices from disjoint vertex pairs."""
+    """Build a Matching over n vertices from disjoint pairs of int ids."""
+    if type(n) is not int:
+        raise MatchingError(f"vertex count {n!r} is not an int")
     pairing = list(range(n))
     for u, v in pairs:
+        if type(u) is not int or type(v) is not int:
+            raise MatchingError(f"pair ({u!r},{v!r}) has a vertex that is not an int")
         if not (0 <= u < n) or not (0 <= v < n) or u == v:
             raise MatchingError(f"bad pair ({u},{v})")
         if pairing[u] != u or pairing[v] != v:

@@ -39,7 +39,7 @@ from .determinantal import (
     factorization_report,
     sachs_cut_disjointness,
 )
-from .errors import BoundExceededError, SdkeError
+from .errors import BoundExceededError, GraphError, SdkeError
 from .graph import Graph, build_graph, connected_components, delete_edge
 from .matching import iter_perfect_matchings, matching_number, maximum_matching
 
@@ -411,6 +411,8 @@ def random_matchable_graph(n: int, extra_edge_prob: float, seed: int) -> Graph:
     vertices, then every other vertex pair is added independently with
     the given probability.  Deterministic for a fixed (n, prob, seed).
     """
+    if type(n) is not int:
+        raise GraphError(f"order {n!r} is not an int")
     if n % 2 == 1:
         raise SdkeError(f"matchable graphs have even order, got {n}")
     if not 0.0 <= extra_edge_prob <= 1.0:

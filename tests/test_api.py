@@ -6,10 +6,16 @@ gives each name's caller outside the tests or the reason it is public.
 """
 
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 import sdke
+from sdke import GraphError, MatchingError, SdkeError
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -43,14 +49,15 @@ PUBLIC_NAMES = {
 
 
 def test_public_names_are_pinned():
-    # Submodules are bound as attributes once imported; they are not names
-    # the package exports.
+    # The package resolves its names on first use, so they are read through
+    # dir() and getattr rather than vars().  Submodules are bound as
+    # attributes once imported; they are not names the package exports.
     exported = {
-        name for name, value in vars(sdke).items()
-        if not name.startswith("_") and not inspect.ismodule(value)
+        name for name in dir(sdke)
+        if not name.startswith("_") and not inspect.ismodule(getattr(sdke, name))
     }
-    assert exported == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 47
+    assert exported == PUBLIC_NAMES == set(sdke.__all__)
+    assert len(PUBLIC_NAMES) == len(sdke.__all__) == 47
 
 
 def test_every_public_name_is_in_the_readme_table():
@@ -62,3 +69,66 @@ def test_every_public_name_is_in_the_readme_table():
     assert {name for name, _ in rows} == PUBLIC_NAMES
     assert len(rows) == len(PUBLIC_NAMES)
     assert all(why for _, why in rows)
+
+
+def test_submodules_are_attributes_after_a_plain_import():
+    src = Path(__file__).resolve().parents[1] / "src"
+    subprocess.run(
+        [sys.executable, "-c",
+         "import sdke; assert sdke.verification.DEFAULT_SUITE_ORDER == 12"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        check=True,
+    )
+
+
+def test_unknown_names_raise_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'reachable_sets'"):
+        sdke.reachable_sets
+    assert not hasattr(sdke, "check_stability_under_deletion")
+
+
+def test_names_are_read_through_their_module(monkeypatch):
+    # The package binds none of its public names, so a patch of the defining
+    # module's attribute, as perfbench's tracer makes, is what sdke.NAME returns.
+    from sdke import decomposition
+
+    patched = object()
+    monkeypatch.setattr(decomposition, "sd_ke_partition", patched)
+    assert sdke.sd_ke_partition is patched
+    monkeypatch.undo()
+    assert sdke.sd_ke_partition is decomposition.sd_ke_partition is not patched
+
+
+def _k2():
+    return sdke.build_graph(2, [(0, 1)])
+
+
+# Each of these routines takes a vertex id, an edge or an order, and checks
+# that it is an int as build_graph does: a float or a string is a domain
+# error, not a TypeError or, for a float equal to an int, accepted.
+NON_INT_CALLS = {
+    "matching_from_edges": (MatchingError, lambda: sdke.matching_from_edges(2, [(0.0, 1)])),
+    "matching_from_edges n": (MatchingError, lambda: sdke.matching_from_edges(2.0, [])),
+    "parse_matching": (MatchingError, lambda: sdke.parse_matching("0 1", 2.5)),
+    "reachable_set": (GraphError, lambda: sdke.reachable_set(
+        _k2(), sdke.maximum_matching(_k2()), 1.0)),
+    "semi_jposy_witness": (GraphError, lambda: sdke.semi_jposy_witness(
+        _k2(), sdke.maximum_matching(_k2()), "a")),
+    "has_mm_closed_walk": (GraphError, lambda: sdke.has_mm_closed_walk(
+        _k2(), sdke.maximum_matching(_k2()), None)),
+    "induced_subgraph": (GraphError, lambda: sdke.induced_subgraph(_k2(), [0.0])),
+    "induced_subgraph mixed": (GraphError, lambda: sdke.induced_subgraph(_k2(), ["a", 0])),
+    "random_matchable_graph": (GraphError, lambda: sdke.random_matchable_graph(4.0, 0.1, 1)),
+    "delete_edge": (GraphError, lambda: sdke.delete_edge(_k2(), (0.0, 1))),
+    "as_edge": (GraphError, lambda: sdke.as_edge(0.5, 1)),
+    "build_graph n": (GraphError, lambda: sdke.build_graph(2.0, [])),
+    "as_edge bool": (GraphError, lambda: sdke.as_edge(False, True)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_INT_CALLS))
+def test_non_int_ids_are_domain_errors(name):
+    error, call = NON_INT_CALLS[name]
+    assert issubclass(error, SdkeError)
+    with pytest.raises(error, match="not an int"):
+        call()

@@ -7,6 +7,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sdke import (
     AlternatingWalk,
@@ -17,7 +18,7 @@ from sdke import (
     serialize_edge_list,
     verify_walk,
 )
-from sdke.cli import run_cli
+from sdke.cli import _json_text, run_cli
 from fixtures import (
     complete_graph,
     cycle_graph,
@@ -30,6 +31,7 @@ from fixtures import (
     tangle8,
 )
 from oracles import brute_sachs_count
+from test_api import PUBLIC_NAMES
 
 
 @pytest.fixture
@@ -427,6 +429,34 @@ def test_output_bytes_match_golden_hashes(name, command, tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_SHA256[name, command]
 
 
+_JSON_TEXT = st.text(st.characters() | st.sampled_from('"\\/\n\t\x00\x1f\x7f\u00e9\u2028\U0001f600'))
+_JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers()
+    | st.integers(min_value=2**64, max_value=2**200)
+    | st.integers(min_value=-(2**200), max_value=-(2**64))
+    | st.floats() | _JSON_TEXT
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+                   | st.dictionaries(_JSON_TEXT, inner, max_size=4)),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_JSON_VALUES)
+def test_report_writer_matches_json_dumps(value):
+    # json.dumps with indent=2 is the oracle for the CLI's own writer.
+    assert _json_text(value) == json.dumps(value, indent=2)
+
+
+def test_report_writer_refuses_values_json_refuses_and_keys_that_are_not_str():
+    for value in ({(1, 2): 0}, {"a": [object()]}, {1: 0}, {None: 0}):
+        with pytest.raises(TypeError):
+            _json_text(value)
+
+
 def test_usage_errors_exit_2(capsys):
     assert run_cli(["det"]) == 2
     assert run_cli(["no-such-command", "x"]) == 2
@@ -454,6 +484,29 @@ def test_import_does_not_load_numpy():
         env={**os.environ, "PYTHONPATH": str(src)},
         check=True,
     )
+
+
+def test_each_command_loads_only_the_modules_it_runs(files):
+    # decompose needs neither the determinantal layer nor the theorem suite,
+    # and on a matchable graph not the exhaustive configuration search;
+    # the package binds its names on first use, so it loads none of them.
+    # A star import still binds exactly the pinned public names.
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = f"""
+import contextlib, io, json, sys
+from sdke.cli import run_cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert run_cli(["decompose", {files["posy12"]!r}]) == 0
+lazy = ("sdke.determinantal", "sdke.verification", "sdke.configurations")
+assert not [m for m in lazy if m in sys.modules], sorted(sys.modules)
+names = {{}}
+exec("from sdke import *", names)
+print(json.dumps(sorted(set(names) - {{"__builtins__"}})))
+"""
+    p = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(src)},
+                       capture_output=True, text=True, check=True)
+    assert set(json.loads(p.stdout)) == PUBLIC_NAMES
+    assert len(PUBLIC_NAMES) == 47
 
 
 def test_missing_file_is_domain_error(capsys):

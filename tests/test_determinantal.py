@@ -4,6 +4,7 @@ import pytest
 
 from sdke import (
     BoundExceededError,
+    GraphError,
     NotMatchableError,
     SachsSubgraph,
     build_graph,
@@ -311,6 +312,14 @@ def test_multiplicativity_on_corpus():
 def test_cut_disjointness_fixtures():
     for g in (ladder8(), tangle8(), posy12()):
         assert sachs_cut_disjointness(g, sd_ke_partition(g).cut) == (True, None)
+
+
+@pytest.mark.parametrize("cut", [{(0, 9)}, {(0, 2)}, {(1, 0)}, {(0, 1), (2, 3), (0, 2)}])
+def test_cut_disjointness_refuses_an_edge_not_in_the_graph(cut):
+    # Such an entry can never meet a Sachs subgraph's edges, so the check
+    # used to answer True for it.  (1, 0) is not in canonical form.
+    with pytest.raises(GraphError, match="is not an edge of the graph"):
+        sachs_cut_disjointness(cycle_graph(4), cut)
 
 
 def test_cut_disjointness_would_catch_a_violation():
