@@ -37,17 +37,16 @@ rebuild the same walks without a search per vertex.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import GraphError, NotMatchableError
-from .graph import Graph
+from .graph import Graph, _Record, _setattr
 from .matching import Matching
 
 WALK_KINDS = ("mm", "nn", "mn", "nm")
 
 
-@dataclass(frozen=True)
-class AlternatingWalk:
+class AlternatingWalk(_Record, frozen=True):
     """A checkable walk certificate: vertex sequence plus a kind tag.
 
     The kind records the matching membership of the first and last edges
@@ -55,8 +54,11 @@ class AlternatingWalk:
     with matching edges.
     """
 
-    vertices: tuple[int, ...]
-    kind: str
+    __slots__ = ("vertices", "kind")
+
+    def __init__(self, vertices: Iterable[int], kind: str) -> None:
+        _setattr(self, "vertices", tuple(vertices))
+        _setattr(self, "kind", kind)
 
     @property
     def num_edges(self) -> int:
@@ -81,6 +83,11 @@ def verify_walk(graph: Graph, matching: Matching, walk: AlternatingWalk) -> bool
         matching.validate(graph)
     except ValueError:
         return False
+    return _walk_holds(graph, matching.pairing, walk)
+
+
+def _walk_holds(graph: Graph, pairing: tuple[int, ...], walk: AlternatingWalk) -> bool:
+    """``verify_walk`` for a matching already validated against graph."""
     vs = walk.vertices
     if walk.kind not in WALK_KINDS or len(vs) < 2:
         return False
@@ -91,7 +98,7 @@ def verify_walk(graph: Graph, matching: Matching, walk: AlternatingWalk) -> bool
     for a, b in zip(vs, vs[1:]):
         if not graph.has_edge(a, b):
             return False
-        parities.append(matching.pairing[a] == b)
+        parities.append(pairing[a] == b)
     if any(p == q for p, q in zip(parities, parities[1:])):
         return False
     return parities[0] == (walk.kind[0] == "m") and parities[-1] == (walk.kind[1] == "m")

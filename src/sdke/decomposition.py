@@ -20,8 +20,6 @@ matchings, independent of which perfect matching is used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .alternating import (
     AlternatingWalk,
     _arcs,
@@ -29,12 +27,11 @@ from .alternating import (
     _perfect_pairing,
     _strong_components,
 )
-from .graph import Edge, Graph, induced_subgraph
+from .graph import Edge, Graph, _Record, induced_subgraph
 from .matching import Matching, maximum_matching
 
 
-@dataclass
-class SdKePartition:
+class SdKePartition(_Record):
     """The SD/KE vertex sets, the induced parts, and the cut between them.
 
     witnesses holds a shortest closed-walk certificate for every SD
@@ -45,14 +42,19 @@ class SdKePartition:
     run for it.
     """
 
-    sd_vertices: frozenset[int]
-    ke_vertices: frozenset[int]
-    sd_part: Graph
-    ke_part: Graph
-    cut: frozenset[Edge]
-    matching: Matching
-    witnesses: dict[int, AlternatingWalk] = field(default_factory=dict)
-    failed_searches: frozenset[int] = frozenset()
+    __slots__ = ("sd_vertices", "ke_vertices", "sd_part", "ke_part", "cut", "matching",
+                 "witnesses", "failed_searches")
+
+    def __init__(
+        self, sd_vertices: frozenset[int], ke_vertices: frozenset[int], sd_part: Graph,
+        ke_part: Graph, cut: frozenset[Edge], matching: Matching,
+        witnesses: dict[int, AlternatingWalk] | None = None,
+        failed_searches: frozenset[int] = frozenset(),
+    ) -> None:
+        self.sd_vertices, self.ke_vertices, self.cut = sd_vertices, ke_vertices, cut
+        self.sd_part, self.ke_part, self.matching = sd_part, ke_part, matching
+        self.witnesses = {} if witnesses is None else witnesses
+        self.failed_searches = failed_searches
 
 
 def sd_ke_partition(graph: Graph, matching: Matching | None = None) -> SdKePartition:

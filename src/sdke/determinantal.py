@@ -18,12 +18,11 @@ package is literal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, prod
 from typing import Iterator
 
 from .errors import BoundExceededError, GraphError
-from .graph import Edge, Graph
+from .graph import Edge, Graph, _Record, _setattr
 from .decomposition import SdKePartition, sd_ke_partition
 
 DEFAULT_SACHS_ORDER = 20
@@ -35,8 +34,7 @@ _FRONTIER_RATIO = 0.3
 _FRONTIER_STATES = 1 << 16
 
 
-@dataclass(frozen=True)
-class SachsSubgraph:
+class SachsSubgraph(_Record, frozen=True):
     """A spanning subgraph whose components are single edges or cycles.
 
     k2_edges lists the single-edge components; cycles lists each cycle
@@ -44,9 +42,12 @@ class SachsSubgraph:
     smaller neighbor second.
     """
 
-    n: int
-    k2_edges: tuple[Edge, ...]
-    cycles: tuple[tuple[int, ...], ...]
+    __slots__ = ("n", "k2_edges", "cycles")
+
+    def __init__(self, n: int, k2_edges: tuple[Edge, ...], cycles: tuple[tuple[int, ...], ...]):
+        _setattr(self, "n", n)
+        _setattr(self, "k2_edges", k2_edges)
+        _setattr(self, "cycles", cycles)
 
     @property
     def num_cycles(self) -> int:
@@ -313,19 +314,20 @@ def _perm_frontier(graph: Graph, order: list[int]) -> int:
     return ways.get(0, 0)
 
 
-@dataclass
-class FactorizationReport:
+class FactorizationReport(_Record):
     """Determinant/permanent values of a graph and of its SD and KE parts."""
 
-    partition: SdKePartition
-    det_g: int
-    det_sd: int
-    det_ke: int
-    det_product_ok: bool
-    perm_g: int | None = None
-    perm_sd: int | None = None
-    perm_ke: int | None = None
-    perm_product_ok: bool | None = None
+    __slots__ = ("partition", "det_g", "det_sd", "det_ke", "det_product_ok",
+                 "perm_g", "perm_sd", "perm_ke", "perm_product_ok")
+
+    def __init__(
+        self, partition: SdKePartition, det_g: int, det_sd: int, det_ke: int,
+        det_product_ok: bool, perm_g: int | None = None, perm_sd: int | None = None,
+        perm_ke: int | None = None, perm_product_ok: bool | None = None,
+    ) -> None:
+        self.partition, self.det_g, self.det_sd = partition, det_g, det_sd
+        self.det_ke, self.det_product_ok, self.perm_g = det_ke, det_product_ok, perm_g
+        self.perm_sd, self.perm_ke, self.perm_product_ok = perm_sd, perm_ke, perm_product_ok
 
 
 def factorization_report(

@@ -9,13 +9,13 @@ as induced subgraphs can report results in the caller's vocabulary.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Hashable, Iterable, Sequence
 
 from .errors import GraphError
 
 Edge = tuple[int, int]
+_setattr = object.__setattr__  # how a frozen record's __init__ sets its fields
 
 
 def as_edge(u: int, v: int) -> Edge:
@@ -27,8 +27,43 @@ def as_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
-class Graph:
+class _Record:
+    """Base of the result records, whose fields are their ``__slots__`` but
+    ``__dict__`` and ``__weakref__``.  Records of one class are equal when
+    their fields are; only a class made ``frozen=True`` hashes and is immutable.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, frozen: bool = False) -> None:
+        if _Record in cls.__bases__:  # a record; its subclasses inherit all this
+            cls._fields = cls.__match_args__ = tuple(s for s in cls.__slots__ if s[:2] != "__")
+            if frozen:
+                cls.__setattr__ = cls.__delattr__ = _Record._refuse
+                cls.__hash__ = _Record._hash
+
+    def _refuse(self, name: str, *value: object) -> None:
+        raise AttributeError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, f) for f in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        same = other.__class__ is self.__class__
+        return self._values() == other._values() if same else NotImplemented
+
+    def _hash(self) -> int:  # frozen records' __hash__; __eq__ sets _Record's to None
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
+class Graph(_Record, frozen=True):
     """An immutable simple undirected graph.
 
     Attributes
@@ -43,13 +78,12 @@ class Graph:
         the identity 0..n-1.
     """
 
-    n: int
-    edges: tuple[Edge, ...]
-    labels: tuple[Hashable, ...] = field(default=())
+    __slots__ = ("n", "edges", "labels", "__dict__")  # __dict__ caches adjacency, edge_set
 
-    def __post_init__(self) -> None:
-        if not self.labels and self.n:
-            object.__setattr__(self, "labels", tuple(range(self.n)))
+    def __init__(self, n: int, edges: Iterable[Edge], labels: Iterable[Hashable] = ()) -> None:
+        _setattr(self, "n", n)
+        _setattr(self, "edges", tuple(edges))
+        _setattr(self, "labels", tuple(labels) or tuple(range(n)))
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:

@@ -17,17 +17,15 @@ CLI and the theorem suite iterate them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import BoundExceededError, MatchingError
-from .graph import Edge, Graph
+from .graph import Edge, Graph, _Record, _setattr
 
 DEFAULT_ENUMERATION_ORDER = 16
 
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(_Record, frozen=True):
     """A matching stored as an involution: pairing[v] is v's partner, or v.
 
     The representation makes the no-two-pairs-per-vertex property
@@ -35,13 +33,14 @@ class Matching:
     is checked by ``validate``.
     """
 
-    pairing: tuple[int, ...]
+    __slots__ = ("pairing", "__weakref__")
 
-    def __post_init__(self) -> None:
-        p = self.pairing
+    def __init__(self, pairing: Iterable[int]) -> None:
+        p = tuple(pairing)
         for v, u in enumerate(p):
             if not (0 <= u < len(p)) or p[u] != v:
                 raise MatchingError(f"pairing is not an involution at vertex {v}")
+        _setattr(self, "pairing", p)
 
     @property
     def n(self) -> int:

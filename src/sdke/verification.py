@@ -26,13 +26,12 @@ it fails with the skipped work listed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from functools import reduce
 from itertools import islice
 from operator import or_
 from typing import Any
 
-from .alternating import _arcs, _bit_indices, _component_reach, verify_walk
+from .alternating import _arcs, _bit_indices, _component_reach, _walk_holds
 from .decomposition import _sd_vertices
 from .determinantal import (
     FactorizationReport,
@@ -40,7 +39,7 @@ from .determinantal import (
     sachs_cut_disjointness,
 )
 from .errors import BoundExceededError, GraphError, SdkeError
-from .graph import Graph, build_graph, connected_components, delete_edge
+from .graph import Graph, _Record, build_graph, connected_components, delete_edge
 from .matching import iter_perfect_matchings, matching_number, maximum_matching
 
 DEFAULT_ALPHA_ORDER = 30
@@ -83,19 +82,20 @@ def independence_number(graph: Graph) -> int:
     return best
 
 
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    counterexample: dict[str, Any] | None = None
+class CheckResult(_Record):
+    __slots__ = ("name", "passed", "counterexample")
+
+    def __init__(self, name: str, passed: bool, counterexample: dict[str, Any] | None = None):
+        self.name, self.passed, self.counterexample = name, passed, counterexample
 
 
-@dataclass
-class TheoremReport:
+class TheoremReport(_Record):
     """The suite's check results and the factorization they were run on."""
 
-    factorization: FactorizationReport
-    checks: list[CheckResult] = field(default_factory=list)
+    __slots__ = ("factorization", "checks")
+
+    def __init__(self, factorization: FactorizationReport, checks: list[CheckResult] | None = None):
+        self.factorization, self.checks = factorization, [] if checks is None else checks
 
     @property
     def all_passed(self) -> bool:
@@ -231,14 +231,20 @@ def _check_perfect_matchings(graph, part, found):
 
 
 def _check_witnesses(graph, part) -> CheckResult:
+    pairing = part.matching.pairing
+    try:
+        part.matching.validate(graph)
+    except ValueError:
+        pairing = None
     for v in sorted(part.sd_vertices):
         w = part.witnesses.get(v)
         if (
-            w is None
+            pairing is None
+            or w is None
             or not w.is_closed
             or w.vertices[0] != v
             or w.kind != "mm"
-            or not verify_walk(graph, part.matching, w)
+            or not _walk_holds(graph, pairing, w)
         ):
             return CheckResult("sd_witnesses_verify", False, {"vertex": v})
     return CheckResult("sd_witnesses_verify", True)

@@ -39,6 +39,19 @@ def label_matching(g: Graph, pairs):
     return matching_from_edges(g.n, [(index[a], index[b]) for a, b in pairs])
 
 
+def replaced(record, **changes):
+    """The record rebuilt through its constructor with some fields changed.
+
+    Fields are the record's ``__match_args__``; naming any other is a
+    TypeError, as with ``dataclasses.replace``.
+    """
+    fields = type(record).__match_args__
+    unknown = set(changes) - set(fields)
+    if unknown:
+        raise TypeError(f"{type(record).__name__} has no fields {sorted(unknown)}")
+    return type(record)(**{f: changes.get(f, getattr(record, f)) for f in fields})
+
+
 def random_graph(n: int, edge_prob: float, seed: int) -> Graph:
     """Seeded Erdos-Renyi graph: each vertex pair present with edge_prob.
 

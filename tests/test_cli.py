@@ -509,6 +509,28 @@ print(json.dumps(sorted(set(names) - {{"__builtins__"}})))
     assert len(PUBLIC_NAMES) == 47
 
 
+def test_commands_import_neither_dataclasses_nor_inspect(files):
+    # The result records are plain slotted classes, so decompose and verify
+    # load no dataclasses, and with it no inspect, ast, dis or tokenize.  A
+    # module the interpreter's site had loaded before sdke is not counted.
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = f"""
+import contextlib, io, json, sys
+heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+preloaded = {{m for m in heavy if m in sys.modules}}
+from sdke.cli import run_cli
+loaded = {{}}
+for argv in (["decompose", {files["posy12"]!r}], ["verify", {files["posy12"]!r}]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert run_cli(argv) == 0, argv
+    loaded[argv[0]] = [m for m in heavy if m in sys.modules and m not in preloaded]
+print(json.dumps(loaded))
+"""
+    p = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(src)},
+                       capture_output=True, text=True, check=True)
+    assert json.loads(p.stdout) == {"decompose": [], "verify": []}
+
+
 def test_missing_file_is_domain_error(capsys):
     code, data = run_json(capsys, ["det", "/nonexistent/file.edges"])
     assert code == 1

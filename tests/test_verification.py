@@ -29,6 +29,7 @@ from fixtures import (
     path_graph,
     posy12,
     random_graph,
+    replaced,
     tangle8,
 )
 from sdke.decomposition import _sd_vertices
@@ -207,12 +208,10 @@ def test_random_graph_deterministic():
 
 def _split_at(g, sd):
     # The partition of g with SD side sd, true or not.
-    import dataclasses
-
     from sdke import induced_subgraph
 
     ke = frozenset(range(g.n)) - sd
-    return dataclasses.replace(
+    return replaced(
         sd_ke_partition(g),
         sd_vertices=sd,
         ke_vertices=ke,
@@ -246,10 +245,8 @@ def test_injected_counterexamples_reverify_as_failures():
 def test_ke_status_checks_name_each_failing_part():
     # Swapping posy12's parts makes both verdicts wrong; each check names
     # the offending part's numbers.  An empty part passes either way.
-    import dataclasses
-
     p = sd_ke_partition(posy12())
-    swapped = dataclasses.replace(p, sd_part=p.ke_part, ke_part=p.sd_part)
+    swapped = replaced(p, sd_part=p.ke_part, ke_part=p.sd_part)
     ke, sd = _ke_status(swapped)
     for result, name, side in (
         (ke, "ke_part_is_koenig_egervary", p.sd_part),
@@ -259,8 +256,8 @@ def test_ke_status_checks_name_each_failing_part():
         assert (result.name, result.passed) == (name, False)
         assert result.counterexample == want
     for doctored in (
-        dataclasses.replace(p, sd_part=build_graph(0, [])),
-        dataclasses.replace(p, ke_part=build_graph(0, [])),
+        replaced(p, sd_part=build_graph(0, [])),
+        replaced(p, ke_part=build_graph(0, [])),
     ):
         assert all(r.passed for r in _ke_status(doctored))
     # The matching numbers are the caller's, shared with the additivity
@@ -272,7 +269,6 @@ def test_ke_status_checks_name_each_failing_part():
 
 
 def test_counterexample_payload_identifies_matched_cut_edge(monkeypatch):
-    import dataclasses
     import random
 
     from sdke import verification
@@ -280,7 +276,7 @@ def test_counterexample_payload_identifies_matched_cut_edge(monkeypatch):
     g = posy12()
     p = sd_ke_partition(g)
     # Pretend a matched SD edge is a cut edge: the check must flag it.
-    doctored = dataclasses.replace(p, cut=frozenset({(0, 1)}))
+    doctored = replaced(p, cut=frozenset({(0, 1)}))
     result = verification._check_perfect_matchings(g, doctored, iter([p.matching]))[2]
     assert not result.passed
     assert result.counterexample["edge"] == (0, 1)
@@ -296,7 +292,7 @@ def test_counterexample_payload_identifies_matched_cut_edge(monkeypatch):
         part = sd_ke_partition(g)
         cuts = [part.cut] + [frozenset(rng.sample(g.edges, min(k, g.num_edges))) for k in (1, 2, 4)]
         for cut in cuts:
-            doctored = dataclasses.replace(part, cut=cut)
+            doctored = replaced(part, cut=cut)
             want = matching_invariance_per_matching(g, matchings, doctored)[2]
             verdicts.append(want.passed)
             for chunk in (1, 3, 7):
@@ -309,15 +305,13 @@ def test_counterexample_payload_identifies_matched_cut_edge(monkeypatch):
 def _report_for(g, sd):
     # A factorization report for the split of g at sd, with the permanents
     # of its own parts.
-    import dataclasses
-
     from sdke import perm_adjacency
 
     part = _split_at(g, sd)
     r = factorization_report(g)
     perm_sd = perm_adjacency(part.sd_part)
     perm_ke = perm_adjacency(part.ke_part)
-    return dataclasses.replace(
+    return replaced(
         r,
         partition=part,
         perm_sd=perm_sd,
@@ -351,7 +345,6 @@ def test_sachs_verdict_equals_enumeration_on_doctored_cuts():
     # Random unions of matched pairs as the SD side: most such cuts are
     # crossed by some Sachs subgraph, and each must fail with the
     # enumerated counterexample, whether or not permanents were computed.
-    import dataclasses
     import random
 
     rng = random.Random(5)
@@ -362,7 +355,7 @@ def test_sachs_verdict_equals_enumeration_on_doctored_cuts():
             sd = frozenset(x for pair in pairs if rng.random() < 0.5 for x in pair)
             r = _report_for(g, sd)
             verdicts.append(_assert_sachs_verdict_matches_enumeration(g, r))
-            no_perm = dataclasses.replace(r, perm_product_ok=None)
+            no_perm = replaced(r, perm_product_ok=None)
             assert _assert_sachs_verdict_matches_enumeration(g, no_perm) == verdicts[-1]
     assert verdicts.count(False) > 30 and verdicts.count(True) > 30
 
@@ -767,3 +760,73 @@ def test_generators_bound_the_order(monkeypatch):
     assert random_matchable_graph(10, 0.5, 1).n == 10
     with pytest.raises(BoundExceededError, match="order 12 exceeds generator bound 10"):
         random_matchable_graph(12, 0.5, 1)
+
+
+def _witnesses_by_verify_walk(graph, part):
+    # The per-walk route: verify_walk, with its matching check, at each SD
+    # vertex in order, as the suite's check ran before it validated once.
+    from sdke import verify_walk
+    from sdke.verification import CheckResult
+
+    for v in sorted(part.sd_vertices):
+        w = part.witnesses.get(v)
+        if (
+            w is None
+            or not w.is_closed
+            or w.vertices[0] != v
+            or w.kind != "mm"
+            or not verify_walk(graph, part.matching, w)
+        ):
+            return CheckResult("sd_witnesses_verify", False, {"vertex": v})
+    return CheckResult("sd_witnesses_verify", True)
+
+
+def test_witness_check_validates_once_and_agrees_with_verify_walk(monkeypatch):
+    # Doctored witnesses (a broken step, a wrong kind tag, walks found under
+    # another perfect matching) and a matching that is not one of the graph
+    # fail the suite's check exactly as they fail verify_walk per walk; the
+    # suite validates the matching once per partition, not once per walk.
+    from itertools import islice
+
+    from sdke import AlternatingWalk, Matching
+    from sdke.verification import _check_witnesses
+
+    validated = []
+    validate = Matching.validate
+    monkeypatch.setattr(Matching, "validate", lambda m, g: validated.append(m) or validate(m, g))
+    verdicts = {}
+    graphs = [g for _, g in matchable_corpus(300, max_n=12)] + [posy12(), tangle8(), ladder8()]
+    for g in graphs:
+        part = sd_ke_partition(g)
+        if not part.sd_vertices:
+            continue
+        v = max(part.sd_vertices)
+        w = part.witnesses[v]
+        doctored = [("true", part)] + [
+            (kind, replaced(part, witnesses={**part.witnesses, v: walk}))
+            for kind, walk in (
+                ("step", AlternatingWalk(w.vertices[:1] + w.vertices[2:], "mm")),
+                ("step", AlternatingWalk(w.vertices[:-2] + w.vertices[-1:], "mm")),
+                ("tag", AlternatingWalk(w.vertices, "nn")),
+                ("tag", AlternatingWalk(w.vertices, "mx")),
+            )
+        ]
+        for m in islice(iter_perfect_matchings(g), 1, 4):
+            other = sd_ke_partition(g, m)
+            assert other.sd_vertices == part.sd_vertices
+            doctored.append(("other", replaced(part, witnesses=other.witnesses)))
+        # Pairs 2k, 2k + 1 (a matching of g only if each pair is an edge),
+        # and a matching of another order.
+        pairs = Matching(tuple(x ^ 1 for x in range(g.n)))
+        doctored.append(("pairs", replaced(part, matching=pairs)))
+        doctored.append(("order", replaced(part, matching=Matching((1, 0)))))
+        for kind, p in doctored:
+            del validated[:]
+            got = _check_witnesses(g, p)
+            assert len(validated) == 1
+            assert got == _witnesses_by_verify_walk(g, p), (g.edges, kind)
+            verdicts.setdefault(kind, []).append(got.passed)
+    assert all(verdicts["true"]) and len(verdicts["true"]) > 30
+    assert not any(verdicts["step"] + verdicts["tag"] + verdicts["order"])
+    assert verdicts["other"].count(True) > 5 and verdicts["other"].count(False) > 5
+    assert verdicts["pairs"].count(False) > 5
