@@ -8,13 +8,7 @@ comes from) lies in every maximum matching, and deleting it frees the
 rest of the graph to become SD.
 """
 
-from sdke import (
-    build_graph,
-    delete_edge,
-    disjoint_union,
-    matching_number,
-    sd_vertices_of,
-)
+from sdke import build_graph, delete_edge, matching_number, sd_vertices_of
 
 
 def delete_and_compare(graph, e):
@@ -30,10 +24,7 @@ def delete_and_compare(graph, e):
 
 # Everything-KE baseline: a square next to a lone edge.  Deleting any
 # square edge is harmless (the opposite pair still matches perfectly).
-square_plus_edge = disjoint_union(
-    build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]),
-    build_graph(2, [(0, 1)]),
-)
+square_plus_edge = build_graph(6, [(0, 1), (1, 2), (2, 3), (0, 3), (4, 5)])
 avoidable, before, after = delete_and_compare(square_plus_edge, (0, 1))
 print("square edge avoidable:", avoidable, "| SD unchanged:", before == after)
 print()

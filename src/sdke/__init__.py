@@ -24,8 +24,8 @@ _EXPORTS = {
     ),
     "graph": (
         "Graph", "as_edge", "build_graph", "connected_components", "delete_edge",
-        "disjoint_union", "export_dot", "graph_hash", "induced_subgraph",
-        "parse_edge_list", "serialize_edge_list",
+        "export_dot", "graph_hash", "induced_subgraph", "parse_edge_list",
+        "serialize_edge_list",
     ),
     "matching": (
         "Matching", "is_matchable", "iter_maximum_matchings",
@@ -44,8 +44,8 @@ _EXPORTS = {
         "sachs_cut_disjointness",
     ),
     "verification": (
-        "CheckResult", "TheoremReport", "independence_number",
-        "random_matchable_graph", "run_theorem_suite",
+        "CheckResult", "TheoremReport", "random_matchable_graph",
+        "run_theorem_suite",
     ),
 }
 _MODULE_OF = {

@@ -36,10 +36,10 @@ class SdKePartition(_Record):
 
     witnesses holds a shortest closed-walk certificate for every SD
     vertex, the same walk ``semi_jposy_witness`` returns.  failed_searches
-    holds one member of every KE pair that has no mm-closed walk, which is
-    the pair's membership certificate; the strong-component order picks
-    that member (it cannot be reached from its partner), so no search is
-    run for it.
+    holds the member of each KE pair that its partner cannot reach in D
+    (the strong-component order picks it, with no search), so it has no
+    mm-closed walk.  Their partners form an independent set of G[KE] of
+    size |KE|/2, the certificate that the KE part is Koenig-Egervary.
     """
 
     __slots__ = ("sd_vertices", "ke_vertices", "sd_part", "ke_part", "cut", "matching",

@@ -183,12 +183,6 @@ def delete_edge(graph: Graph, e: tuple[int, int]) -> Graph:
     )
 
 
-def disjoint_union(a: Graph, b: Graph) -> Graph:
-    """Disjoint union; the second graph's ids are shifted by a.n."""
-    edges = list(a.edges) + [(u + a.n, v + a.n) for u, v in b.edges]
-    return build_graph(a.n + b.n, edges, labels=list(a.labels) + list(b.labels))
-
-
 def connected_components(graph: Graph) -> list[frozenset[int]]:
     """Vertex sets of connected components, each sorted by smallest member."""
     seen = [False] * graph.n

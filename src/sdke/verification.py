@@ -1,4 +1,4 @@
-"""Independent oracles and theorem-level property checks.
+"""Theorem-level property checks, and the seeded matchable-graph generator.
 
 Every check uses public operations of other modules, private helpers
 (the digraph D and its reach sweep from ``alternating``, and
@@ -14,7 +14,8 @@ integers whose bits range over the chunk, gives every matching's
 reachable sets and SD set (v is SD iff v is in R(v) and M(v) is in
 R(M(v))), and the same partner masks show which matchings hold a cut
 edge.  The matching numbers of the parts serve both the additivity and
-the Koenig-Egervary checks.  The Sachs-cut verdict is read off the
+the Koenig-Egervary checks, which verify the partition's own
+certificates in linear time.  The Sachs-cut verdict is read off the
 permanents of the factorization report, which equal it exactly; Sachs
 subgraphs are enumerated only to name a counterexample.  One matching of
 G serves the stability check of every KE edge, and the exhaustive SD
@@ -31,7 +32,7 @@ from itertools import islice
 from operator import or_
 from typing import Any
 
-from .alternating import _arcs, _bit_indices, _component_reach, _walk_holds
+from .alternating import AlternatingWalk, _arcs, _bit_indices, _component_reach, _walk_holds
 from .decomposition import _sd_vertices
 from .determinantal import (
     FactorizationReport,
@@ -42,44 +43,10 @@ from .errors import BoundExceededError, GraphError, SdkeError
 from .graph import Graph, _Record, build_graph, connected_components, delete_edge
 from .matching import iter_perfect_matchings, matching_number, maximum_matching
 
-DEFAULT_ALPHA_ORDER = 30
 DEFAULT_SUITE_ORDER = 12
 _CHUNK = 256  # perfect matchings per reach closure; its integers grow with it
 _MAX_MATCHINGS = 1 << 18  # perfect matchings per suite; K14 has 135,135
 _MAX_RANDOM_ORDER = 20_000  # the generator's O(n^2) pair loop: 9 s at n = 10^4
-
-
-def independence_number(graph: Graph) -> int:
-    """Exact independence number by branch and bound over vertex bitsets."""
-    n = graph.n
-    if n > DEFAULT_ALPHA_ORDER:
-        raise BoundExceededError(
-            f"graph order {n} exceeds independence-number bound {DEFAULT_ALPHA_ORDER}"
-        )
-    if n == 0:
-        return 0
-    closed = [1 << v for v in range(n)]
-    for u, w in graph.edges:
-        closed[u] |= 1 << w
-        closed[w] |= 1 << u
-
-    best = 0
-
-    def expand(mask: int, size: int) -> None:
-        nonlocal best
-        if mask == 0:
-            if size > best:
-                best = size
-            return
-        if size + mask.bit_count() <= best:
-            return
-        # Branch on a maximum-degree vertex of the remaining subgraph.
-        v = max(_bit_indices(mask), key=lambda x: (closed[x] & mask).bit_count())
-        expand(mask & ~closed[v], size + 1)
-        expand(mask & ~(1 << v), size)
-
-    expand((1 << n) - 1, 0)
-    return best
 
 
 class CheckResult(_Record):
@@ -261,19 +228,57 @@ def _check_mu_additivity(graph, mu_sd, mu_ke) -> CheckResult:
 
 
 def _check_ke_status(part, mu_sd, mu_ke) -> list[CheckResult]:
-    # The KE part must be Koenig-Egervary (alpha + mu = n) and the SD part
-    # must not be; an empty part passes either way.
-    out = []
-    for name, side, mu, want_ke in (
-        ("ke_part_is_koenig_egervary", part.ke_part, mu_ke, True),
-        ("sd_part_not_koenig_egervary", part.sd_part, mu_sd, False),
-    ):
-        alpha = independence_number(side) if side.n else None
-        if alpha is None or (alpha + mu == side.n) == want_ke:
-            out.append(CheckResult(name, True))
-        else:
-            out.append(CheckResult(name, False, {"alpha": alpha, "mu": mu, "n": side.n}))
-    return out
+    """The KE part is Koenig-Egervary and the SD part is not, by certificate.
+
+    Each part is read in its own ids, its vertex set in sorted order, and
+    an empty part passes.  As alpha <= n - mu on any graph, the partners of
+    ``failed_searches``, if n - mu independent vertices of the KE part,
+    prove alpha + mu = n.  In D, the implication graph of "one end of each
+    matched pair in an independent set", closed mm walks of the SD part at
+    its smallest vertex v and at M(v) give M(v) => v => M(v): with mu = n/2
+    and the matched pairs edges of the part, no n/2 vertices of it are
+    independent, so alpha + mu < n.  Both take O(n + m).
+    """
+    ke = _ke_fault(part, mu_ke) if part.ke_part.n else None
+    sd = _sd_fault(part, mu_sd) if part.sd_part.n else None
+    return [CheckResult("ke_part_is_koenig_egervary", ke is None, ke),
+            CheckResult("sd_part_not_koenig_egervary", sd is None, sd)]
+
+
+def _ke_fault(part, mu):
+    ke, pairing = part.ke_part, part.matching.pairing
+    ids = dict(zip(sorted(part.ke_vertices), range(ke.n)))  # none beyond the part
+    members = sorted(pairing[v] for v in part.failed_searches)
+    outside = [x for x in members if x not in ids]
+    if outside:
+        return {"vertex": outside[0]}
+    inside, names = {ids[x] for x in members}, list(ids)
+    for u, w in ke.edges:
+        if u in inside and w in inside:
+            return {"edge": (names[u], names[w])}
+    if len(members) + mu != ke.n:
+        return {"certificate": len(members), "mu": mu, "n": ke.n}
+    return None
+
+
+def _sd_fault(part, mu):
+    sd, pairing = part.sd_part, part.matching.pairing
+    if 2 * mu != sd.n:
+        return {"mu": mu, "n": sd.n}
+    ids = dict(zip(sorted(part.sd_vertices), range(sd.n)))
+    pairs = [ids.get(pairing[x], -1) for x in ids]
+
+    def closed_at(x):
+        # A closed mm walk at x; _walk_holds fails a vertex outside the part.
+        w = part.witnesses.get(x)
+        return (w is not None and w.kind == "mm" and w.vertices[:1] == w.vertices[-1:] == (x,)
+                and _walk_holds(sd, pairs, AlternatingWalk(map(ids.get, w.vertices), "mm")))
+
+    v = min(ids, default=None)
+    if (len(pairs) == sd.n and all(sd.has_edge(i, w) for i, w in enumerate(pairs))
+            and closed_at(v) and closed_at(pairing[v])):
+        return None
+    return {"vertex": v}
 
 
 def _check_full_reachability(graph, part, reach) -> CheckResult:

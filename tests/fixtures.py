@@ -12,7 +12,14 @@ from __future__ import annotations
 import random
 from typing import Hashable
 
-from sdke import Graph, build_graph, matching_from_edges
+from sdke import (
+    Graph,
+    build_graph,
+    connected_components,
+    induced_subgraph,
+    matching_from_edges,
+    sd_ke_partition,
+)
 
 
 def from_labeled_edges(pairs: list[tuple[Hashable, Hashable]]) -> Graph:
@@ -50,6 +57,57 @@ def replaced(record, **changes):
     if unknown:
         raise TypeError(f"{type(record).__name__} has no fields {sorted(unknown)}")
     return type(record)(**{f: changes.get(f, getattr(record, f)) for f in fields})
+
+
+def split_at(g: Graph, sd):
+    """The partition of g with SD side sd, true or not.
+
+    Everything but the vertex sets, the parts and the cut is g's own
+    partition's: its matching, witnesses and failed_searches.
+    """
+    sd = frozenset(sd)
+    ke = frozenset(range(g.n)) - sd
+    return replaced(
+        sd_ke_partition(g),
+        sd_vertices=sd,
+        ke_vertices=ke,
+        sd_part=induced_subgraph(g, sd),
+        ke_part=induced_subgraph(g, ke),
+        cut=frozenset(e for e in g.edges if (e[0] in sd) != (e[1] in sd)),
+    )
+
+
+def sd_components(part) -> list[frozenset[int]]:
+    """The connected components of the SD part, in the whole graph's ids."""
+    order = sorted(part.sd_vertices)
+    return [frozenset(order[i] for i in c) for c in connected_components(part.sd_part)]
+
+
+def ke_status_cases(g: Graph):
+    """(name, partition) pairs for the suite's two KE checks: g's own
+    partition, then wrong ones.
+
+    The wrong ones are the partition with its two parts swapped, and the
+    split with one connected component C of the SD part moved into KE,
+    for each C, the smaller end of each pair of C added to
+    failed_searches.  C holds the closed walks of its own vertices, so it
+    is not Koenig-Egervary, and KE plus C is not either: its independence
+    number is at most alpha(KE) + alpha(C) < (|KE| + |C|) / 2.
+    """
+    part = sd_ke_partition(g)
+    yield "true", part
+    yield "swapped", replaced(part, sd_part=part.ke_part, ke_part=part.sd_part)
+    pairing = part.matching.pairing
+    for comp in sd_components(part):
+        moved = split_at(g, part.sd_vertices - comp)
+        members = part.failed_searches | {v for v in comp if v < pairing[v]}
+        yield f"moved {sorted(comp)}", replaced(moved, failed_searches=members)
+
+
+def disjoint_union(a: Graph, b: Graph) -> Graph:
+    """Disjoint union; the second graph's ids are shifted by a.n."""
+    edges = list(a.edges) + [(u + a.n, v + a.n) for u, v in b.edges]
+    return build_graph(a.n + b.n, edges, labels=list(a.labels) + list(b.labels))
 
 
 def random_graph(n: int, edge_prob: float, seed: int) -> Graph:

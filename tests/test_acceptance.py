@@ -11,7 +11,6 @@ from sdke import (
     det_adjacency,
     enumerate_sachs,
     factorization_report,
-    independence_number,
     iter_maximum_matchings,
     iter_perfect_matchings,
     matching_number,
@@ -38,6 +37,7 @@ from fixtures import (
     posy12,
     tangle8,
 )
+from oracles import independence_number
 from sdke import build_graph
 
 

@@ -4,7 +4,6 @@ from sdke import (
     BoundExceededError,
     build_graph,
     delete_edge,
-    disjoint_union,
     iter_maximum_matchings,
     matching_from_edges,
     maximum_matching,
@@ -21,6 +20,7 @@ from fixtures import (
     FLOWER9_M,
     complete_graph,
     cycle_graph,
+    disjoint_union,
     flower9,
     label_ids,
     label_matching,

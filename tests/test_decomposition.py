@@ -8,7 +8,6 @@ from sdke import (
     NotMatchableError,
     build_graph,
     delete_edge,
-    disjoint_union,
     iter_perfect_matchings,
     matching_from_edges,
     matching_number,
@@ -24,6 +23,7 @@ from fixtures import (
     POSY12_M,
     TANGLE8_M1,
     cycle_graph,
+    disjoint_union,
     flower9,
     label_ids,
     label_matching,

@@ -9,7 +9,6 @@ from sdke import (
     SachsSubgraph,
     build_graph,
     det_adjacency,
-    disjoint_union,
     enumerate_sachs,
     factorization_report,
     perm_adjacency,
@@ -23,6 +22,7 @@ from conftest import matchable_corpus, mixed_corpus
 from fixtures import (
     complete_graph,
     cycle_graph,
+    disjoint_union,
     ladder8,
     mixed32,
     path_graph,

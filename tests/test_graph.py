@@ -6,13 +6,20 @@ from sdke import (
     build_graph,
     connected_components,
     delete_edge,
-    disjoint_union,
     export_dot,
     induced_subgraph,
     parse_edge_list,
     serialize_edge_list,
 )
-from fixtures import cycle_graph, label_matching, path_graph, posy12, POSY12_M, ladder8
+from fixtures import (
+    POSY12_M,
+    cycle_graph,
+    disjoint_union,
+    label_matching,
+    ladder8,
+    path_graph,
+    posy12,
+)
 
 
 def test_build_k2():

@@ -13,8 +13,13 @@ import pytest
 import sdke
 from sdke import configurations, verification
 from sdke.determinantal import _frontier_plan, _perm_frontier, _perm_glynn
-from fixtures import random_graph
-from oracles import matching_invariance_per_matching, sd_vertices_stop_at_full, stability_per_edge
+from fixtures import ke_status_cases, random_graph
+from oracles import (
+    ke_status_by_alpha,
+    matching_invariance_per_matching,
+    sd_vertices_stop_at_full,
+    stability_per_edge,
+)
 
 pytestmark = pytest.mark.slow
 
@@ -106,3 +111,23 @@ def test_stability_sweep():
                 got = verification._check_stability(g, part, 12)
                 name = f"random_matchable_graph({n}, {p}, {s})"
                 assert got == stability_per_edge(g, 12), name
+
+
+def test_ke_certificate_sweep():
+    # The suite's two KE checks, from the partition's certificates, must
+    # give the verdicts of the independence-number oracle on 750 seeded
+    # sparse matchable graphs with n = 22-40, beyond tier-1's n <= 20: on
+    # each partition, with its parts swapped, and with each SD component
+    # moved into KE.
+    verdicts = []
+    for n, seeds in [(n, 50) for n in range(22, 31, 2)] + [(n, 25) for n in range(32, 41, 2)]:
+        for p in (0.05, 0.1):
+            for s in range(seeds):
+                g = sdke.random_matchable_graph(n, p, s)
+                for kind, part in ke_status_cases(g):
+                    mu_sd = sdke.matching_number(part.sd_part)
+                    mu_ke = sdke.matching_number(part.ke_part)
+                    got = [r.passed for r in verification._check_ke_status(part, mu_sd, mu_ke)]
+                    assert got == ke_status_by_alpha(part), (n, p, s, kind)
+                    verdicts += got
+    assert verdicts.count(False) > 1000 and verdicts.count(True) > 1000

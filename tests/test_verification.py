@@ -1,4 +1,5 @@
 import sys
+from itertools import product
 
 import pytest
 
@@ -10,7 +11,6 @@ from sdke import (
     build_graph,
     delete_edge,
     factorization_report,
-    independence_number,
     is_matchable,
     iter_perfect_matchings,
     matching_number,
@@ -25,11 +25,14 @@ from fixtures import (
     complete_graph,
     cycle_graph,
     k10_pendant,
+    ke_status_cases,
     ladder8,
     path_graph,
     posy12,
     random_graph,
     replaced,
+    sd_components,
+    split_at,
     tangle8,
 )
 from sdke.decomposition import _sd_vertices
@@ -37,6 +40,8 @@ from sdke.verification import _check_ke_status
 from oracles import (
     brute_alpha,
     exists_max_matching_avoiding,
+    independence_number,
+    ke_status_by_alpha,
     matching_invariance_per_matching,
     reach_by_state_search,
     sd_from_reach,
@@ -58,16 +63,6 @@ def test_alpha_against_subset_oracle():
         assert independence_number(g) == brute_alpha(g), f"seed {seed}"
 
 
-def test_alpha_bound(monkeypatch):
-    # The bound is the module constant, read at call time.
-    from sdke import verification
-
-    with pytest.raises(BoundExceededError):
-        independence_number(build_graph(40, []))
-    monkeypatch.setattr(verification, "DEFAULT_ALPHA_ORDER", 40)
-    assert independence_number(build_graph(40, [])) == 40
-
-
 def _ke_gap(g):
     # n - alpha - mu, which is 0 exactly on Koenig-Egervary graphs.
     return g.n - independence_number(g) - matching_number(g)
@@ -86,12 +81,19 @@ def _ke_status(part):
 
 
 def test_parts_ke_status_on_corpus():
-    for seed, g in matchable_corpus(40, max_n=12):
-        p = sd_ke_partition(g)
-        assert _ke_gap(p.ke_part) == 0, f"seed {seed}"
-        if p.sd_part.n:
-            assert _ke_gap(p.sd_part) > 0, f"seed {seed}"
-        assert all(r.passed for r in _ke_status(p)), f"seed {seed}"
+    # The certificates give the verdicts the independence numbers give, on
+    # seeded matchable graphs with n <= 20: on each partition, with its
+    # parts swapped, and with each SD component moved into KE.
+    graphs = [(f"seed {seed}", g) for seed, g in matchable_corpus(40, max_n=12)]
+    graphs += [((n, prob, seed), random_matchable_graph(n, prob, seed))
+               for n in range(4, 21, 2) for prob in (0.1, 0.2, 0.3) for seed in range(12)]
+    verdicts = []
+    for name, g in graphs:
+        for kind, part in ke_status_cases(g):
+            got = [r.passed for r in _ke_status(part)]
+            assert got == ke_status_by_alpha(part), (name, kind)
+            verdicts += got
+    assert verdicts.count(False) > 100 and verdicts.count(True) > 100
 
 
 def test_theorem_suite_fixtures():
@@ -206,26 +208,11 @@ def test_random_graph_deterministic():
     assert random_graph(5, 1.0, 11).num_edges == 10
 
 
-def _split_at(g, sd):
-    # The partition of g with SD side sd, true or not.
-    from sdke import induced_subgraph
-
-    ke = frozenset(range(g.n)) - sd
-    return replaced(
-        sd_ke_partition(g),
-        sd_vertices=sd,
-        ke_vertices=ke,
-        sd_part=induced_subgraph(g, sd),
-        ke_part=induced_subgraph(g, ke),
-        cut=frozenset(e for e in g.edges if (e[0] in sd) != (e[1] in sd)),
-    )
-
-
 def _doctored_partition(g):
     # Swap one matched pair across the separation to fabricate a wrong split.
     p = sd_ke_partition(g)
     v = min(p.sd_vertices)
-    return _split_at(g, p.sd_vertices - {v, p.matching.pairing[v]})
+    return split_at(g, p.sd_vertices - {v, p.matching.pairing[v]})
 
 
 def test_injected_counterexamples_reverify_as_failures():
@@ -243,29 +230,86 @@ def test_injected_counterexamples_reverify_as_failures():
 
 
 def test_ke_status_checks_name_each_failing_part():
-    # Swapping posy12's parts makes both verdicts wrong; each check names
-    # the offending part's numbers.  An empty part passes either way.
+    # Swapping posy12's parts (SD 0-9, KE 10-11, M(10) = 11) makes both
+    # verdicts wrong, and each check names what its certificate lacks.  The
+    # one KE member, 11, is independent, but 1 + mu(SD part) = 6 falls
+    # short of the part's 10 vertices; the witnesses at 0 leave the
+    # 2-vertex part.  An empty part passes either way.
     p = sd_ke_partition(posy12())
+    mu_sd, mu_ke = matching_number(p.sd_part), matching_number(p.ke_part)
     swapped = replaced(p, sd_part=p.ke_part, ke_part=p.sd_part)
     ke, sd = _ke_status(swapped)
-    for result, name, side in (
-        (ke, "ke_part_is_koenig_egervary", p.sd_part),
-        (sd, "sd_part_not_koenig_egervary", p.ke_part),
-    ):
-        want = {"alpha": brute_alpha(side), "mu": matching_number(side), "n": side.n}
-        assert (result.name, result.passed) == (name, False)
-        assert result.counterexample == want
+    assert (ke.name, ke.passed, ke.counterexample) == (
+        "ke_part_is_koenig_egervary", False, {"certificate": 1, "mu": 5, "n": 10}
+    )
+    assert (sd.name, sd.passed, sd.counterexample) == (
+        "sd_part_not_koenig_egervary", False, {"vertex": 0}
+    )
     for doctored in (
         replaced(p, sd_part=build_graph(0, [])),
         replaced(p, ke_part=build_graph(0, [])),
     ):
         assert all(r.passed for r in _ke_status(doctored))
+    # A member outside KE, and two members joined by an edge.
+    for failed, want in (({0, 10}, {"vertex": 1}), ({10, 11}, {"edge": (10, 11)})):
+        ke, sd = _ke_status(replaced(p, failed_searches=frozenset(failed)))
+        assert sd.passed and (ke.passed, ke.counterexample) == (False, want)
+    # The walks at 0 and 1 rule out n/2 independent vertices only when
+    # every matched pair is an edge of the SD part; 6-7 is one, off the walks.
+    ke, sd = _ke_status(replaced(p, sd_part=delete_edge(p.sd_part, (6, 7))))
+    assert ke.passed and (sd.passed, sd.counterexample) == (False, {"vertex": 0})
     # The matching numbers are the caller's, shared with the additivity
-    # check, and are not computed again: one more on the KE side fails it.
-    mu_sd, mu_ke = matching_number(p.sd_part), matching_number(p.ke_part)
+    # check, and are not computed again: one more on the KE side fails the
+    # KE certificate's size, and one less on the SD side leaves that part
+    # without a perfect matching, which its certificate needs.
     ke, sd = _check_ke_status(p, mu_sd, mu_ke + 1)
     assert sd.passed and not ke.passed
-    assert ke.counterexample == {"alpha": brute_alpha(p.ke_part), "mu": mu_ke + 1, "n": 2}
+    assert ke.counterexample == {"certificate": 1, "mu": mu_ke + 1, "n": 2}
+    ke, sd = _check_ke_status(p, mu_sd - 1, mu_ke)
+    assert ke.passed and not sd.passed
+    assert sd.counterexample == {"mu": mu_sd - 1, "n": 10}
+
+
+def _with_sd_vertices():
+    # Seeded matchable graphs with n <= 12 that have SD vertices, and their
+    # partitions: 157 of 360.
+    for n in range(6, 13, 2):
+        for prob in (0.2, 0.3, 0.4):
+            for seed in range(30):
+                g = random_matchable_graph(n, prob, seed)
+                part = sd_ke_partition(g)
+                if part.sd_vertices:
+                    yield (n, prob, seed), g, part
+
+
+def test_ke_certificate_fails_with_an_sd_component_moved_to_ke():
+    # A connected component C of G[SD] moved into KE makes the KE part
+    # non-Koenig-Egervary (see fixtures.ke_status_cases), so no choice of
+    # one member per pair of C, added to failed_searches, may certify it.
+    cases = 0
+    for name, g, part in _with_sd_vertices():
+        pairing = part.matching.pairing
+        for comp in sd_components(part):
+            moved = split_at(g, part.sd_vertices - comp)
+            mu_sd, mu_ke = matching_number(moved.sd_part), matching_number(moved.ke_part)
+            pairs = [(v, pairing[v]) for v in sorted(comp) if v < pairing[v]]
+            for choice in product(*pairs):
+                doctored = replaced(moved, failed_searches=part.failed_searches | set(choice))
+                ke, _ = _check_ke_status(doctored, mu_sd, mu_ke)
+                assert not ke.passed, (name, sorted(comp), choice)
+            cases += 1
+    assert cases > 100
+
+
+def test_sd_certificate_fails_without_witnesses():
+    # The SD verdict rests on the witnesses at the smallest SD vertex and
+    # its partner; a partition stripped of its witnesses certifies nothing.
+    cases = 0
+    for name, _, part in _with_sd_vertices():
+        _, sd = _ke_status(replaced(part, witnesses={}))
+        assert (sd.passed, sd.counterexample) == (False, {"vertex": min(part.sd_vertices)}), name
+        cases += 1
+    assert cases > 100
 
 
 def test_counterexample_payload_identifies_matched_cut_edge(monkeypatch):
@@ -307,7 +351,7 @@ def _report_for(g, sd):
     # of its own parts.
     from sdke import perm_adjacency
 
-    part = _split_at(g, sd)
+    part = split_at(g, sd)
     r = factorization_report(g)
     perm_sd = perm_adjacency(part.sd_part)
     perm_ke = perm_adjacency(part.ke_part)
