@@ -37,7 +37,7 @@ _EXPORTS = {
         "semi_jposy_witness", "verify_walk",
     ),
     "decomposition": ("SdKePartition", "sd_ke_partition", "sd_vertices_of"),
-    "configurations": ("sd_vertices_bruteforce", "simple_odd_cycles"),
+    "configurations": ("sd_vertices_bruteforce",),
     "determinantal": (
         "FactorizationReport", "SachsSubgraph", "det_adjacency", "enumerate_sachs",
         "factorization_report", "perm_adjacency", "sachs_census",

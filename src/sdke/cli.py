@@ -273,12 +273,7 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="sdke", description=__doc__)
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("decompose", help="SD-KE separation of a matchable graph")
+def _decompose_args(p: _Parser) -> None:
     p.add_argument("input")
     p.add_argument("--matching", default="auto", help="'auto' or a matching file")
     fmt = p.add_mutually_exclusive_group()
@@ -287,29 +282,32 @@ def _build_parser() -> _Parser:
     p.add_argument("--dot", metavar="OUT", help="also write a decorated DOT file")
     p.set_defaults(func=_cmd_decompose)
 
-    for name, what, methods in (
-        ("det", "determinant", ("elimination", "sachs")),
-        ("perm", "permanent", ("ryser", "sachs")),
-    ):
-        p = sub.add_parser(name, help=f"{what} of the adjacency matrix")
+
+def _value_args(*methods: str):
+    def add(p: _Parser) -> None:
         p.add_argument("input")
         p.add_argument("--method", choices=methods, default=methods[0])
         p.set_defaults(func=_cmd_value)
 
-    p = sub.add_parser("verify", help="run the theorem suite")
+    return add
+
+
+def _verify_args(p: _Parser) -> None:
     p.add_argument("input")
     # None stands for verification.DEFAULT_SUITE_ORDER, read when verify runs.
     p.add_argument("--max-n", type=int, default=None)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("sachs", help="enumerate Sachs subgraphs")
+
+def _sachs_args(p: _Parser) -> None:
     p.add_argument("input")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--list", action="store_true")
     group.add_argument("--count", action="store_true")
     p.set_defaults(func=_cmd_sachs)
 
-    p = sub.add_parser("matchings", help="enumerate perfect or maximum matchings")
+
+def _matchings_args(p: _Parser) -> None:
     p.add_argument("input")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--perfect", action="store_true")
@@ -317,22 +315,53 @@ def _build_parser() -> _Parser:
     p.add_argument("--limit", type=_non_negative_int, default=None)
     p.set_defaults(func=_cmd_matchings)
 
-    p = sub.add_parser("gen", help="generate a seeded random matchable graph")
+
+def _gen_args(p: _Parser) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("export-dot", help="render the graph as DOT")
+
+def _export_dot_args(p: _Parser) -> None:
     p.add_argument("input")
     p.add_argument("--decorate", action="store_true",
                    help="color the SD-KE separation and matching")
     p.set_defaults(func=_cmd_export_dot)
+
+
+# Each command's help line and the function that adds its arguments.
+_COMMANDS = {
+    "decompose": ("SD-KE separation of a matchable graph", _decompose_args),
+    "det": ("determinant of the adjacency matrix", _value_args("elimination", "sachs")),
+    "perm": ("permanent of the adjacency matrix", _value_args("ryser", "sachs")),
+    "verify": ("run the theorem suite", _verify_args),
+    "sachs": ("enumerate Sachs subgraphs", _sachs_args),
+    "matchings": ("enumerate perfect or maximum matchings", _matchings_args),
+    "gen": ("generate a seeded random matchable graph", _gen_args),
+    "export-dot": ("render the graph as DOT", _export_dot_args),
+}
+
+
+def _build_parser(command: str | None = None) -> _Parser:
+    """The parser of every command, or of the named command alone.
+
+    A subparser's prog and messages do not depend on its siblings, so a
+    command line that starts with a command's name parses, fails and
+    prints help the same under either.
+    """
+    parser = _Parser(prog="sdke", description=__doc__)
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (what, add_args) in _COMMANDS.items():
+        if command in (None, name):
+            add_args(sub.add_parser(name, help=what))
     return parser
 
 
 def run_cli(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except _ParserExit as exc:

@@ -188,9 +188,9 @@ def k10_pendant() -> Graph:
 
     Ground truth: SD = {0..9}, KE = {10,11}.  The only KE edge is 10-11,
     and deleting it leaves vertex 11 isolated, so the stability check
-    takes the exhaustive route on G - e; K10 has more simple odd cycles
-    than its default cap of 200000, so that check raises
-    BoundExceededError.
+    takes the exhaustive route on G - e, where SD = {0..10}.  K10 has more
+    simple odd cycles than the oracles' cap of 200000, so their
+    cycle-listing search raises BoundExceededError there.
     """
     edges = [(i, j) for i in range(10) for j in range(i + 1, 10)]
     return build_graph(12, edges + [(0, 10), (10, 11)])

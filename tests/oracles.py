@@ -18,10 +18,9 @@ from sdke import (
     iter_maximum_matchings,
     iter_perfect_matchings,
     matching_number,
-    simple_odd_cycles,
 )
 from sdke.alternating import _bit_indices
-from sdke.configurations import _blossoms, _covered, _cycle_table
+from sdke.configurations import _state_reach
 from sdke.verification import CheckResult
 
 
@@ -480,6 +479,140 @@ def matching_invariance_per_matching(graph: Graph, matchings, part):
     )
 
 
+# The blossom-by-blossom configuration search, the reference for the
+# library's walk cover: every simple odd cycle listed once per graph as a
+# row of bitsets, the blossoms of each maximum matching picked from the
+# rows by matched-edge popcount, and the flowers and posies built on them
+# read from the matching's state reach.
+
+DEFAULT_MAX_CYCLES = 200_000
+
+# (edge-index mask, vertex mask, k) of an odd cycle of length 2k + 1.
+CycleRow = tuple[int, int, int]
+
+
+def simple_odd_cycles(graph: Graph) -> list[tuple[int, ...]]:
+    """All simple odd cycles, each listed once (min vertex first).
+
+    The orientation is fixed by requiring the second vertex to be smaller
+    than the last, so each cycle appears exactly once.  More than
+    ``DEFAULT_MAX_CYCLES`` of them raise BoundExceededError.
+    """
+    cycles: list[tuple[int, ...]] = []
+    adj = graph.adjacency
+    on_path = [False] * graph.n
+    path: list[int] = []
+
+    def extend(s: int, x: int) -> None:
+        for y in adj[x]:
+            if y == s and len(path) >= 3 and path[1] < path[-1]:
+                if len(path) % 2 == 1:
+                    cycles.append(tuple(path))
+                    if len(cycles) > DEFAULT_MAX_CYCLES:
+                        raise BoundExceededError(
+                            f"more than {DEFAULT_MAX_CYCLES} simple cycles"
+                        )
+            elif y > s and not on_path[y]:
+                on_path[y] = True
+                path.append(y)
+                extend(s, y)
+                path.pop()
+                on_path[y] = False
+
+    for s in range(graph.n):
+        on_path[s] = True
+        path.append(s)
+        extend(s, s)
+        path.pop()
+        on_path[s] = False
+    return cycles
+
+
+def _cycle_table(
+    graph: Graph, odd_cycles: list[tuple[int, ...]]
+) -> tuple[list[int], list[CycleRow]]:
+    """Edge bits by vertex pair, and the row of every cycle in the order given.
+
+    Entry u * n + v of the first list is 1 << the index of edge uv in
+    ``graph.edges``, or 0 for a non-edge.
+    """
+    n = graph.n
+    bits = [0] * (n * n)
+    for i, (u, v) in enumerate(graph.edges):
+        bits[u * n + v] = bits[v * n + u] = 1 << i
+    rows = []
+    for cyc in odd_cycles:
+        edges = verts = 0
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            edges |= bits[a * n + b]
+            verts |= 1 << a
+        rows.append((edges, verts, len(cyc) // 2))
+    return bits, rows
+
+
+def _blossoms(
+    rows: list[CycleRow], bits: list[int], pairing: tuple[int, ...]
+) -> list[tuple[int, int]]:
+    """(vertex mask, base) of every blossom of the matching, in row order.
+
+    A row is a blossom when k of its edges are matched.  Those k edges
+    are disjoint, so their ends cover every cycle vertex but one, the
+    base.
+    """
+    n = len(pairing)
+    matched = 0
+    ends: dict[int, int] = {}  # matched edge bit -> its two vertex bits
+    for v, u in enumerate(pairing):
+        if v < u:
+            bit = bits[v * n + u]
+            matched |= bit
+            ends[bit] = 1 << v | 1 << u
+    found = []
+    for edges, verts, k in rows:
+        inside = edges & matched
+        if inside.bit_count() == k:
+            covered = 0
+            while inside:
+                low = inside & -inside
+                covered |= ends[low]
+                inside ^= low
+            found.append((verts, (verts ^ covered).bit_length() - 1))
+    return found
+
+
+def _covered(graph: Graph, pairing: tuple[int, ...], found: list[tuple[int, int]]) -> int:
+    """Vertex mask of every flower and posy built on the given blossoms.
+
+    A posy's walk from base x starts with x's matching edge, so it sets
+    out from (M(x), True).  A flower's stem from exposed x starts with a
+    non-matching edge, so it sets out from (x, True), whose arcs are
+    exactly those edges; as M(x) = x, both set out from (M(x), True).  An
+    exposed base is a flower whose stem is empty.  A walk ends at base b
+    by entering (b, True); the states that reach it are the half-swap of
+    what (b, False) reaches, so the vertices on such walks are those with
+    a state in both masks.  A posy is found from both of its bases, by
+    reversing its walk, with the same vertices.
+    """
+    by_base: dict[int, int] = {}
+    for verts, base in found:
+        by_base[base] = by_base.get(base, 0) | verts
+    if not by_base:
+        return 0
+    n = graph.n
+    full = (1 << n) - 1
+    reach = _state_reach(graph, pairing)
+    bwd = {b: reach[b + n] >> n | (reach[b + n] & full) << n for b in by_base}
+    covered = 0
+    for x, u in enumerate(pairing):
+        if u == x or x in by_base:
+            fwd = reach[u]
+            for b, verts in by_base.items():
+                if fwd >> b & 1:
+                    both = fwd & bwd[b]
+                    covered |= by_base.get(x, 0) | 1 << x | verts | (both | both >> n) & full
+    return covered
+
+
 def blossoms_by_cycle_scan(
     g: Graph, matching: Matching, odd_cycles: list[tuple[int, ...]]
 ) -> list[tuple[frozenset[int], int]]:
@@ -617,11 +750,11 @@ def stability_per_edge(graph: Graph, max_order: int) -> CheckResult:
 
 
 def sd_vertices_stop_at_full(graph: Graph) -> frozenset[int]:
-    """SD vertex set by configuration search without the odd-component ceiling.
+    """SD vertex set by the blossom-by-blossom search, without a ceiling.
 
-    The same search as ``sd_vertices_bruteforce``, but it enumerates
-    maximum matchings until the union is all of V or the matchings run
-    out.
+    The union of the flower and posy vertices of each maximum matching,
+    from the cycle table, until it is all of V or the matchings run out.
+    It takes nothing from ``configurations`` but its state reach.
     """
     bits, rows = _cycle_table(graph, simple_odd_cycles(graph))
     full = (1 << graph.n) - 1

@@ -1,9 +1,11 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from sdke import (
     AlternatingWalk,
+    BoundExceededError,
     iter_maximum_matchings,
     iter_perfect_matchings,
     parse_edge_list,
@@ -18,7 +21,7 @@ from sdke import (
     serialize_edge_list,
     verify_walk,
 )
-from sdke.cli import _json_text, run_cli
+from sdke.cli import _COMMANDS, _ParserExit, _build_parser, _json_text, run_cli
 from fixtures import (
     complete_graph,
     cycle_graph,
@@ -197,17 +200,27 @@ def test_verify_not_matchable_is_domain_error(files, capsys):
     }
 
 
-def test_verify_fails_when_stability_skips_an_edge(tmp_path, capsys):
-    # The only KE edge of this fixture hits the cycle cap on G - e: the
-    # check may not pass what it did not check, so verify exits 1.
+def test_verify_fails_when_stability_skips_an_edge(tmp_path, capsys, monkeypatch):
+    # The only KE edge of this fixture sends G - e to the exhaustive
+    # search.  When that search hits a work bound, the check may not pass
+    # what it did not check, so verify exits 1; unbounded, it passes.
+    from sdke import configurations
+
     path = tmp_path / "k10_pendant.edges"
     path.write_text(serialize_edge_list(k10_pendant()))
+    code, data = run_json(capsys, ["verify", str(path)])
+    assert code == 0 and all(c["pass"] for c in data["checks"])
+
+    def bounded(graph, **bounds):
+        raise BoundExceededError("work bound")
+
+    monkeypatch.setattr(configurations, "sd_vertices_bruteforce", bounded)
     code, data = run_json(capsys, ["verify", str(path)])
     assert code == 1
     failed = [c for c in data["checks"] if not c["pass"]]
     assert [c["name"] for c in failed] == ["stability_under_deletion"]
     assert failed[0]["counterexample"] == {
-        "skipped": [{"edge": [10, 11], "bound": "more than 200000 simple cycles"}]
+        "skipped": [{"edge": [10, 11], "bound": "work bound"}]
     }
 
 
@@ -475,6 +488,50 @@ def test_version_and_help_return_0(capsys):
     assert out.startswith("usage: sdke verify [-h] [--max-n MAX_N] input\n") and err == ""
 
 
+def _parse_outcome(parser, argv):
+    """(vars of the namespace or None, exit status, stdout, stderr) of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    args, status = None, None
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            args = vars(parser.parse_args(argv))
+        except _ParserExit as exc:
+            status, message = exc.args
+            err.write(message or "")
+    return args, status, out.getvalue(), err.getvalue()
+
+
+def test_one_command_parser_matches_the_full_parser():
+    # run_cli builds only the subparser that argv[0] names.  Its help, its
+    # usage errors and its parsed arguments must be the full eight-command
+    # parser's, byte for byte; any other argv gets the full parser itself.
+    argvs = [["--help"], ["--version"], [], ["bogus", "x"], ["dec", "x"], ["-x"]]
+    for name in _COMMANDS:
+        argvs += [[name], [name, "--help"], [name, "x", "--bogus"], [name, "x", "y"],
+                  [name, "--version"], [name, "x"]]
+    argvs += [
+        ["decompose", "x", "--json", "--text"], ["decompose", "x", "--text", "--dot", "o"],
+        ["decompose", "x", "--matching"], ["det", "x", "--method", "ryser"],
+        ["perm", "x", "--method", "elimination"], ["det", "x", "--method", "sachs"],
+        ["verify", "x", "--max-n", "y"], ["verify", "x", "--max-n", "14"],
+        ["sachs", "x", "--list", "--count"], ["matchings", "x", "--perfect", "--maximum"],
+        ["matchings", "x", "--limit", "-1"], ["matchings", "x", "--maximum", "--limit", "3"],
+        ["gen", "--n", "4"], ["gen", "--n", "4", "--p", "x", "--seed", "1"],
+        ["gen", "--n", "4", "--p", "0.5", "--seed", "1"], ["export-dot", "x", "--decorate"],
+    ]
+    full = _build_parser()
+    for argv in argvs:
+        want = _parse_outcome(full, argv)
+        command = argv[0] if argv and argv[0] in _COMMANDS else None
+        assert _parse_outcome(_build_parser(command), argv) == want, argv
+        if want[0] is None:
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                status = run_cli(argv)
+            assert (status, out.getvalue(), err.getvalue()) == want[1:], argv
+    assert len(_COMMANDS) == 8
+
+
 def test_import_does_not_load_numpy():
     # The package is pure Python; importing numpy would add to every CLI start.
     src = Path(__file__).resolve().parent.parent / "src"
@@ -506,7 +563,7 @@ print(json.dumps(sorted(set(names) - {{"__builtins__"}})))
     p = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(src)},
                        capture_output=True, text=True, check=True)
     assert set(json.loads(p.stdout)) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 45
+    assert len(PUBLIC_NAMES) == 44
 
 
 def test_commands_import_neither_dataclasses_nor_inspect(files):

@@ -10,11 +10,10 @@ from sdke import (
     sd_ke_partition,
     sd_vertices_bruteforce,
     sd_vertices_of,
-    simple_odd_cycles,
 )
 from sdke import configurations
 from sdke.alternating import _bit_indices
-from sdke.configurations import _blossoms, _covered, _cycle_table, _state_reach
+from sdke.configurations import _state_reach, _walk_cover
 from conftest import matchable_corpus, mixed_corpus
 from fixtures import (
     FLOWER9_M,
@@ -30,23 +29,29 @@ from fixtures import (
     posy12,
     tangle8,
 )
+import oracles
 from oracles import (
+    _blossoms,
+    _covered,
+    _cycle_table,
     blossoms_by_cycle_scan,
     configuration_vertices_by_state_search,
+    sd_split_per_pair_bfs,
     sd_vertices_stop_at_full,
+    simple_odd_cycles,
     state_search,
     states_reaching_bfs,
 )
 
 
 def blossoms(g, m, odd_cycles=None):
-    """(vertex set, base) of every blossom of m, from the bitset cycle table."""
+    """(vertex set, base) of every blossom of m, from the oracle's bitset cycle table."""
     bits, rows = _cycle_table(g, simple_odd_cycles(g) if odd_cycles is None else odd_cycles)
     return [(frozenset(_bit_indices(verts)), base) for verts, base in _blossoms(rows, bits, m.pairing)]
 
 
 def configuration_vertices(g, m, odd_cycles=None):
-    """Vertices on some flower or posy of m, from the bitset search."""
+    """Vertices on some flower or posy of m, from the oracle's bitset search."""
     bits, rows = _cycle_table(g, simple_odd_cycles(g) if odd_cycles is None else odd_cycles)
     found = _blossoms(rows, bits, m.pairing)
     return frozenset(_bit_indices(_covered(g, m.pairing, found)))
@@ -68,9 +73,8 @@ def test_odd_cycles_each_once_k5():
 
 
 def test_cycle_bound(monkeypatch):
-    from sdke import configurations
-
-    monkeypatch.setattr(configurations, "DEFAULT_MAX_CYCLES", 10)
+    # The oracle's cycle listing keeps its cap; the library lists no cycles.
+    monkeypatch.setattr(oracles, "DEFAULT_MAX_CYCLES", 10)
     with pytest.raises(BoundExceededError, match="more than 10 simple cycles"):
         simple_odd_cycles(complete_graph(9))
 
@@ -96,8 +100,10 @@ def test_flower9_coverage_per_matching():
     g = flower9()
     m = label_matching(g, FLOWER9_M)
     # With this matching the only configuration is the flower grown from
-    # the exposed vertex 5 through 4 into the triangle.
+    # the exposed vertex 5 through 4 into the triangle, and the walk cover
+    # holds just that flower.
     assert configuration_vertices(g, m) == label_ids(g, [1, 2, 3, 4, 5])
+    assert set(_bit_indices(_walk_cover(g, m.pairing))) == label_ids(g, [1, 2, 3, 4, 5])
 
 
 def test_flower9_union_over_matchings():
@@ -111,12 +117,9 @@ def test_bruteforce_order_bound():
     assert sd_vertices_bruteforce(cycle_graph(14), max_order=14) == frozenset()
 
 
-def test_agrees_with_fast_partition_on_matchable_graphs(monkeypatch):
+def test_agrees_with_fast_partition_on_matchable_graphs():
     # On matchable inputs the configuration search must reproduce the
     # pair-wise separation exactly; this cross-validates both.
-    from sdke import configurations
-
-    monkeypatch.setattr(configurations, "DEFAULT_MAX_CYCLES", 500_000)
     for seed, g in matchable_corpus(40, max_n=10):
         fast = sd_ke_partition(g).sd_vertices
         slow = sd_vertices_bruteforce(g)
@@ -186,6 +189,66 @@ def test_bitset_search_matches_state_search_oracles():
     assert pairs > 500
 
 
+def walk_cover_by_state_search(g, m):
+    """The walk cover of m from the set-based state search.
+
+    The posy half is every pair whose members both have an mm-closed
+    walk; the flower half every vertex some exposed u reaches in both
+    states from (u, True).
+    """
+    cover = set(sd_split_per_pair_bfs(g, m.pairing))
+    for u in range(g.n):
+        if m.pairing[u] == u:
+            reached = state_search(g, m.pairing, [(u, True)])
+            cover.update(x for (x, p) in reached if p and (x, False) in reached)
+    return frozenset(cover)
+
+
+def test_walk_cover_holds_every_flower_and_posy_vertex():
+    # Under every maximum matching the bitset cover equals its set-based
+    # recomputation and holds the blossom search's flowers and posies;
+    # under a perfect matching it is the split's SD set.
+    graphs = [g for _, g in mixed_corpus(120, max_n=10)]
+    graphs += [g for _, g in matchable_corpus(60, max_n=10)]
+    graphs += [flower9(), posy12(), tangle8(), miss11()]
+    pairs = exceeded = 0
+    for i, g in enumerate(graphs):
+        cycles = simple_odd_cycles(g)
+        for m in iter_maximum_matchings(g):
+            cover = frozenset(_bit_indices(_walk_cover(g, m.pairing)))
+            assert cover == walk_cover_by_state_search(g, m), f"graph {i} {m}"
+            configured = configuration_vertices(g, m, cycles)
+            assert configured <= cover, f"graph {i} {m}"
+            if m.is_perfect:
+                assert cover == sd_ke_partition(g, m).sd_vertices, f"graph {i} {m}"
+            pairs += 1
+            exceeded += cover != configured
+    assert pairs > 500 and exceeded > 0
+
+
+def test_one_cover_exceeds_its_own_configurations():
+    # The triangle 0-1-3 and the 4-cycle 0-1-4-2 share the edge 0-1.  Under
+    # {0-1, 2-4} the only configuration is the triangle, a flower with the
+    # exposed base 3; but 3 reaches 2 and 4 in both states round the
+    # 4-cycle, so the cover is all of V.  That is still SD(G): under
+    # {0-2, 1-3} the stem 4-2-0 grows a flower into the same triangle.
+    g = build_graph(5, [(0, 1), (0, 2), (0, 3), (1, 3), (1, 4), (2, 4)])
+    m = matching_from_edges(5, [(0, 1), (2, 4)])
+    assert configuration_vertices(g, m) == {0, 1, 3}
+    assert _walk_cover(g, m.pairing) == 0b11111
+    assert sd_vertices_bruteforce(g) == sd_vertices_stop_at_full(g) == frozenset(range(5))
+
+
+def test_one_cover_falls_short_of_sd():
+    # Under {0-1, 2-4} only the triangle 0-1-3 is covered; under {0-1, 3-4}
+    # the stem 2-4-3 grows a flower into the triangle 0-1-3, and the union
+    # is all of V.
+    g = build_graph(5, [(0, 1), (0, 3), (1, 3), (1, 4), (2, 4), (3, 4)])
+    m = matching_from_edges(5, [(0, 1), (2, 4)])
+    assert _walk_cover(g, m.pairing) == 0b01011
+    assert sd_vertices_bruteforce(g) == sd_vertices_stop_at_full(g) == frozenset(range(5))
+
+
 def test_miss11_every_vertex_sd():
     # Recorded from the set-based search before the bitset rewrite.
     g = miss11()
@@ -212,13 +275,21 @@ def test_ceiling_stop_matches_full_stop_oracle():
         assert sd_vertices_bruteforce(g, max_order=g.n) == sd_vertices_stop_at_full(g), f"graph {i}"
 
 
-def test_no_odd_cycle_enumerates_no_matching(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("maximum matchings enumerated")
+def test_no_odd_cycle_stops_after_one_matching(monkeypatch):
+    # Every covered vertex lies on an odd closed walk, so a bipartite
+    # graph's first cover is empty and so is its ceiling.
+    drawn = []
 
-    monkeypatch.setattr(configurations, "iter_maximum_matchings", refuse)
-    assert sd_vertices_bruteforce(cycle_graph(6)) == frozenset()
-    assert sd_vertices_bruteforce(ladder8()) == frozenset()
+    def spy(*args, **kwargs):
+        for m in iter_maximum_matchings(*args, **kwargs):
+            drawn.append(m)
+            yield m
+
+    monkeypatch.setattr(configurations, "iter_maximum_matchings", spy)
+    for g in (cycle_graph(6), ladder8(), path_graph(5)):
+        drawn.clear()
+        assert sd_vertices_bruteforce(g) == frozenset()
+        assert len(drawn) == 1
 
 
 def triangle_two_pendants():

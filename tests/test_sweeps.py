@@ -1,7 +1,8 @@
 """Wide sweeps and scale smoke tests, marked slow.
 
-Tier-1 deselects them (``addopts`` in pyproject.toml); CI runs each one
-as its own step under a 120 s limit, for example
+Tier-1 deselects them (``addopts`` in pyproject.toml); CI runs each one,
+and each part of the exhaustive SD sweep, as its own step under a 120 s
+limit, for example
 
     PYTHONPATH=src timeout 120 python -m pytest -q -m slow -k matching_scale
 """
@@ -14,6 +15,7 @@ import sdke
 from sdke import configurations, verification
 from sdke.determinantal import _frontier_plan, _perm_frontier, _perm_glynn
 from fixtures import ke_status_cases, random_graph
+import oracles
 from oracles import (
     ke_status_by_alpha,
     matching_invariance_per_matching,
@@ -58,22 +60,39 @@ def test_permanent_engines():
         assert dp == _perm_glynn(g), name
 
 
-def test_exhaustive_sd_sweep():
-    # sd_vertices_bruteforce stops at its Sterboul-Deming ceiling; the
-    # oracle runs until every vertex is covered or the maximum matchings
-    # run out.  They must agree on about 3,000 seeded random graphs and
-    # on every non-matchable G - e of 120 seeded matchable graphs, wider
-    # than tier-1's 600 graphs.
+SD_SWEEP_PARTS = 4
+
+
+def _exhaustive_sd_sweep_graphs():
+    """(name, graph) of the exhaustive SD sweep: 10,080 seeded random graphs
+    with n = 4-12, then the 2,222 non-matchable G - e of 900 seeded
+    matchable graphs with n = 8, 10 and 12."""
     graphs = [(f"random_graph({n}, {p}, {s})", random_graph(n, p, s))
-              for n in range(5, 12) for p in (0.25, 0.35, 0.5) for s in range(143)]
-    for p in (0.2, 0.3, 0.4):
-        for s in range(40):
-            g = sdke.random_matchable_graph(12, p, s)
-            for e in g.edges:
-                h = sdke.delete_edge(g, e)
-                if not sdke.maximum_matching(h).is_perfect:
-                    graphs.append((f"random_matchable_graph(12, {p}, {s}) - {e}", h))
-    for name, g in graphs:
+              for n in range(4, 13) for p in (0.2, 0.3, 0.4, 0.5) for s in range(280)]
+    for n in (8, 10, 12):
+        for p in (0.1, 0.2, 0.3):
+            for s in range(100):
+                g = sdke.random_matchable_graph(n, p, s)
+                for e in g.edges:
+                    h = sdke.delete_edge(g, e)
+                    if not sdke.maximum_matching(h).is_perfect:
+                        graphs.append((f"random_matchable_graph({n}, {p}, {s}) - {e}", h))
+    return graphs
+
+
+@pytest.mark.parametrize("part", range(SD_SWEEP_PARTS), ids=lambda k: f"part{k}")
+def test_exhaustive_sd_sweep(part, monkeypatch):
+    # sd_vertices_bruteforce, the union of walk covers stopped at the
+    # components the first cover touches, must equal the blossom-by-blossom
+    # oracle, which lists every simple odd cycle and runs until every
+    # vertex is covered or the maximum matchings run out.  One graph,
+    # random_graph(12, 0.5, 232), has 276,893 of them, so the oracle's cap
+    # is raised.  The graphs are dealt round-robin into SD_SWEEP_PARTS
+    # parts, one CI step each.
+    monkeypatch.setattr(oracles, "DEFAULT_MAX_CYCLES", 1_000_000)
+    graphs = _exhaustive_sd_sweep_graphs()
+    assert len(graphs) == 10_080 + 2_222
+    for name, g in graphs[part::SD_SWEEP_PARTS]:
         got = configurations.sd_vertices_bruteforce(g, max_order=g.n)
         assert got == sd_vertices_stop_at_full(g), name
 

@@ -209,10 +209,14 @@ def test_random_graph_deterministic():
 
 
 def _doctored_partition(g):
-    # Swap one matched pair across the separation to fabricate a wrong split.
+    # Move the connected component of G[SD] that holds the least SD vertex
+    # into KE, as fixtures.ke_status_cases does, with the smaller end of
+    # each of its pairs as KE certificate member: a wrong KE verdict.
     p = sd_ke_partition(g)
-    v = min(p.sd_vertices)
-    return split_at(g, p.sd_vertices - {v, p.matching.pairing[v]})
+    comp = min(sd_components(p), key=min)
+    pairing = p.matching.pairing
+    members = p.failed_searches | {v for v in comp if v < pairing[v]}
+    return replaced(split_at(g, p.sd_vertices - comp), failed_searches=members)
 
 
 def test_injected_counterexamples_reverify_as_failures():
@@ -225,7 +229,7 @@ def test_injected_counterexamples_reverify_as_failures():
     results = list(_check_perfect_matchings(g, bad, iter_perfect_matchings(g))[:3])
     results.extend(_ke_status(bad))
     failing = [r for r in results if not r.passed]
-    assert failing
+    assert "ke_part_is_koenig_egervary" in [r.name for r in failing]
     assert all(r.counterexample is not None for r in failing)
 
 
@@ -451,15 +455,30 @@ def test_partner_check_catches_a_reach_set_not_closed_under_a_step():
     assert result.counterexample == {"vertex": 11}
 
 
-def test_stability_check_fails_on_a_skipped_edge():
+def test_stability_check_fails_on_a_skipped_edge(monkeypatch):
+    # The only KE edge of k10_pendant is unavoidable and G - e is not
+    # matchable, so the check runs the exhaustive search once.  A search
+    # that hits a work bound lists the edge as skipped and fails the check.
+    from sdke import configurations
     from sdke.verification import _check_stability
 
+    def bounded(graph, **bounds):
+        raise BoundExceededError("work bound")
+
     g = k10_pendant()
-    result = _check_stability(g, sd_ke_partition(g), 12)
+    part = sd_ke_partition(g)
+    with monkeypatch.context() as patch:
+        patch.setattr(configurations, "sd_vertices_bruteforce", bounded)
+        result = _check_stability(g, part, 12)
     assert not result.passed
-    assert result.counterexample == {
-        "skipped": [{"edge": (10, 11), "bound": "more than 200000 simple cycles"}]
-    }
+    assert result.counterexample == {"skipped": [{"edge": (10, 11), "bound": "work bound"}]}
+    # Unpatched, the search lists no cycles and checks the edge: G - e is
+    # K10 with the pendant 10 on 0, and an isolated 11.  Under a matching
+    # that leaves 10 exposed, the stem 10-0-M(0) grows a flower into the
+    # triangle of M(0) and any other matched pair, so every vertex but 11
+    # is SD.
+    assert configurations.sd_vertices_bruteforce(delete_edge(g, (10, 11))) == frozenset(range(11))
+    assert _check_stability(g, part, 12).passed
 
 
 def test_stability_check_reports_a_real_failure_before_skips(monkeypatch):
@@ -491,11 +510,21 @@ def _stability_graphs():
 
 
 def test_stability_loop_equals_per_edge_oracle():
+    # The oracle's search lists simple odd cycles, and on k10_pendant's one
+    # KE edge it stops at its cycle cap, where the loop, which lists none,
+    # checks the edge and passes.  Elsewhere the two agree.
     from sdke.verification import _check_stability
 
     for i, g in enumerate(_stability_graphs()):
         part = sd_ke_partition(g)
-        assert _check_stability(g, part, 12) == stability_per_edge(g, 12), f"graph {i}"
+        want = stability_per_edge(g, 12)
+        if g == k10_pendant():
+            assert want.counterexample == {
+                "skipped": [{"edge": (10, 11), "bound": "more than 200000 simple cycles"}]
+            }
+            assert _check_stability(g, part, 12).passed
+            continue
+        assert _check_stability(g, part, 12) == want, f"graph {i}"
 
 
 def test_stability_faults_make_the_loop_differ_from_the_oracle(monkeypatch):
