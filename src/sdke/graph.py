@@ -161,13 +161,12 @@ def induced_subgraph(graph: Graph, vertices: Iterable[int]) -> Graph:
             raise GraphError(f"vertex {v!r} is not an int in 0..{graph.n - 1}")
     selected = sorted(chosen)
     index = {v: i for i, v in enumerate(selected)}
-    edges = [
-        (index[u], index[v])
-        for u, v in graph.edges
-        if u in index and v in index
-    ]
-    return build_graph(
-        len(selected), edges, labels=[graph.labels[v] for v in selected]
+    # The remap is monotone, so the edges of a valid graph stay canonical
+    # and sorted, and need none of build_graph's checks.
+    return Graph(
+        n=len(selected),
+        edges=tuple((index[u], index[v]) for u, v in graph.edges if u in index and v in index),
+        labels=[graph.labels[v] for v in selected],
     )
 
 

@@ -38,6 +38,8 @@ class Matching(_Record, frozen=True):
     def __init__(self, pairing: Iterable[int]) -> None:
         p = tuple(pairing)
         for v, u in enumerate(p):
+            if type(u) is not int:  # a bool would pass as 0 or 1, others raise TypeError
+                raise MatchingError(f"partner {u!r} of vertex {v} is not an int")
             if not (0 <= u < len(p)) or p[u] != v:
                 raise MatchingError(f"pairing is not an involution at vertex {v}")
         _setattr(self, "pairing", p)

@@ -3,7 +3,9 @@
 Every check uses public operations of other modules, private helpers
 (the digraph D and its reach sweep from ``alternating``, and
 ``decomposition._sd_vertices``), or its own route to the same answer.
-Failures carry a counterexample payload that can be re-verified by hand.
+Each is a fault function: it returns a counterexample that can be
+re-verified by hand, or None.  ``run_theorem_suite`` names each check
+once, in one table beside its fault, and builds its ``CheckResult``.
 
 The suite does each piece of work once, in one pass.  The factorization
 report comes first, and its partition's matching is the one reference:
@@ -72,7 +74,7 @@ class TheoremReport(_Record):
         return [c for c in self.checks if not c.passed]
 
 
-def _check_partner_reachable(graph, matching, reach) -> CheckResult:
+def _partner_fault(graph, matching, reach):
     # R(v) must hold M(v) and be closed under one alternating step: from x
     # in R(v), a non-matching edge xy and then y's matching edge reach M(y).
     pairing = matching.pairing
@@ -80,21 +82,15 @@ def _check_partner_reachable(graph, matching, reach) -> CheckResult:
     for v, w in enumerate(pairing):
         r = reach[v]
         if w not in r:
-            return CheckResult(
-                "reachable_includes_partner", False, {"vertex": v}
-            )
+            return {"vertex": v}
         if id(r) in closed:
             continue
         for x in sorted(r):
             for y in graph.adjacency[x]:
                 if y != pairing[x] and pairing[y] not in r:
-                    return CheckResult(
-                        "reachable_includes_partner",
-                        False,
-                        {"vertex": v, "edge": (x, y), "missing": pairing[y]},
-                    )
+                    return {"vertex": v, "edge": (x, y), "missing": pairing[y]}
         closed.add(id(r))
-    return CheckResult("reachable_includes_partner", True)
+    return None
 
 
 def _packed_reach(graph, partner, k):
@@ -119,19 +115,19 @@ def _packed_reach(graph, partner, k):
             for row in partner]
 
 
-def _check_perfect_matchings(graph, part, found):
+def _matching_faults(graph, part, found):
     """Reach invariance, SD-set invariance and unmatched cut, in one pass.
 
     ``found`` is an iterator of the perfect matchings.  They are drawn
     ``_CHUNK`` at a time and counted against ``_MAX_MATCHINGS``; only the
     chunk being checked and the one being drawn are alive.  The reference
     is the partition: its SD set, and R(v) under its matching, everything
-    M(v) reaches in D, returned for the partner, closure and full-reach
-    checks; vertices whose partners share a strong component share one
-    frozenset.  A chunk's reach comes from one ``_packed_reach`` closure,
-    its SD sets from the same bits (v is SD iff v in R(v) and M(v) in
-    R(M(v))), and the matchings that hold a cut edge from the partner
-    masks of the cut.
+    M(v) reaches in D, returned after the three faults for the partner,
+    closure and full-reach checks; vertices whose partners share a strong
+    component share one frozenset.  A chunk's reach comes from one
+    ``_packed_reach`` closure, its SD sets from the same bits (v is SD iff
+    v in R(v) and M(v) in R(M(v))), and the matchings that hold a cut edge
+    from the partner masks of the cut.
     """
     n, pairing = graph.n, part.matching.pairing
     comp, bits = _component_reach(_arcs(graph, pairing))
@@ -155,17 +151,13 @@ def _check_perfect_matchings(graph, part, found):
             ones = sum(1 << u * k for u in range(n))
             i, v = min((i, v) for v in range(n) for i in range(k)
                        if (packed[v] ^ expect[v]) >> i & ones)
-            invariance = CheckResult(
-                "reachability_matching_invariance",
-                False,
-                {
-                    "vertex": v,
-                    "matching_a": part.matching.edge_pairs(),
-                    "matching_b": chunk[i].edge_pairs(),
-                    "reach_a": sorted(reach[v]),
-                    "reach_b": [u for u in range(n) if packed[v] >> u * k + i & 1],
-                },
-            )
+            invariance = {
+                "vertex": v,
+                "matching_a": part.matching.edge_pairs(),
+                "matching_b": chunk[i].edge_pairs(),
+                "reach_a": sorted(reach[v]),
+                "reach_b": [u for u in range(n) if packed[v] >> u * k + i & 1],
+            }
         # sd[v]: the matchings of the chunk under which v is SD.
         closed = [bits >> v * k & full for v, bits in enumerate(packed)]
         sd = [reduce(or_, (bits & closed[w] for w, bits in row.items()), 0) & closed[v]
@@ -173,31 +165,20 @@ def _check_perfect_matchings(graph, part, found):
         off = [bits ^ (full if v in sd0 else 0) for v, bits in enumerate(sd)]
         if independence is None and any(off):
             i = min((bits & -bits).bit_length() - 1 for bits in off if bits)
-            independence = CheckResult(
-                "partition_matching_independence",
-                False,
-                {
-                    "matching": chunk[i].edge_pairs(),
-                    "sd": [v for v in range(n) if sd[v] >> i & 1],
-                    "sd_reference": sorted(sd0),
-                },
-            )
+            independence = {
+                "matching": chunk[i].edge_pairs(),
+                "sd": [v for v in range(n) if sd[v] >> i & 1],
+                "sd_reference": sorted(sd0),
+            }
         crossing = reduce(or_, (partner[u][w] for u, w in part.cut), 0)
         if unmatched is None and crossing:
             m = chunk[(crossing & -crossing).bit_length() - 1]
             e = next(e for e in part.cut if m.contains_edge(e))
-            unmatched = CheckResult(
-                "cut_edges_unmatched", False, {"edge": e, "matching": m.edge_pairs()}
-            )
-    return (
-        invariance or CheckResult("reachability_matching_invariance", True),
-        independence or CheckResult("partition_matching_independence", True),
-        unmatched or CheckResult("cut_edges_unmatched", True),
-        reach,
-    )
+            unmatched = {"edge": e, "matching": m.edge_pairs()}
+    return invariance, independence, unmatched, reach
 
 
-def _check_witnesses(graph, part) -> CheckResult:
+def _witness_fault(graph, part):
     pairing = part.matching.pairing
     try:
         part.matching.validate(graph)
@@ -213,40 +194,27 @@ def _check_witnesses(graph, part) -> CheckResult:
             or w.kind != "mm"
             or not _walk_holds(graph, pairing, w)
         ):
-            return CheckResult("sd_witnesses_verify", False, {"vertex": v})
-    return CheckResult("sd_witnesses_verify", True)
+            return {"vertex": v}
+    return None
 
 
-def _check_mu_additivity(graph, mu_sd, mu_ke) -> CheckResult:
-    mu_g = matching_number(graph)
-    ok = mu_g == mu_sd + mu_ke
-    return CheckResult(
-        "mu_additivity",
-        ok,
-        None if ok else {"mu": mu_g, "mu_sd": mu_sd, "mu_ke": mu_ke},
-    )
-
-
-def _check_ke_status(part, mu_sd, mu_ke) -> list[CheckResult]:
-    """The KE part is Koenig-Egervary and the SD part is not, by certificate.
-
-    Each part is read in its own ids, its vertex set in sorted order, and
-    an empty part passes.  As alpha <= n - mu on any graph, the partners of
-    ``failed_searches``, if n - mu independent vertices of the KE part,
-    prove alpha + mu = n.  In D, the implication graph of "one end of each
-    matched pair in an independent set", closed mm walks of the SD part at
-    its smallest vertex v and at M(v) give M(v) => v => M(v): with mu = n/2
-    and the matched pairs edges of the part, no n/2 vertices of it are
-    independent, so alpha + mu < n.  Both take O(n + m).
-    """
-    ke = _ke_fault(part, mu_ke) if part.ke_part.n else None
-    sd = _sd_fault(part, mu_sd) if part.sd_part.n else None
-    return [CheckResult("ke_part_is_koenig_egervary", ke is None, ke),
-            CheckResult("sd_part_not_koenig_egervary", sd is None, sd)]
+def _mu_fault(graph, mu_sd, mu_ke):
+    mu = matching_number(graph)
+    return None if mu == mu_sd + mu_ke else {"mu": mu, "mu_sd": mu_sd, "mu_ke": mu_ke}
 
 
 def _ke_fault(part, mu):
+    """The KE part is Koenig-Egervary, by certificate, in O(n + m).
+
+    The part is read in its own ids, its vertex set in sorted order, and
+    an empty part passes; ``mu`` is its matching number, shared with the
+    additivity check.  As alpha <= n - mu on any graph, the partners of
+    ``failed_searches``, if n - mu independent vertices of the part,
+    prove alpha + mu = n.
+    """
     ke, pairing = part.ke_part, part.matching.pairing
+    if not ke.n:
+        return None
     ids = dict(zip(sorted(part.ke_vertices), range(ke.n)))  # none beyond the part
     members = sorted(pairing[v] for v in part.failed_searches)
     outside = [x for x in members if x not in ids]
@@ -262,7 +230,18 @@ def _ke_fault(part, mu):
 
 
 def _sd_fault(part, mu):
+    """The SD part is not Koenig-Egervary, by certificate, in O(n + m).
+
+    The part is read as ``_ke_fault`` reads its own, and an empty part
+    passes.  In D, the implication graph of "one end of each matched pair
+    in an independent set", closed mm walks of the part at its smallest
+    vertex v and at M(v) give M(v) => v => M(v): with mu = n/2 and the
+    matched pairs edges of the part, no n/2 vertices of it are
+    independent, so alpha + mu < n.
+    """
     sd, pairing = part.sd_part, part.matching.pairing
+    if not sd.n:
+        return None
     if 2 * mu != sd.n:
         return {"mu": mu, "n": sd.n}
     ids = dict(zip(sorted(part.sd_vertices), range(sd.n)))
@@ -281,7 +260,7 @@ def _sd_fault(part, mu):
     return {"vertex": v}
 
 
-def _check_full_reachability(graph, part, reach) -> CheckResult:
+def _reach_fault(graph, part, reach):
     # On each connected component with no KE vertices, every vertex must
     # reach the whole component.
     for comp in connected_components(graph):
@@ -289,15 +268,11 @@ def _check_full_reachability(graph, part, reach) -> CheckResult:
             continue
         for v in sorted(comp):
             if reach[v] != comp:
-                return CheckResult(
-                    "full_reachability_when_ke_empty",
-                    False,
-                    {"vertex": v, "component": sorted(comp)},
-                )
-    return CheckResult("full_reachability_when_ke_empty", True)
+                return {"vertex": v, "component": sorted(comp)}
+    return None
 
 
-def _check_sachs_cut(graph, r: FactorizationReport) -> CheckResult:
+def _sachs_fault(graph, r: FactorizationReport):
     """No spanning Sachs subgraph uses an edge of the SD-KE cut.
 
     G minus its cut is the disjoint union of the SD and KE parts, and
@@ -312,35 +287,23 @@ def _check_sachs_cut(graph, r: FactorizationReport) -> CheckResult:
     subgraphs enumerated, which also yields the counterexample.
     """
     if r.perm_product_ok:
-        return CheckResult("sachs_cut_disjointness", True)
+        return None
     ok, witness = sachs_cut_disjointness(graph, r.partition.cut)
     if ok:
-        return CheckResult("sachs_cut_disjointness", True)
+        return None
     s, e = witness
-    return CheckResult(
-        "sachs_cut_disjointness",
-        False,
-        {"edge": e, "k2_edges": list(s.k2_edges), "cycles": list(s.cycles)},
-    )
+    return {"edge": e, "k2_edges": list(s.k2_edges), "cycles": list(s.cycles)}
 
 
-def _check_multiplicativity(r: FactorizationReport) -> CheckResult:
+def _product_fault(r: FactorizationReport):
     if not r.det_product_ok:
-        return CheckResult(
-            "det_multiplicativity",
-            False,
-            {"det": r.det_g, "det_sd": r.det_sd, "det_ke": r.det_ke},
-        )
+        return {"det": r.det_g, "det_sd": r.det_sd, "det_ke": r.det_ke}
     if not r.perm_product_ok:
-        return CheckResult(
-            "det_multiplicativity",
-            False,
-            {"perm": r.perm_g, "perm_sd": r.perm_sd, "perm_ke": r.perm_ke},
-        )
-    return CheckResult("det_multiplicativity", True)
+        return {"perm": r.perm_g, "perm_sd": r.perm_sd, "perm_ke": r.perm_ke}
+    return None
 
 
-def _check_stability(graph, part, max_order) -> CheckResult:
+def _stability_fault(graph, part, max_order):
     """Delete each KE edge e and compare SD(G - e) with SD(G).
 
     The partition's matching M of G serves every edge; only an e in M costs
@@ -366,19 +329,9 @@ def _check_stability(graph, part, max_order) -> CheckResult:
             continue
         if sd_before <= sd_after and (sd_before == sd_after or not avoidable):
             continue
-        return CheckResult(
-            "stability_under_deletion",
-            False,
-            {
-                "edge": e,
-                "avoidable": avoidable,
-                "sd_before": sorted(sd_before),
-                "sd_after": sorted(sd_after),
-            },
-        )
-    if skipped:
-        return CheckResult("stability_under_deletion", False, {"skipped": skipped})
-    return CheckResult("stability_under_deletion", True)
+        return {"edge": e, "avoidable": avoidable,
+                "sd_before": sorted(sd_before), "sd_after": sorted(sd_after)}
+    return {"skipped": skipped} if skipped else None
 
 
 def run_theorem_suite(
@@ -398,21 +351,24 @@ def run_theorem_suite(
     factorization = factorization_report(graph)
     part = factorization.partition
     found = iter_perfect_matchings(graph, max_order=max_order)
-    invariance, independence, unmatched, reach = _check_perfect_matchings(graph, part, found)
+    invariance, independence, unmatched, reach = _matching_faults(graph, part, found)
     mu_sd, mu_ke = matching_number(part.sd_part), matching_number(part.ke_part)
-    report = TheoremReport(factorization)
-    report.checks.append(invariance)
-    report.checks.append(_check_partner_reachable(graph, part.matching, reach))
-    report.checks.append(independence)
-    report.checks.append(_check_witnesses(graph, part))
-    report.checks.append(unmatched)
-    report.checks.append(_check_mu_additivity(graph, mu_sd, mu_ke))
-    report.checks.extend(_check_ke_status(part, mu_sd, mu_ke))
-    report.checks.append(_check_full_reachability(graph, part, reach))
-    report.checks.append(_check_sachs_cut(graph, factorization))
-    report.checks.append(_check_multiplicativity(factorization))
-    report.checks.append(_check_stability(graph, part, max_order))
-    return report
+    table = (
+        ("reachability_matching_invariance", invariance),
+        ("reachable_includes_partner", _partner_fault(graph, part.matching, reach)),
+        ("partition_matching_independence", independence),
+        ("sd_witnesses_verify", _witness_fault(graph, part)),
+        ("cut_edges_unmatched", unmatched),
+        ("mu_additivity", _mu_fault(graph, mu_sd, mu_ke)),
+        ("ke_part_is_koenig_egervary", _ke_fault(part, mu_ke)),
+        ("sd_part_not_koenig_egervary", _sd_fault(part, mu_sd)),
+        ("full_reachability_when_ke_empty", _reach_fault(graph, part, reach)),
+        ("sachs_cut_disjointness", _sachs_fault(graph, factorization)),
+        ("det_multiplicativity", _product_fault(factorization)),
+        ("stability_under_deletion", _stability_fault(graph, part, max_order)),
+    )
+    checks = [CheckResult(name, fault is None, fault) for name, fault in table]
+    return TheoremReport(factorization, checks)
 
 
 def random_matchable_graph(n: int, extra_edge_prob: float, seed: int) -> Graph:

@@ -21,7 +21,6 @@ from sdke import (
 )
 from sdke.alternating import _bit_indices
 from sdke.configurations import _state_reach
-from sdke.verification import CheckResult
 
 
 def brute_matching_number(g: Graph) -> int:
@@ -428,10 +427,11 @@ def sd_from_reach(matching: Matching, reach) -> frozenset[int]:
 def matching_invariance_per_matching(graph: Graph, matchings, part):
     """The suite's per-matching checks, by one ``reach_by_state_search`` per matching.
 
-    Returns what ``verification._check_perfect_matchings`` returns: the
-    ``reachability_matching_invariance``,
-    ``partition_matching_independence`` and ``cut_edges_unmatched``
-    results, and the reachable sets under the partition's matching.  The
+    Returns what ``verification._matching_faults`` returns: the
+    counterexamples of ``reachability_matching_invariance``,
+    ``partition_matching_independence`` and ``cut_edges_unmatched``, each
+    None when the check passes, and the reachable sets under the
+    partition's matching.  The
     reference reach is its own first call, and every matching is compared
     with it, so a test can fault the reference apart from a matching's own
     sets; each matching's SD set is ``sd_from_reach`` of its own sets and
@@ -444,39 +444,24 @@ def matching_invariance_per_matching(graph: Graph, matchings, part):
         sets = reach_by_state_search(graph, m)
         if invariance is None and sets != reach:
             v = next(i for i, (a, b) in enumerate(zip(sets, reach)) if a != b)
-            invariance = CheckResult(
-                "reachability_matching_invariance",
-                False,
-                {
-                    "vertex": v,
-                    "matching_a": part.matching.edge_pairs(),
-                    "matching_b": m.edge_pairs(),
-                    "reach_a": sorted(reach[v]),
-                    "reach_b": sorted(sets[v]),
-                },
-            )
+            invariance = {
+                "vertex": v,
+                "matching_a": part.matching.edge_pairs(),
+                "matching_b": m.edge_pairs(),
+                "reach_a": sorted(reach[v]),
+                "reach_b": sorted(sets[v]),
+            }
         sd = sd_from_reach(m, sets)
         if independence is None and sd != part.sd_vertices:
-            independence = CheckResult(
-                "partition_matching_independence",
-                False,
-                {
-                    "matching": m.edge_pairs(),
-                    "sd": sorted(sd),
-                    "sd_reference": sorted(part.sd_vertices),
-                },
-            )
+            independence = {
+                "matching": m.edge_pairs(),
+                "sd": sorted(sd),
+                "sd_reference": sorted(part.sd_vertices),
+            }
         for e in part.cut:
             if unmatched is None and m.contains_edge(e):
-                unmatched = CheckResult(
-                    "cut_edges_unmatched", False, {"edge": e, "matching": m.edge_pairs()}
-                )
-    return (
-        invariance or CheckResult("reachability_matching_invariance", True),
-        independence or CheckResult("partition_matching_independence", True),
-        unmatched or CheckResult("cut_edges_unmatched", True),
-        reach,
-    )
+                unmatched = {"edge": e, "matching": m.edge_pairs()}
+    return invariance, independence, unmatched, reach
 
 
 # The blossom-by-blossom configuration search, the reference for the
@@ -710,10 +695,10 @@ def sd_vertices_by_search(g: Graph, *, max_order: int = 12) -> frozenset[int]:
     ))
 
 
-def stability_per_edge(graph: Graph, max_order: int) -> CheckResult:
+def stability_per_edge(graph: Graph, max_order: int) -> dict | None:
     """The theorem suite's stability check, recomputed per KE edge.
 
-    Returns what ``verification._check_stability`` returns, from its own
+    Returns what ``verification._stability_fault`` returns, from its own
     routes: SD(G) and every SD(G - e) by ``sd_vertices_by_search``, and
     mu(G - e) by ``brute_matching_number``.  It computes SD(G - e) for
     every KE edge, even where the verdict cannot depend on it, so it could
@@ -734,19 +719,13 @@ def stability_per_edge(graph: Graph, max_order: int) -> CheckResult:
             skipped.append({"edge": (u, v), "bound": str(exc)})
             continue
         if not sd_before <= sd_after or (avoidable and sd_before != sd_after):
-            return CheckResult(
-                "stability_under_deletion",
-                False,
-                {
-                    "edge": (u, v),
-                    "avoidable": avoidable,
-                    "sd_before": sorted(sd_before),
-                    "sd_after": sorted(sd_after),
-                },
-            )
-    if skipped:
-        return CheckResult("stability_under_deletion", False, {"skipped": skipped})
-    return CheckResult("stability_under_deletion", True)
+            return {
+                "edge": (u, v),
+                "avoidable": avoidable,
+                "sd_before": sorted(sd_before),
+                "sd_after": sorted(sd_after),
+            }
+    return {"skipped": skipped} if skipped else None
 
 
 def sd_vertices_stop_at_full(graph: Graph) -> frozenset[int]:

@@ -71,6 +71,19 @@ def test_every_public_name_is_in_the_readme_table():
     assert all(why for _, why in rows)
 
 
+def test_readme_check_list_is_the_suite_table():
+    # The numbered list after "It checks, in this order" names the suite's
+    # checks in report order; item 7 names the two Koenig-Egervary checks.
+    text = README.read_text(encoding="utf-8")
+    section = text.split("It checks, in this order", 1)[1].split("\n\n", 2)[1]
+    items = re.findall(r"^(\d+)\. ((?:`\w+`(?: and )?)+)", section, re.MULTILINE)
+    assert [int(number) for number, _ in items] == list(range(1, len(items) + 1))
+    listed = [name for _, names in items for name in re.findall(r"`(\w+)`", names)]
+    report = sdke.run_theorem_suite(sdke.build_graph(2, [(0, 1)]))
+    assert listed == [check.name for check in report.checks]
+    assert len(listed) == 12
+
+
 def test_submodules_are_attributes_after_a_plain_import():
     src = Path(__file__).resolve().parents[1] / "src"
     subprocess.run(
@@ -110,6 +123,10 @@ NON_INT_CALLS = {
     "matching_from_edges": (MatchingError, lambda: sdke.matching_from_edges(2, [(0.0, 1)])),
     "matching_from_edges n": (MatchingError, lambda: sdke.matching_from_edges(2.0, [])),
     "parse_matching": (MatchingError, lambda: sdke.parse_matching("0 1", 2.5)),
+    "Matching float": (MatchingError, lambda: sdke.Matching([1.0, 0])),
+    "Matching str": (MatchingError, lambda: sdke.Matching(["a"])),
+    "Matching None": (MatchingError, lambda: sdke.Matching([None])),
+    "Matching bool": (MatchingError, lambda: sdke.Matching([True, False])),
     "reachable_set": (GraphError, lambda: sdke.reachable_set(
         _k2(), sdke.maximum_matching(_k2()), 1.0)),
     "semi_jposy_witness": (GraphError, lambda: sdke.semi_jposy_witness(

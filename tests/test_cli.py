@@ -475,6 +475,8 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli(["no-such-command", "x"]) == 2
     assert run_cli(["det", "in.edges", "--method", "bogus"]) == 2
     assert run_cli(["matchings", "in.edges", "--limit", "-1"]) == 2
+    assert run_cli(["matchings", "in.edges", "--limit", "x"]) == 2
+    assert "expected a non-negative int, got 'x'" in capsys.readouterr().err
 
 
 def test_version_and_help_return_0(capsys):

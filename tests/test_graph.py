@@ -59,6 +59,11 @@ def test_build_rejects_duplicate_edge():
         build_graph(3, [(0, 1), (1, 0)])
 
 
+def test_build_rejects_a_wrong_label_count():
+    with pytest.raises(GraphError, match="expected 3 labels, got 2"):
+        build_graph(3, [(0, 1)], labels=["a", "b"])
+
+
 def test_induced_identity():
     g = cycle_graph(4)
     h = induced_subgraph(g, range(4))
@@ -86,6 +91,11 @@ def test_induced_edge_count_matches_brute_force():
         h = induced_subgraph(g, s)
         expect = sum(1 for u in s for v in s if u < v and g.has_edge(u, v))
         assert h.num_edges == expect
+        # The same graph as build_graph gives, which checks and sorts the edges.
+        ids = sorted(s)
+        edges = [(i, j) for j, v in enumerate(ids) for i, u in enumerate(ids[:j])
+                 if g.has_edge(u, v)]
+        assert h == build_graph(len(ids), edges, labels=g.labels_of(ids))
 
 
 def test_delete_edge():
@@ -121,6 +131,7 @@ def test_serialize_c4_canonical():
     ("2 1\n0 2\n", "outside"),
     ("2 2\n0 1\n", "declares"),
     ("2 1\nx y\n", "malformed"),
+    ("2 1\n0 1 1\n", "malformed edge line '0 1 1'"),
     ("not a header", "header"),
     ("", "header"),
 ])
@@ -187,6 +198,14 @@ def test_export_dot_validates_the_matching():
         export_dot(c4, matching=matching_from_edges(3, [(0, 1)]))
     with pytest.raises(MatchingError, match=r"matched pair \(0,2\) is not an edge"):
         export_dot(c4, matching=matching_from_edges(4, [(0, 2)]))
+
+
+def test_export_dot_refuses_a_partition_of_a_larger_graph():
+    # C4's partition puts all four vertices in KE; a K2 has two of them.
+    from sdke import sd_ke_partition
+
+    with pytest.raises(GraphError, match="partition references unknown vertex [23]"):
+        export_dot(build_graph(2, [(0, 1)]), partition=sd_ke_partition(cycle_graph(4)))
 
 
 def test_export_dot_partition_colors():

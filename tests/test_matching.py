@@ -265,6 +265,8 @@ def test_matching_text_roundtrip():
     m = maximum_matching(g)
     text = "".join(f"{u} {v}\n" for u, v in m.edge_pairs())
     assert parse_matching(text, g.n) == m
+    # Comment and blank lines are skipped.
+    assert parse_matching(f"# pairs\n\n  \n{text}# end\n", g.n) == m
 
 
 def test_parse_matching_rejects_garbage():
@@ -272,3 +274,5 @@ def test_parse_matching_rejects_garbage():
         parse_matching("0 1 2\n", 4)
     with pytest.raises(MatchingError):
         parse_matching("0 9\n", 4)
+    with pytest.raises(MatchingError, match="malformed matching line '0 x'"):
+        parse_matching("0 x\n", 4)

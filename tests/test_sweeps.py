@@ -114,7 +114,7 @@ def test_matching_invariance_sweep(monkeypatch):
         want = matching_invariance_per_matching(g, matchings, part)
         for chunk in (1, 3, 7, 256):
             monkeypatch.setattr(verification, "_CHUNK", chunk)
-            got = verification._check_perfect_matchings(g, part, iter(matchings))
+            got = verification._matching_faults(g, part, iter(matchings))
             assert got == want, (name, chunk)
 
 
@@ -127,7 +127,7 @@ def test_stability_sweep():
             for s in range(60):
                 g = sdke.random_matchable_graph(n, p, s)
                 part = sdke.sd_ke_partition(g)
-                got = verification._check_stability(g, part, 12)
+                got = verification._stability_fault(g, part, 12)
                 name = f"random_matchable_graph({n}, {p}, {s})"
                 assert got == stability_per_edge(g, 12), name
 
@@ -144,9 +144,9 @@ def test_ke_certificate_sweep():
             for s in range(seeds):
                 g = sdke.random_matchable_graph(n, p, s)
                 for kind, part in ke_status_cases(g):
-                    mu_sd = sdke.matching_number(part.sd_part)
-                    mu_ke = sdke.matching_number(part.ke_part)
-                    got = [r.passed for r in verification._check_ke_status(part, mu_sd, mu_ke)]
+                    ke = verification._ke_fault(part, sdke.matching_number(part.ke_part))
+                    sd = verification._sd_fault(part, sdke.matching_number(part.sd_part))
+                    got = [ke is None, sd is None]
                     assert got == ke_status_by_alpha(part), (n, p, s, kind)
                     verdicts += got
     assert verdicts.count(False) > 1000 and verdicts.count(True) > 1000

@@ -24,6 +24,7 @@ from conftest import matchable_corpus, mixed_corpus
 from fixtures import (
     complete_graph,
     cycle_graph,
+    disjoint_union,
     k10_pendant,
     ke_status_cases,
     ladder8,
@@ -36,7 +37,7 @@ from fixtures import (
     tangle8,
 )
 from sdke.decomposition import _sd_vertices
-from sdke.verification import _check_ke_status
+from sdke.verification import _ke_fault, _sd_fault
 from oracles import (
     brute_alpha,
     exists_max_matching_avoiding,
@@ -76,8 +77,9 @@ def test_ke_check_fixtures():
 
 
 def _ke_status(part):
+    # The faults of the KE and the SD check, each None when it passes.
     mu_sd, mu_ke = matching_number(part.sd_part), matching_number(part.ke_part)
-    return _check_ke_status(part, mu_sd, mu_ke)
+    return _ke_fault(part, mu_ke), _sd_fault(part, mu_sd)
 
 
 def test_parts_ke_status_on_corpus():
@@ -90,7 +92,7 @@ def test_parts_ke_status_on_corpus():
     verdicts = []
     for name, g in graphs:
         for kind, part in ke_status_cases(g):
-            got = [r.passed for r in _ke_status(part)]
+            got = [fault is None for fault in _ke_status(part)]
             assert got == ke_status_by_alpha(part), (name, kind)
             verdicts += got
     assert verdicts.count(False) > 100 and verdicts.count(True) > 100
@@ -221,16 +223,19 @@ def _doctored_partition(g):
 
 def test_injected_counterexamples_reverify_as_failures():
     # A fabricated wrong partition must trip the checks and carry payloads
-    # that identify the offense.
-    from sdke.verification import _check_perfect_matchings
+    # that identify the offense: an edge of G between two partners of KE
+    # certificate members, and a matching whose SD set is not the
+    # partition's.
+    from sdke.verification import _matching_faults
 
     g = posy12()
     bad = _doctored_partition(g)
-    results = list(_check_perfect_matchings(g, bad, iter_perfect_matchings(g))[:3])
-    results.extend(_ke_status(bad))
-    failing = [r for r in results if not r.passed]
-    assert "ke_part_is_koenig_egervary" in [r.name for r in failing]
-    assert all(r.counterexample is not None for r in failing)
+    invariance, independence, unmatched, _ = _matching_faults(g, bad, iter_perfect_matchings(g))
+    ke, sd = _ke_status(bad)
+    assert invariance is None and unmatched is None and sd is None
+    partners = {bad.matching.pairing[x] for x in bad.failed_searches}
+    assert g.has_edge(*ke["edge"]) and set(ke["edge"]) <= partners
+    assert independence["sd"] != independence["sd_reference"] == sorted(bad.sd_vertices)
 
 
 def test_ke_status_checks_name_each_failing_part():
@@ -242,36 +247,26 @@ def test_ke_status_checks_name_each_failing_part():
     p = sd_ke_partition(posy12())
     mu_sd, mu_ke = matching_number(p.sd_part), matching_number(p.ke_part)
     swapped = replaced(p, sd_part=p.ke_part, ke_part=p.sd_part)
-    ke, sd = _ke_status(swapped)
-    assert (ke.name, ke.passed, ke.counterexample) == (
-        "ke_part_is_koenig_egervary", False, {"certificate": 1, "mu": 5, "n": 10}
-    )
-    assert (sd.name, sd.passed, sd.counterexample) == (
-        "sd_part_not_koenig_egervary", False, {"vertex": 0}
-    )
+    assert _ke_status(swapped) == ({"certificate": 1, "mu": 5, "n": 10}, {"vertex": 0})
     for doctored in (
         replaced(p, sd_part=build_graph(0, [])),
         replaced(p, ke_part=build_graph(0, [])),
     ):
-        assert all(r.passed for r in _ke_status(doctored))
+        assert _ke_status(doctored) == (None, None)
     # A member outside KE, and two members joined by an edge.
     for failed, want in (({0, 10}, {"vertex": 1}), ({10, 11}, {"edge": (10, 11)})):
-        ke, sd = _ke_status(replaced(p, failed_searches=frozenset(failed)))
-        assert sd.passed and (ke.passed, ke.counterexample) == (False, want)
+        assert _ke_status(replaced(p, failed_searches=frozenset(failed))) == (want, None)
     # The walks at 0 and 1 rule out n/2 independent vertices only when
     # every matched pair is an edge of the SD part; 6-7 is one, off the walks.
-    ke, sd = _ke_status(replaced(p, sd_part=delete_edge(p.sd_part, (6, 7))))
-    assert ke.passed and (sd.passed, sd.counterexample) == (False, {"vertex": 0})
+    doctored = replaced(p, sd_part=delete_edge(p.sd_part, (6, 7)))
+    assert _ke_status(doctored) == (None, {"vertex": 0})
     # The matching numbers are the caller's, shared with the additivity
     # check, and are not computed again: one more on the KE side fails the
     # KE certificate's size, and one less on the SD side leaves that part
     # without a perfect matching, which its certificate needs.
-    ke, sd = _check_ke_status(p, mu_sd, mu_ke + 1)
-    assert sd.passed and not ke.passed
-    assert ke.counterexample == {"certificate": 1, "mu": mu_ke + 1, "n": 2}
-    ke, sd = _check_ke_status(p, mu_sd - 1, mu_ke)
-    assert ke.passed and not sd.passed
-    assert sd.counterexample == {"mu": mu_sd - 1, "n": 10}
+    assert _sd_fault(p, mu_sd) is None and _ke_fault(p, mu_ke) is None
+    assert _ke_fault(p, mu_ke + 1) == {"certificate": 1, "mu": mu_ke + 1, "n": 2}
+    assert _sd_fault(p, mu_sd - 1) == {"mu": mu_sd - 1, "n": 10}
 
 
 def _with_sd_vertices():
@@ -295,12 +290,11 @@ def test_ke_certificate_fails_with_an_sd_component_moved_to_ke():
         pairing = part.matching.pairing
         for comp in sd_components(part):
             moved = split_at(g, part.sd_vertices - comp)
-            mu_sd, mu_ke = matching_number(moved.sd_part), matching_number(moved.ke_part)
+            mu_ke = matching_number(moved.ke_part)
             pairs = [(v, pairing[v]) for v in sorted(comp) if v < pairing[v]]
             for choice in product(*pairs):
                 doctored = replaced(moved, failed_searches=part.failed_searches | set(choice))
-                ke, _ = _check_ke_status(doctored, mu_sd, mu_ke)
-                assert not ke.passed, (name, sorted(comp), choice)
+                assert _ke_fault(doctored, mu_ke) is not None, (name, sorted(comp), choice)
             cases += 1
     assert cases > 100
 
@@ -311,7 +305,7 @@ def test_sd_certificate_fails_without_witnesses():
     cases = 0
     for name, _, part in _with_sd_vertices():
         _, sd = _ke_status(replaced(part, witnesses={}))
-        assert (sd.passed, sd.counterexample) == (False, {"vertex": min(part.sd_vertices)}), name
+        assert sd == {"vertex": min(part.sd_vertices)}, name
         cases += 1
     assert cases > 100
 
@@ -325,10 +319,9 @@ def test_counterexample_payload_identifies_matched_cut_edge(monkeypatch):
     p = sd_ke_partition(g)
     # Pretend a matched SD edge is a cut edge: the check must flag it.
     doctored = replaced(p, cut=frozenset({(0, 1)}))
-    result = verification._check_perfect_matchings(g, doctored, iter([p.matching]))[2]
-    assert not result.passed
-    assert result.counterexample["edge"] == (0, 1)
-    assert [0, 1] in [list(e) for e in result.counterexample["matching"]]
+    fault = verification._matching_faults(g, doctored, iter([p.matching]))[2]
+    assert fault["edge"] == (0, 1)
+    assert [0, 1] in [list(e) for e in fault["matching"]]
     # The true cut passes, and random edge sets as the cut mostly fail:
     # the partner masks name the first matching that holds a cut edge and
     # its first such edge, as asking every matching about every cut edge
@@ -342,10 +335,10 @@ def test_counterexample_payload_identifies_matched_cut_edge(monkeypatch):
         for cut in cuts:
             doctored = replaced(part, cut=cut)
             want = matching_invariance_per_matching(g, matchings, doctored)[2]
-            verdicts.append(want.passed)
+            verdicts.append(want is None)
             for chunk in (1, 3, 7):
                 monkeypatch.setattr(verification, "_CHUNK", chunk)
-                got = verification._check_perfect_matchings(g, doctored, iter(matchings))
+                got = verification._matching_faults(g, doctored, iter(matchings))
                 assert got[2] == want, (g.edges, cut, chunk)
     assert verdicts.count(False) > 30 and verdicts.count(True) > 30
 
@@ -369,16 +362,15 @@ def _report_for(g, sd):
 
 
 def _assert_sachs_verdict_matches_enumeration(g, r: FactorizationReport):
-    from sdke.verification import _check_sachs_cut
+    from sdke.verification import _sachs_fault
 
     ok, witness = sachs_cut_disjointness(g, r.partition.cut)
-    result = _check_sachs_cut(g, r)
-    assert result.passed == ok
-    if not ok:
+    fault = _sachs_fault(g, r)
+    if ok:
+        assert fault is None
+    else:
         s, e = witness
-        assert result.counterexample == {
-            "edge": e, "k2_edges": list(s.k2_edges), "cycles": list(s.cycles)
-        }
+        assert fault == {"edge": e, "k2_edges": list(s.k2_edges), "cycles": list(s.cycles)}
     return ok
 
 
@@ -438,21 +430,49 @@ def test_reach_derived_sd_set_equals_split_under_every_matching():
 
 
 def test_partner_check_catches_a_reach_set_not_closed_under_a_step():
-    from sdke.verification import _check_partner_reachable
+    from sdke.verification import _partner_fault
 
     g = posy12()
     m = sd_ke_partition(g).matching
     reach = list(reach_by_state_search(g, m))
-    assert _check_partner_reachable(g, m, reach).passed
+    assert _partner_fault(g, m, reach) is None
     # From M(11) = 10 the walk goes on through edge 10-8 into the SD core;
     # keeping only 10 holds the partner but is not closed.
     reach[11] = frozenset({10})
-    result = _check_partner_reachable(g, m, reach)
-    assert not result.passed
-    assert result.counterexample == {"vertex": 11, "edge": (10, 8), "missing": 9}
+    assert _partner_fault(g, m, reach) == {"vertex": 11, "edge": (10, 8), "missing": 9}
     reach[11] = frozenset({8, 9})
-    result = _check_partner_reachable(g, m, reach)
-    assert result.counterexample == {"vertex": 11}
+    assert _partner_fault(g, m, reach) == {"vertex": 11}
+
+
+def test_full_reach_check_names_a_vertex_short_of_its_component():
+    # K4 beside a K2: K4 has no KE vertex, so each of its vertices must
+    # reach all four; the K2 is KE, so its reach is not checked.
+    from sdke.verification import _reach_fault
+
+    g = disjoint_union(complete_graph(4), path_graph(2))
+    part = sd_ke_partition(g)
+    reach = list(reach_by_state_search(g, part.matching))
+    assert part.ke_vertices == {4, 5} and _reach_fault(g, part, reach) is None
+    reach[4] = frozenset()
+    assert _reach_fault(g, part, reach) is None
+    reach[2] = frozenset({0, 1, 2})
+    assert _reach_fault(g, part, reach) == {"vertex": 2, "component": [0, 1, 2, 3]}
+
+
+def test_product_check_names_the_product_that_fails():
+    # Doctored reports: a det that does not factor is named before the
+    # perm, and a perm that does not factor, or is missing, is named too.
+    from sdke.verification import _product_fault
+
+    r = factorization_report(posy12())
+    assert r.det_product_ok and r.perm_product_ok and _product_fault(r) is None
+    det = replaced(r, det_ke=r.det_ke + 1, det_product_ok=False)
+    perm = replaced(r, perm_ke=r.perm_ke + 1, perm_product_ok=False)
+    want = {"det": r.det_g, "det_sd": r.det_sd, "det_ke": r.det_ke + 1}
+    assert _product_fault(det) == _product_fault(replaced(det, perm_product_ok=False)) == want
+    want = {"perm": r.perm_g, "perm_sd": r.perm_sd, "perm_ke": r.perm_ke + 1}
+    assert _product_fault(perm) == want
+    assert _product_fault(replaced(r, perm_product_ok=None))["perm"] == r.perm_g
 
 
 def test_stability_check_fails_on_a_skipped_edge(monkeypatch):
@@ -460,7 +480,7 @@ def test_stability_check_fails_on_a_skipped_edge(monkeypatch):
     # matchable, so the check runs the exhaustive search once.  A search
     # that hits a work bound lists the edge as skipped and fails the check.
     from sdke import configurations
-    from sdke.verification import _check_stability
+    from sdke.verification import _stability_fault
 
     def bounded(graph, **bounds):
         raise BoundExceededError("work bound")
@@ -469,16 +489,15 @@ def test_stability_check_fails_on_a_skipped_edge(monkeypatch):
     part = sd_ke_partition(g)
     with monkeypatch.context() as patch:
         patch.setattr(configurations, "sd_vertices_bruteforce", bounded)
-        result = _check_stability(g, part, 12)
-    assert not result.passed
-    assert result.counterexample == {"skipped": [{"edge": (10, 11), "bound": "work bound"}]}
+        fault = _stability_fault(g, part, 12)
+    assert fault == {"skipped": [{"edge": (10, 11), "bound": "work bound"}]}
     # Unpatched, the search lists no cycles and checks the edge: G - e is
     # K10 with the pendant 10 on 0, and an isolated 11.  Under a matching
     # that leaves 10 exposed, the stem 10-0-M(0) grows a flower into the
     # triangle of M(0) and any other matched pair, so every vertex but 11
     # is SD.
     assert configurations.sd_vertices_bruteforce(delete_edge(g, (10, 11))) == frozenset(range(11))
-    assert _check_stability(g, part, 12).passed
+    assert _stability_fault(g, part, 12) is None
 
 
 def test_stability_check_reports_a_real_failure_before_skips(monkeypatch):
@@ -496,9 +515,7 @@ def test_stability_check_reports_a_real_failure_before_skips(monkeypatch):
         return frozenset()
 
     monkeypatch.setattr(verification, "_sd_vertices", fake)
-    result = verification._check_stability(g, sd_ke_partition(g), 12)
-    assert not result.passed
-    assert result.counterexample == {
+    assert verification._stability_fault(g, sd_ke_partition(g), 12) == {
         "edge": second, "avoidable": True, "sd_before": [], "sd_after": [0]
     }
 
@@ -513,18 +530,18 @@ def test_stability_loop_equals_per_edge_oracle():
     # The oracle's search lists simple odd cycles, and on k10_pendant's one
     # KE edge it stops at its cycle cap, where the loop, which lists none,
     # checks the edge and passes.  Elsewhere the two agree.
-    from sdke.verification import _check_stability
+    from sdke.verification import _stability_fault
 
     for i, g in enumerate(_stability_graphs()):
         part = sd_ke_partition(g)
         want = stability_per_edge(g, 12)
         if g == k10_pendant():
-            assert want.counterexample == {
+            assert want == {
                 "skipped": [{"edge": (10, 11), "bound": "more than 200000 simple cycles"}]
             }
-            assert _check_stability(g, part, 12).passed
+            assert _stability_fault(g, part, 12) is None
             continue
-        assert _check_stability(g, part, 12) == want, f"graph {i}"
+        assert _stability_fault(g, part, 12) == want, f"graph {i}"
 
 
 def test_stability_faults_make_the_loop_differ_from_the_oracle(monkeypatch):
@@ -532,7 +549,7 @@ def test_stability_faults_make_the_loop_differ_from_the_oracle(monkeypatch):
     # the split route on G - e (one vertex added) must fail the loop, while
     # the per-edge oracle, which calls neither route, still passes.
     from sdke import configurations, decomposition
-    from sdke.verification import _check_stability
+    from sdke.verification import _stability_fault
 
     search, split = configurations.sd_vertices_bruteforce, decomposition._split
     graphs = [g for g in _stability_graphs() if g.n <= 10 or g == posy12()]
@@ -541,7 +558,7 @@ def test_stability_faults_make_the_loop_differ_from_the_oracle(monkeypatch):
         part = sd_ke_partition(g)
         sd, size = part.sd_vertices, g.num_edges
         want = stability_per_edge(g, 12)
-        assert want == _check_stability(g, part, 12), g.edges
+        assert want == _stability_fault(g, part, 12), g.edges
 
         def drop(graph, **bounds):
             return search(graph, **bounds) - {min(sd)}
@@ -560,9 +577,9 @@ def test_stability_faults_make_the_loop_differ_from_the_oracle(monkeypatch):
                 continue
             with monkeypatch.context() as patch:
                 patch.setattr(module, attr, fault)
-                got = _check_stability(g, part, 12)
+                got = _stability_fault(g, part, 12)
                 assert stability_per_edge(g, 12) == want, (route, g.edges)
-            if not got.passed:
+            if got is not None:
                 assert got != want, (route, g.edges)
                 failed[route] += 1
     assert failed["exhaustive"] >= 5 and failed["split"] >= 50, failed
@@ -582,7 +599,7 @@ def test_stability_reuses_the_matching_of_g(monkeypatch):
     for g in (ladder8(), posy12(), path_graph(4)):
         part = sd_ke_partition(g)
         found.clear()
-        verification._check_stability(g, part, 12)
+        verification._stability_fault(g, part, 12)
         assert found == [
             delete_edge(g, e) for e in g.edges
             if part.matching.contains_edge(e) and set(e) <= part.ke_vertices
@@ -594,7 +611,7 @@ def test_exhaustive_search_runs_only_where_the_verdict_depends_on_it(monkeypatch
     # search; posy12 has SD vertices and runs one search per unavoidable
     # KE edge.
     from sdke import configurations
-    from sdke.verification import _check_stability
+    from sdke.verification import _stability_fault
 
     search = configurations.sd_vertices_bruteforce
     calls = []
@@ -605,7 +622,7 @@ def test_exhaustive_search_runs_only_where_the_verdict_depends_on_it(monkeypatch
 
     monkeypatch.setattr(configurations, "sd_vertices_bruteforce", counted)
     p4 = path_graph(4)
-    assert _check_stability(p4, sd_ke_partition(p4), 12).passed
+    assert _stability_fault(p4, sd_ke_partition(p4), 12) is None
     assert calls == []
     g = posy12()
     part = sd_ke_partition(g)
@@ -614,7 +631,7 @@ def test_exhaustive_search_runs_only_where_the_verdict_depends_on_it(monkeypatch
         if set(e) <= part.ke_vertices and not exists_max_matching_avoiding(g, e)
     ]
     calls.clear()
-    assert _check_stability(g, part, 12).passed
+    assert _stability_fault(g, part, 12) is None
     assert unavoidable and calls == [delete_edge(g, e) for e in unavoidable]
 
 
@@ -692,7 +709,7 @@ def test_packed_closure_equals_per_matching_oracle(monkeypatch):
             want = matching_invariance_per_matching(g, matchings, part)
             for chunk in (1, 3, 7):
                 monkeypatch.setattr(verification, "_CHUNK", chunk)
-                assert verification._check_perfect_matchings(g, part, iter(matchings)) == want
+                assert verification._matching_faults(g, part, iter(matchings)) == want
 
 
 def test_packed_closure_faults_give_the_oracle_payloads(monkeypatch):
@@ -720,17 +737,15 @@ def test_packed_closure_faults_give_the_oracle_payloads(monkeypatch):
                         with monkeypatch.context() as m:
                             _fault_packed_reach(m, at, v, u)
                             _fault_oracle_reach(m, at + 1, v, u)
-                            got = verification._check_perfect_matchings(
-                                g, part, iter(matchings))
+                            got = verification._matching_faults(g, part, iter(matchings))
                             want = oracles.matching_invariance_per_matching(
                                 g, matchings, part)
                         assert got[:3] == want[:3], (at, v, u)
-                        failures += not got[0].passed
+                        failures += got[0] is not None
                     with monkeypatch.context() as m:
                         _fault_reference_reach(m, part.matching.pairing, v, v)
                         _fault_oracle_reach(m, 0, v, v)
-                        got = verification._check_perfect_matchings(
-                            g, part, iter(matchings))
+                        got = verification._matching_faults(g, part, iter(matchings))
                         want = oracles.matching_invariance_per_matching(
                             g, matchings, part)
                     assert got[:3] == want[:3], v
@@ -749,13 +764,13 @@ def test_matching_invariance_payloads_name_the_second_matching(monkeypatch):
 
     _fault_packed_reach(monkeypatch, 1, 0, 0)
     part = sd_ke_partition(g, matchings[0])
-    invariance, independence, unmatched, reach = verification._check_perfect_matchings(
+    invariance, independence, unmatched, reach = verification._matching_faults(
         g, part, iter(matchings)
     )
-    assert unmatched.passed
+    assert unmatched is None
     assert reach == reach_by_state_search(g, matchings[0])
     full = sorted(reach[0])
-    assert invariance.counterexample == {
+    assert invariance == {
         "vertex": 0,
         "matching_a": matchings[0].edge_pairs(),
         "matching_b": matchings[1].edge_pairs(),
@@ -763,7 +778,7 @@ def test_matching_invariance_payloads_name_the_second_matching(monkeypatch):
         "reach_b": [x for x in full if x != 0],
     }
     sd = sorted(part.sd_vertices)
-    assert independence.counterexample == {
+    assert independence == {
         "matching": matchings[1].edge_pairs(),
         "sd": [x for x in sd if x not in (0, matchings[1].pairing[0])],
         "sd_reference": sd,
@@ -839,7 +854,6 @@ def _witnesses_by_verify_walk(graph, part):
     # The per-walk route: verify_walk, with its matching check, at each SD
     # vertex in order, as the suite's check ran before it validated once.
     from sdke import verify_walk
-    from sdke.verification import CheckResult
 
     for v in sorted(part.sd_vertices):
         w = part.witnesses.get(v)
@@ -850,8 +864,8 @@ def _witnesses_by_verify_walk(graph, part):
             or w.kind != "mm"
             or not verify_walk(graph, part.matching, w)
         ):
-            return CheckResult("sd_witnesses_verify", False, {"vertex": v})
-    return CheckResult("sd_witnesses_verify", True)
+            return {"vertex": v}
+    return None
 
 
 def test_witness_check_validates_once_and_agrees_with_verify_walk(monkeypatch):
@@ -862,7 +876,7 @@ def test_witness_check_validates_once_and_agrees_with_verify_walk(monkeypatch):
     from itertools import islice
 
     from sdke import AlternatingWalk, Matching
-    from sdke.verification import _check_witnesses
+    from sdke.verification import _witness_fault
 
     validated = []
     validate = Matching.validate
@@ -895,10 +909,10 @@ def test_witness_check_validates_once_and_agrees_with_verify_walk(monkeypatch):
         doctored.append(("order", replaced(part, matching=Matching((1, 0)))))
         for kind, p in doctored:
             del validated[:]
-            got = _check_witnesses(g, p)
+            got = _witness_fault(g, p)
             assert len(validated) == 1
             assert got == _witnesses_by_verify_walk(g, p), (g.edges, kind)
-            verdicts.setdefault(kind, []).append(got.passed)
+            verdicts.setdefault(kind, []).append(got is None)
     assert all(verdicts["true"]) and len(verdicts["true"]) > 30
     assert not any(verdicts["step"] + verdicts["tag"] + verdicts["order"])
     assert verdicts["other"].count(True) > 5 and verdicts["other"].count(False) > 5
