@@ -41,7 +41,6 @@ _EXPORTS = {
     "determinantal": (
         "FactorizationReport", "SachsSubgraph", "det_adjacency", "enumerate_sachs",
         "factorization_report", "perm_adjacency", "sachs_census",
-        "sachs_cut_disjointness",
     ),
     "verification": (
         "CheckResult", "TheoremReport", "random_matchable_graph",

@@ -38,8 +38,10 @@ class SdKePartition(_Record):
     vertex, the same walk ``semi_jposy_witness`` returns.  failed_searches
     holds the member of each KE pair that its partner cannot reach in D
     (the strong-component order picks it, with no search), so it has no
-    mm-closed walk.  Their partners form an independent set of G[KE] of
-    size |KE|/2, the certificate that the KE part is Koenig-Egervary.
+    mm-closed walk.  Their partners form an independent set of G of size
+    |KE|/2 with no neighbour in SD, as ``verification._block_fault``
+    proves: the certificate that the KE part is Koenig-Egervary, and that
+    no perfect matching or spanning Sachs subgraph uses a cut edge.
     """
 
     __slots__ = ("sd_vertices", "ke_vertices", "sd_part", "ke_part", "cut", "matching",

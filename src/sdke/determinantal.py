@@ -21,7 +21,7 @@ from __future__ import annotations
 from math import comb, prod
 from typing import Iterator
 
-from .errors import BoundExceededError, GraphError
+from .errors import BoundExceededError
 from .graph import Edge, Graph, _Record, _setattr
 from .decomposition import SdKePartition, sd_ke_partition
 
@@ -359,25 +359,3 @@ def factorization_report(
         report.perm_g, report.perm_sd, report.perm_ke = perm_g, perm_sd, perm_ke
         report.perm_product_ok = perm_g == perm_sd * perm_ke
     return report
-
-
-def sachs_cut_disjointness(
-    graph: Graph, cut: frozenset[Edge]
-) -> tuple[bool, tuple[SachsSubgraph, Edge] | None]:
-    """Check that no Sachs subgraph uses an edge of the given cut.
-
-    The cut is normally the SD-KE cut, sd_ke_partition(graph).cut.
-    Returns (True, None) when the separation property holds; otherwise the
-    offending subgraph and edge come back as a counterexample witness.
-    A cut entry that is not an edge of graph, in its (min, max) form,
-    raises GraphError.
-    """
-    stray = cut - graph.edge_set
-    if stray:
-        raise GraphError(f"cut edge {min(stray)} is not an edge of the graph")
-    if cut:
-        for s in enumerate_sachs(graph):
-            hit = s.edges() & cut
-            if hit:
-                return False, (s, min(hit))
-    return True, None

@@ -81,9 +81,34 @@ class Graph(_Record, frozen=True):
     __slots__ = ("n", "edges", "labels", "__dict__")  # __dict__ caches adjacency, edge_set
 
     def __init__(self, n: int, edges: Iterable[Edge], labels: Iterable[Hashable] = ()) -> None:
+        """Check and store the fields.
+
+        Loops, endpoints that are not ints (bools included) or lie outside
+        0..n-1, and duplicate edges are errors.  Each edge is stored in its
+        (min, max) form, and the list sorted; a tuple already in that form
+        is kept as given.
+        """
+        if type(n) is not int:
+            raise GraphError(f"vertex count {n!r} is not an int")
+        if n < 0:
+            raise GraphError(f"vertex count must be nonnegative, got {n}")
+        seen: set[Edge] = set()
+        canonical: list[Edge] = []
+        for u, v in edges:
+            e = as_edge(u, v)
+            if e[0] < 0 or e[1] >= n:
+                raise GraphError(f"edge ({u},{v}) has endpoint outside 0..{n - 1}")
+            if e in seen:
+                raise GraphError(f"duplicate edge ({e[0]},{e[1]})")
+            seen.add(e)
+            canonical.append(e)
+        ordered = tuple(sorted(canonical))
+        labels = tuple(labels) or tuple(range(n))
+        if len(labels) != n:
+            raise GraphError(f"expected {n} labels, got {len(labels)}")
         _setattr(self, "n", n)
-        _setattr(self, "edges", tuple(edges))
-        _setattr(self, "labels", tuple(labels) or tuple(range(n)))
+        _setattr(self, "edges", edges if edges == ordered else ordered)
+        _setattr(self, "labels", labels)
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -120,32 +145,19 @@ def build_graph(
     *,
     labels: Sequence[Hashable] | None = None,
 ) -> Graph:
-    """Build a graph on n vertices from a list of (u, v) pairs.
+    """Build a graph on n vertices from a list of (u, v) pairs, checked as
+    the ``Graph`` constructor checks them."""
+    return Graph(n, edge_list, () if labels is None else labels)
 
-    Loops, endpoints that are not ints (bools included) or lie outside
-    0..n-1, and duplicate edges are errors.
-    """
-    if type(n) is not int:
-        raise GraphError(f"vertex count {n!r} is not an int")
-    if n < 0:
-        raise GraphError(f"vertex count must be nonnegative, got {n}")
-    seen: set[Edge] = set()
-    canonical: list[Edge] = []
-    for u, v in edge_list:
-        e = as_edge(u, v)
-        if e[0] < 0 or e[1] >= n:
-            raise GraphError(f"edge ({u},{v}) has endpoint outside 0..{n - 1}")
-        if e in seen:
-            raise GraphError(f"duplicate edge ({e[0]},{e[1]})")
-        seen.add(e)
-        canonical.append(e)
-    if labels is None:
-        label_tuple: tuple[Hashable, ...] = tuple(range(n))
-    else:
-        if len(labels) != n:
-            raise GraphError(f"expected {n} labels, got {len(labels)}")
-        label_tuple = tuple(labels)
-    return Graph(n=n, edges=tuple(sorted(canonical)), labels=label_tuple)
+
+def _derived(n: int, edges: tuple[Edge, ...], labels: tuple) -> Graph:
+    # A graph derived from a valid one: its fields need none of the
+    # constructor's checks, so none runs.
+    graph = object.__new__(Graph)
+    _setattr(graph, "n", n)
+    _setattr(graph, "edges", edges)
+    _setattr(graph, "labels", labels)
+    return graph
 
 
 def induced_subgraph(graph: Graph, vertices: Iterable[int]) -> Graph:
@@ -162,11 +174,11 @@ def induced_subgraph(graph: Graph, vertices: Iterable[int]) -> Graph:
     selected = sorted(chosen)
     index = {v: i for i, v in enumerate(selected)}
     # The remap is monotone, so the edges of a valid graph stay canonical
-    # and sorted, and need none of build_graph's checks.
-    return Graph(
-        n=len(selected),
-        edges=tuple((index[u], index[v]) for u, v in graph.edges if u in index and v in index),
-        labels=[graph.labels[v] for v in selected],
+    # and sorted.
+    return _derived(
+        len(selected),
+        tuple((index[u], index[v]) for u, v in graph.edges if u in index and v in index),
+        tuple([graph.labels[v] for v in selected]),
     )
 
 
@@ -175,11 +187,7 @@ def delete_edge(graph: Graph, e: tuple[int, int]) -> Graph:
     e = as_edge(*e)
     if e not in graph.edge_set:
         raise GraphError(f"edge ({e[0]},{e[1]}) not in graph")
-    return Graph(
-        n=graph.n,
-        edges=tuple(x for x in graph.edges if x != e),
-        labels=graph.labels,
-    )
+    return _derived(graph.n, tuple(x for x in graph.edges if x != e), graph.labels)
 
 
 def connected_components(graph: Graph) -> list[frozenset[int]]:

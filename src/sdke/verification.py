@@ -14,16 +14,13 @@ partner, closure and full-reach checks.  The perfect matchings are then
 streamed once, a chunk at a time; one Warshall closure per chunk, on
 integers whose bits range over the chunk, gives every matching's
 reachable sets and SD set (v is SD iff v is in R(v) and M(v) is in
-R(M(v))), and the same partner masks show which matchings hold a cut
-edge.  The matching numbers of the parts serve both the additivity and
-the Koenig-Egervary checks, which verify the partition's own
-certificates in linear time.  The Sachs-cut verdict is read off the
-permanents of the factorization report, which equal it exactly; Sachs
-subgraphs are enumerated only to name a counterexample.  One matching of
-G serves the stability check of every KE edge, and the exhaustive SD
-search runs only on G - e for an unavoidable e of a graph with SD
-vertices.  A check that hits a work bound on some input does not pass:
-it fails with the skipped work listed.
+R(M(v))).  The matching numbers of the parts serve both the additivity
+and the Koenig-Egervary checks.  Those checks, and the two cut claims,
+verify the partition's own certificates on G's edges in linear time; no
+Sachs subgraph is enumerated.  One matching of G serves the stability
+check of every KE edge, and the exhaustive SD search runs only on G - e
+for an unavoidable e of a graph with SD vertices.  A check that hits a
+work bound does not pass: it fails with the skipped work listed.
 """
 
 from __future__ import annotations
@@ -36,11 +33,7 @@ from typing import Any
 
 from .alternating import AlternatingWalk, _arcs, _bit_indices, _component_reach, _walk_holds
 from .decomposition import _sd_vertices
-from .determinantal import (
-    FactorizationReport,
-    factorization_report,
-    sachs_cut_disjointness,
-)
+from .determinantal import FactorizationReport, factorization_report
 from .errors import BoundExceededError, GraphError, SdkeError
 from .graph import Graph, _Record, build_graph, connected_components, delete_edge
 from .matching import iter_perfect_matchings, matching_number, maximum_matching
@@ -116,25 +109,24 @@ def _packed_reach(graph, partner, k):
 
 
 def _matching_faults(graph, part, found):
-    """Reach invariance, SD-set invariance and unmatched cut, in one pass.
+    """Reach invariance and SD-set invariance, in one pass.
 
     ``found`` is an iterator of the perfect matchings.  They are drawn
     ``_CHUNK`` at a time and counted against ``_MAX_MATCHINGS``; only the
     chunk being checked and the one being drawn are alive.  The reference
     is the partition: its SD set, and R(v) under its matching, everything
-    M(v) reaches in D, returned after the three faults for the partner,
+    M(v) reaches in D, returned after the two faults for the partner,
     closure and full-reach checks; vertices whose partners share a strong
     component share one frozenset.  A chunk's reach comes from one
-    ``_packed_reach`` closure, its SD sets from the same bits (v is SD iff
-    v in R(v) and M(v) in R(M(v))), and the matchings that hold a cut edge
-    from the partner masks of the cut.
+    ``_packed_reach`` closure, and its SD sets from the same bits (v is SD
+    iff v in R(v) and M(v) in R(M(v))).
     """
     n, pairing = graph.n, part.matching.pairing
     comp, bits = _component_reach(_arcs(graph, pairing))
     sets = [frozenset(_bit_indices(b)) for b in bits]
     reach = tuple(sets[comp[w]] for w in pairing)
     sd0 = part.sd_vertices
-    invariance = independence = unmatched = None
+    invariance = independence = None
     count = 0
     while chunk := list(islice(found, _CHUNK)):
         count += len(chunk)
@@ -170,12 +162,7 @@ def _matching_faults(graph, part, found):
                 "sd": [v for v in range(n) if sd[v] >> i & 1],
                 "sd_reference": sorted(sd0),
             }
-        crossing = reduce(or_, (partner[u][w] for u, w in part.cut), 0)
-        if unmatched is None and crossing:
-            m = chunk[(crossing & -crossing).bit_length() - 1]
-            e = next(e for e in part.cut if m.contains_edge(e))
-            unmatched = {"edge": e, "matching": m.edge_pairs()}
-    return invariance, independence, unmatched, reach
+    return invariance, independence, reach
 
 
 def _witness_fault(graph, part):
@@ -272,27 +259,39 @@ def _reach_fault(graph, part, reach):
     return None
 
 
-def _sachs_fault(graph, r: FactorizationReport):
-    """No spanning Sachs subgraph uses an edge of the SD-KE cut.
+def _block_fault(graph, part):
+    """No perfect matching or spanning Sachs subgraph uses a cut edge, by
+    the partition's block certificate, in O(n + m).
 
-    G minus its cut is the disjoint union of the SD and KE parts, and
-    perm(A) is the sum of 2^c(S) over the spanning Sachs subgraphs S, so
+    Let I be the partners of ``failed_searches``.  On G's own edges, I
+    must lie in KE with 2|I| = |KE|, each edge at I must end in KE - I,
+    and ``cut`` must be the edges with one end in KE.  A permutation with
+    a non-zero term in det(A) or perm(A) maps I into N(I), so onto KE - I,
+    and, A being symmetric, KE - I onto I and SD onto SD: no perfect
+    matching or spanning Sachs subgraph uses a cut edge, and det and perm
+    factor for any edge weights.
 
-        perm(G) - perm(SD) * perm(KE) = sum of 2^c(S) over the spanning
-                                        Sachs subgraphs S that use a cut edge.
+    The split passes.  With D's components numbered sinks first and x in
+    I, comp[x] < comp[M(x)], so x does not reach M(x).  An edge xy with y
+    in SD would give x -> M(y) ~> y -> M(x); an edge xx' within I, comp[x]
+    >= comp[M(x')] > comp[x'] >= comp[M(x)] > comp[x].  So N(I) lies in
+    KE - I, and I holds one end of each KE pair.
 
-    Every term is positive, so the difference is 0 exactly when no such S
-    exists: with exact integers the verdict is ``perm_product_ok``.  Only
-    when that is not True (a violation, or no permanents) are the Sachs
-    subgraphs enumerated, which also yields the counterexample.
+    A failure returns {"vertex"}, {"certificate", "n"}, {"edge"} or
+    {"cut"}, one per condition above, in order.
     """
-    if r.perm_product_ok:
-        return None
-    ok, witness = sachs_cut_disjointness(graph, r.partition.cut)
-    if ok:
-        return None
-    s, e = witness
-    return {"edge": e, "k2_edges": list(s.k2_edges), "cycles": list(s.cycles)}
+    pairing, ke = part.matching.pairing, part.ke_vertices
+    inside = {pairing[v] for v in part.failed_searches}
+    if not inside <= ke:
+        return {"vertex": min(inside - ke)}
+    if 2 * len(inside) != len(ke):
+        return {"certificate": len(inside), "n": len(ke)}
+    rest = ke - inside
+    for u, w in graph.edges:
+        if u in inside and w not in rest or w in inside and u not in rest:
+            return {"edge": (u, w)}
+    crossing = {e for e in graph.edges if (e[0] in ke) != (e[1] in ke)}
+    return {"cut": sorted(crossing ^ part.cut)} if crossing != part.cut else None
 
 
 def _product_fault(r: FactorizationReport):
@@ -351,19 +350,20 @@ def run_theorem_suite(
     factorization = factorization_report(graph)
     part = factorization.partition
     found = iter_perfect_matchings(graph, max_order=max_order)
-    invariance, independence, unmatched, reach = _matching_faults(graph, part, found)
+    invariance, independence, reach = _matching_faults(graph, part, found)
     mu_sd, mu_ke = matching_number(part.sd_part), matching_number(part.ke_part)
+    block = _block_fault(graph, part)
     table = (
         ("reachability_matching_invariance", invariance),
         ("reachable_includes_partner", _partner_fault(graph, part.matching, reach)),
         ("partition_matching_independence", independence),
         ("sd_witnesses_verify", _witness_fault(graph, part)),
-        ("cut_edges_unmatched", unmatched),
+        ("cut_edges_unmatched", block),
         ("mu_additivity", _mu_fault(graph, mu_sd, mu_ke)),
         ("ke_part_is_koenig_egervary", _ke_fault(part, mu_ke)),
         ("sd_part_not_koenig_egervary", _sd_fault(part, mu_sd)),
         ("full_reachability_when_ke_empty", _reach_fault(graph, part, reach)),
-        ("sachs_cut_disjointness", _sachs_fault(graph, factorization)),
+        ("sachs_cut_disjointness", block),
         ("det_multiplicativity", _product_fault(factorization)),
         ("stability_under_deletion", _stability_fault(graph, part, max_order)),
     )

@@ -104,6 +104,33 @@ def ke_status_cases(g: Graph):
         yield f"moved {sorted(comp)}", replaced(moved, failed_searches=members)
 
 
+def doctored_splits(g: Graph, rng: random.Random):
+    """(kind, partition) pairs of wrong splits of g, of the kinds the
+    suite's tests build.
+
+    They are g's partition with a random set of one to four edges as its
+    cut; two random unions of matched pairs as the SD side, each as
+    ``split_at`` gives it and again with one member per KE pair in
+    failed_searches (g's own where the pair is KE in g's partition, the
+    smaller end elsewhere), so that the KE certificate's sizes hold; and
+    each SD component moved into KE, as ``ke_status_cases`` moves it.
+    """
+    part = sd_ke_partition(g)
+    cut = rng.sample(g.edges, min(rng.randint(1, 4), g.num_edges))
+    yield "random cut", replaced(part, cut=frozenset(cut))
+    pairs = part.matching.edge_pairs()
+    for _ in range(2):
+        split = split_at(g, {x for pair in pairs if rng.random() < 0.5 for x in pair})
+        yield "pairs", split
+        pairing, ke = split.matching.pairing, split.ke_vertices
+        kept = {v for v in split.failed_searches if v in ke}
+        fresh = {v for v in ke if v < pairing[v] and not {v, pairing[v]} & kept}
+        yield "pairs with members", replaced(split, failed_searches=frozenset(kept | fresh))
+    for kind, moved in ke_status_cases(g):
+        if kind.startswith("moved"):
+            yield "moved", moved
+
+
 def disjoint_union(a: Graph, b: Graph) -> Graph:
     """Disjoint union; the second graph's ids are shifted by a.n."""
     edges = list(a.edges) + [(u + a.n, v + a.n) for u, v in b.edges]

@@ -13,14 +13,18 @@ from itertools import combinations, permutations
 from sdke import (
     BoundExceededError,
     Graph,
+    GraphError,
     Matching,
+    SachsSubgraph,
     delete_edge,
+    enumerate_sachs,
     iter_maximum_matchings,
     iter_perfect_matchings,
     matching_number,
 )
 from sdke.alternating import _bit_indices
 from sdke.configurations import _state_reach
+from sdke.graph import Edge
 
 
 def brute_matching_number(g: Graph) -> int:
@@ -428,18 +432,16 @@ def matching_invariance_per_matching(graph: Graph, matchings, part):
     """The suite's per-matching checks, by one ``reach_by_state_search`` per matching.
 
     Returns what ``verification._matching_faults`` returns: the
-    counterexamples of ``reachability_matching_invariance``,
-    ``partition_matching_independence`` and ``cut_edges_unmatched``, each
-    None when the check passes, and the reachable sets under the
-    partition's matching.  The
+    counterexamples of ``reachability_matching_invariance`` and
+    ``partition_matching_independence``, each None when the check passes,
+    and the reachable sets under the partition's matching.  The
     reference reach is its own first call, and every matching is compared
     with it, so a test can fault the reference apart from a matching's own
     sets; each matching's SD set is ``sd_from_reach`` of its own sets and
-    is compared with ``part.sd_vertices``.  A matched cut edge is found by
-    asking every matching about every cut edge.
+    is compared with ``part.sd_vertices``.
     """
     reach = reach_by_state_search(graph, part.matching)
-    invariance = independence = unmatched = None
+    invariance = independence = None
     for m in matchings:
         sets = reach_by_state_search(graph, m)
         if invariance is None and sets != reach:
@@ -458,10 +460,39 @@ def matching_invariance_per_matching(graph: Graph, matchings, part):
                 "sd": sorted(sd),
                 "sd_reference": sorted(part.sd_vertices),
             }
-        for e in part.cut:
-            if unmatched is None and m.contains_edge(e):
-                unmatched = {"edge": e, "matching": m.edge_pairs()}
-    return invariance, independence, unmatched, reach
+    return invariance, independence, reach
+
+
+def matched_cut_edge(matchings, cut):
+    """The first (edge, matching) with a cut edge in the matching, or None,
+    by asking every matching about every cut edge."""
+    for m in matchings:
+        for e in sorted(cut):
+            if m.contains_edge(e):
+                return e, m
+    return None
+
+
+def sachs_cut_disjointness(
+    graph: Graph, cut: frozenset[Edge]
+) -> tuple[bool, tuple[SachsSubgraph, Edge] | None]:
+    """Check that no Sachs subgraph uses an edge of the given cut.
+
+    The cut is normally the SD-KE cut, sd_ke_partition(graph).cut.
+    Returns (True, None) when the separation property holds; otherwise the
+    offending subgraph and edge come back as a counterexample witness.
+    A cut entry that is not an edge of graph, in its (min, max) form,
+    raises GraphError.
+    """
+    stray = cut - graph.edge_set
+    if stray:
+        raise GraphError(f"cut edge {min(stray)} is not an edge of the graph")
+    if cut:
+        for s in enumerate_sachs(graph):
+            hit = s.edges() & cut
+            if hit:
+                return False, (s, min(hit))
+    return True, None
 
 
 # The blossom-by-blossom configuration search, the reference for the

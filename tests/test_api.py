@@ -41,7 +41,6 @@ PUBLIC_NAMES = {
     # determinantal
     "FactorizationReport", "SachsSubgraph", "det_adjacency", "enumerate_sachs",
     "factorization_report", "perm_adjacency", "sachs_census",
-    "sachs_cut_disjointness",
     # verification
     "CheckResult", "TheoremReport", "random_matchable_graph",
     "run_theorem_suite",
@@ -57,7 +56,7 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not inspect.ismodule(getattr(sdke, name))
     }
     assert exported == PUBLIC_NAMES == set(sdke.__all__)
-    assert len(PUBLIC_NAMES) == len(sdke.__all__) == 44
+    assert len(PUBLIC_NAMES) == len(sdke.__all__) == 43
 
 
 def test_every_public_name_is_in_the_readme_table():

@@ -565,7 +565,7 @@ print(json.dumps(sorted(set(names) - {{"__builtins__"}})))
     p = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(src)},
                        capture_output=True, text=True, check=True)
     assert set(json.loads(p.stdout)) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 44
+    assert len(PUBLIC_NAMES) == 43
 
 
 def test_commands_import_neither_dataclasses_nor_inspect(files):

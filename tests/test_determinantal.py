@@ -13,7 +13,6 @@ from sdke import (
     factorization_report,
     perm_adjacency,
     sachs_census,
-    sachs_cut_disjointness,
     sd_ke_partition,
 )
 from sdke import determinantal
@@ -29,7 +28,13 @@ from fixtures import (
     posy12,
     tangle8,
 )
-from oracles import brute_det, brute_perm, brute_sachs_count, column_subset_perm
+from oracles import (
+    brute_det,
+    brute_perm,
+    brute_sachs_count,
+    column_subset_perm,
+    sachs_cut_disjointness,
+)
 
 
 def sachs_key(s: SachsSubgraph):
@@ -307,6 +312,9 @@ def test_multiplicativity_on_corpus():
         r = factorization_report(g)
         assert r.det_product_ok, f"seed {seed}"
         assert r.perm_product_ok, f"seed {seed}"
+
+
+# The Sachs-cut oracle, the suite's reference for its cut certificate.
 
 
 def test_cut_disjointness_fixtures():

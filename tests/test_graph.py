@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sdke import (
+    Graph,
     GraphError,
     build_graph,
     connected_components,
@@ -62,6 +63,49 @@ def test_build_rejects_duplicate_edge():
 def test_build_rejects_a_wrong_label_count():
     with pytest.raises(GraphError, match="expected 3 labels, got 2"):
         build_graph(3, [(0, 1)], labels=["a", "b"])
+
+
+@pytest.mark.parametrize("args,kwargs,match", [
+    ((3, [(0, 5)]), {}, "outside"),
+    ((2, [(0, 1)]), {"labels": ["a"]}, "expected 2 labels, got 1"),
+    ((3, [(0, 0)]), {}, "loop"),
+    ((3, [(0, 1), (1, 0)]), {}, "duplicate"),
+    ((2, [(0.0, 1)]), {}, "not an int"),
+    ((2.0, []), {}, "not an int"),
+    ((-1, []), {}, "nonnegative"),
+])
+def test_graph_constructor_checks_as_build_graph_does(args, kwargs, match):
+    # Graph(3, [(0, 5)]) and a label short used to build.
+    for build in (Graph, build_graph):
+        with pytest.raises(GraphError, match=match):
+            build(*args, **kwargs)
+
+
+def test_graph_constructor_stores_edges_canonically():
+    # A reversed edge used to be kept as given, so has_edge(0, 1) was False
+    # and sd_ke_partition refused its own matching.  Edges given canonical
+    # and sorted are kept as given.
+    from sdke import sd_ke_partition
+
+    g = Graph(2, [(1, 0)])
+    assert g.edges == ((0, 1),) and g.has_edge(0, 1) and g == build_graph(2, [(1, 0)])
+    assert sd_ke_partition(g).ke_vertices == {0, 1}
+    edges = ((0, 1), (1, 2))
+    assert Graph(3, edges).edges is edges
+    assert Graph(3, [(1, 2), (0, 1)]).edges == edges
+
+
+def test_derived_graphs_skip_the_constructor_checks(monkeypatch):
+    # Parsing checks each edge once; induced_subgraph and delete_edge
+    # derive from a valid graph, and check nothing again.
+    text, h = serialize_edge_list(posy12()), delete_edge(posy12(), (8, 10))
+    calls = []
+    init = Graph.__init__
+    monkeypatch.setattr(Graph, "__init__", lambda g, *a, **k: calls.append(1) or init(g, *a, **k))
+    g = parse_edge_list(text)
+    assert induced_subgraph(g, {8, 9, 10}).edges == ((0, 1), (0, 2))
+    assert delete_edge(g, (8, 10)) == h
+    assert len(calls) == 1
 
 
 def test_induced_identity():

@@ -14,11 +14,13 @@ import pytest
 import sdke
 from sdke import configurations, verification
 from sdke.determinantal import _frontier_plan, _perm_frontier, _perm_glynn
-from fixtures import ke_status_cases, random_graph
+from fixtures import doctored_splits, ke_status_cases, random_graph
 import oracles
 from oracles import (
     ke_status_by_alpha,
+    matched_cut_edge,
     matching_invariance_per_matching,
+    sachs_cut_disjointness,
     sd_vertices_stop_at_full,
     stability_per_edge,
 )
@@ -99,11 +101,11 @@ def test_exhaustive_sd_sweep(part, monkeypatch):
 
 def test_matching_invariance_sweep(monkeypatch):
     # The theorem suite's one pass over the perfect matchings (reach and
-    # SD-set invariance from one packed Warshall closure per chunk, and
-    # matched cut edges from the same partner masks) must equal the
-    # per-matching oracle (a state search per vertex and matching) on 1,200
-    # seeded matchable graphs and on K2-K12, at chunks of 1, 3, 7 and 256
-    # matchings; K12's 10,395 cross the 256-matching boundary 40 times.
+    # SD-set invariance from one packed Warshall closure per chunk) must
+    # equal the per-matching oracle (a state search per vertex and
+    # matching) on 1,200 seeded matchable graphs and on K2-K12, at chunks
+    # of 1, 3, 7 and 256 matchings; K12's 10,395 cross the 256-matching
+    # boundary 40 times.
     graphs = [(f"random_matchable_graph({n}, {p}, {s})", sdke.random_matchable_graph(n, p, s))
               for n in range(4, 13, 2) for p in (0.2, 0.3, 0.4, 0.5) for s in range(60)]
     graphs += [(f"K{n}", sdke.build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)]))
@@ -116,6 +118,30 @@ def test_matching_invariance_sweep(monkeypatch):
             monkeypatch.setattr(verification, "_CHUNK", chunk)
             got = verification._matching_faults(g, part, iter(matchings))
             assert got == want, (name, chunk)
+
+
+def test_cut_certificate_sweep():
+    # The suite's block certificate against both exhaustive cut routes, the
+    # Sachs enumeration and the per-matching cut check, on 1,200 seeded
+    # matchable graphs with n = 4-12: it passes every true split, and of
+    # the doctored splits (random cuts, random unions of matched pairs,
+    # moved SD components) it passes none that either route fails.
+    rng = random.Random(26)
+    verdicts = []
+    for n in range(4, 13, 2):
+        for p in (0.2, 0.3, 0.4, 0.5):
+            for s in range(60):
+                g = sdke.random_matchable_graph(n, p, s)
+                matchings = list(sdke.iter_perfect_matchings(g))
+                cases = [("true", sdke.sd_ke_partition(g)), *doctored_splits(g, rng)]
+                for kind, part in cases:
+                    passed = verification._block_fault(g, part) is None
+                    exhaustive = (sachs_cut_disjointness(g, part.cut)[0]
+                                  and matched_cut_edge(matchings, part.cut) is None)
+                    name = f"random_matchable_graph({n}, {p}, {s}), {kind}"
+                    assert exhaustive if passed else kind != "true", name
+                    verdicts.append((passed, exhaustive))
+    assert verdicts.count((True, True)) > 1200 and verdicts.count((False, False)) > 1000
 
 
 def test_stability_sweep():

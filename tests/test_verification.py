@@ -5,7 +5,6 @@ import pytest
 
 from sdke import (
     BoundExceededError,
-    FactorizationReport,
     NotMatchableError,
     SdkeError,
     build_graph,
@@ -17,7 +16,6 @@ from sdke import (
     maximum_matching,
     random_matchable_graph,
     run_theorem_suite,
-    sachs_cut_disjointness,
     sd_ke_partition,
 )
 from conftest import matchable_corpus, mixed_corpus
@@ -25,6 +23,7 @@ from fixtures import (
     complete_graph,
     cycle_graph,
     disjoint_union,
+    doctored_splits,
     k10_pendant,
     ke_status_cases,
     ladder8,
@@ -37,14 +36,16 @@ from fixtures import (
     tangle8,
 )
 from sdke.decomposition import _sd_vertices
-from sdke.verification import _ke_fault, _sd_fault
+from sdke.verification import _block_fault, _ke_fault, _sd_fault
 from oracles import (
     brute_alpha,
     exists_max_matching_avoiding,
     independence_number,
     ke_status_by_alpha,
+    matched_cut_edge,
     matching_invariance_per_matching,
     reach_by_state_search,
+    sachs_cut_disjointness,
     sd_from_reach,
     stability_per_edge,
 )
@@ -224,17 +225,18 @@ def _doctored_partition(g):
 def test_injected_counterexamples_reverify_as_failures():
     # A fabricated wrong partition must trip the checks and carry payloads
     # that identify the offense: an edge of G between two partners of KE
-    # certificate members, and a matching whose SD set is not the
-    # partition's.
+    # certificate members, for the KE check and for the block certificate,
+    # and a matching whose SD set is not the partition's.
     from sdke.verification import _matching_faults
 
     g = posy12()
     bad = _doctored_partition(g)
-    invariance, independence, unmatched, _ = _matching_faults(g, bad, iter_perfect_matchings(g))
+    invariance, independence, _ = _matching_faults(g, bad, iter_perfect_matchings(g))
     ke, sd = _ke_status(bad)
-    assert invariance is None and unmatched is None and sd is None
+    assert invariance is None and sd is None
     partners = {bad.matching.pairing[x] for x in bad.failed_searches}
     assert g.has_edge(*ke["edge"]) and set(ke["edge"]) <= partners
+    assert _block_fault(g, bad) == {"edge": ke["edge"]}
     assert independence["sd"] != independence["sd_reference"] == sorted(bad.sd_vertices)
 
 
@@ -310,22 +312,21 @@ def test_sd_certificate_fails_without_witnesses():
     assert cases > 100
 
 
-def test_counterexample_payload_identifies_matched_cut_edge(monkeypatch):
+def test_counterexample_payload_identifies_matched_cut_edge():
     import random
-
-    from sdke import verification
 
     g = posy12()
     p = sd_ke_partition(g)
-    # Pretend a matched SD edge is a cut edge: the check must flag it.
+    # Pretend a matched SD edge is a cut edge: the block certificate names
+    # it, beside the true cut edge the doctored cut lacks, and the
+    # per-matching oracle finds it in the partition's matching.
     doctored = replaced(p, cut=frozenset({(0, 1)}))
-    fault = verification._matching_faults(g, doctored, iter([p.matching]))[2]
-    assert fault["edge"] == (0, 1)
-    assert [0, 1] in [list(e) for e in fault["matching"]]
-    # The true cut passes, and random edge sets as the cut mostly fail:
-    # the partner masks name the first matching that holds a cut edge and
-    # its first such edge, as asking every matching about every cut edge
-    # does, across chunk boundaries.
+    assert _block_fault(g, doctored) == {"cut": [(0, 1), (8, 10)]}
+    assert matched_cut_edge([p.matching], doctored.cut) == ((0, 1), p.matching)
+    # Random edge sets as the cut: the certificate passes the true cut
+    # only, and names exactly the edges where a cut differs from it; the
+    # per-matching oracle passes some of the others, and fails none that
+    # the certificate passes.
     rng = random.Random(3)
     verdicts = []
     for _, g in matchable_corpus(60, max_n=10):
@@ -333,71 +334,72 @@ def test_counterexample_payload_identifies_matched_cut_edge(monkeypatch):
         part = sd_ke_partition(g)
         cuts = [part.cut] + [frozenset(rng.sample(g.edges, min(k, g.num_edges))) for k in (1, 2, 4)]
         for cut in cuts:
-            doctored = replaced(part, cut=cut)
-            want = matching_invariance_per_matching(g, matchings, doctored)[2]
+            fault = _block_fault(g, replaced(part, cut=cut))
+            want = matched_cut_edge(matchings, cut)
+            assert fault == (None if cut == part.cut else {"cut": sorted(cut ^ part.cut)})
+            assert fault is not None or want is None, (g.edges, cut)
             verdicts.append(want is None)
-            for chunk in (1, 3, 7):
-                monkeypatch.setattr(verification, "_CHUNK", chunk)
-                got = verification._matching_faults(g, doctored, iter(matchings))
-                assert got[2] == want, (g.edges, cut, chunk)
     assert verdicts.count(False) > 30 and verdicts.count(True) > 30
 
 
-def _report_for(g, sd):
-    # A factorization report for the split of g at sd, with the permanents
-    # of its own parts.
-    from sdke import perm_adjacency
-
-    part = split_at(g, sd)
-    r = factorization_report(g)
-    perm_sd = perm_adjacency(part.sd_part)
-    perm_ke = perm_adjacency(part.ke_part)
-    return replaced(
-        r,
-        partition=part,
-        perm_sd=perm_sd,
-        perm_ke=perm_ke,
-        perm_product_ok=r.perm_g == perm_sd * perm_ke,
-    )
+def _assert_block_verdict_is_sound(g, part, matchings):
+    # A pass of the block certificate implies a pass of both exhaustive
+    # routes, the Sachs enumeration and the per-matching cut check.
+    passed = _block_fault(g, part) is None
+    sachs, _ = sachs_cut_disjointness(g, part.cut)
+    unmatched = matched_cut_edge(matchings, part.cut) is None
+    assert not passed or sachs and unmatched, (g.edges, sorted(part.sd_vertices))
+    return passed, sachs and unmatched
 
 
-def _assert_sachs_verdict_matches_enumeration(g, r: FactorizationReport):
-    from sdke.verification import _sachs_fault
-
-    ok, witness = sachs_cut_disjointness(g, r.partition.cut)
-    fault = _sachs_fault(g, r)
-    if ok:
-        assert fault is None
-    else:
-        s, e = witness
-        assert fault == {"edge": e, "k2_edges": list(s.k2_edges), "cycles": list(s.cycles)}
-    return ok
-
-
-def test_sachs_verdict_equals_enumeration_on_true_splits():
+def test_block_certificate_passes_on_true_splits():
+    # Completeness: the certificate holds on every split the library
+    # makes, as do both exhaustive routes.
     graphs = [g for _, g in matchable_corpus(200, max_n=12)]
     graphs += [ladder8(), tangle8(), posy12(), cycle_graph(4), complete_graph(8)]
     for g in graphs:
-        assert _assert_sachs_verdict_matches_enumeration(g, factorization_report(g))
+        part = sd_ke_partition(g)
+        got = _assert_block_verdict_is_sound(g, part, iter_perfect_matchings(g))
+        assert got == (True, True), g.edges
 
 
-def test_sachs_verdict_equals_enumeration_on_doctored_cuts():
-    # Random unions of matched pairs as the SD side: most such cuts are
-    # crossed by some Sachs subgraph, and each must fail with the
-    # enumerated counterexample, whether or not permanents were computed.
+def test_block_certificate_pass_implies_no_crossing_sachs_subgraph():
+    # Soundness on doctored splits (random cuts, random unions of matched
+    # pairs, moved SD components): the certificate passes none that an
+    # exhaustive route fails.  It is stricter: it fails some that both
+    # routes pass.
     import random
 
     rng = random.Random(5)
     verdicts = []
-    for seed, g in matchable_corpus(120, max_n=10):
-        pairs = sd_ke_partition(g).matching.edge_pairs()
-        for _ in range(2):
-            sd = frozenset(x for pair in pairs if rng.random() < 0.5 for x in pair)
-            r = _report_for(g, sd)
-            verdicts.append(_assert_sachs_verdict_matches_enumeration(g, r))
-            no_perm = replaced(r, perm_product_ok=None)
-            assert _assert_sachs_verdict_matches_enumeration(g, no_perm) == verdicts[-1]
-    assert verdicts.count(False) > 30 and verdicts.count(True) > 30
+    for _, g in matchable_corpus(120, max_n=10):
+        matchings = list(iter_perfect_matchings(g))
+        for _, part in doctored_splits(g, rng):
+            verdicts.append(_assert_block_verdict_is_sound(g, part, matchings))
+    assert verdicts.count((False, False)) > 30 and verdicts.count((True, True)) > 30
+    assert verdicts.count((False, True)) > 30
+
+
+def test_block_certificate_catches_both_mutations():
+    # An SD component moved into KE, with one member per pair added to
+    # failed_searches, and g given one more edge from a partner of a
+    # failed search (an I vertex) to an SD vertex, with g's own partition
+    # kept: each fails the certificate.
+    moved = added = 0
+    for name, g, part in _with_sd_vertices():
+        for kind, doctored in ke_status_cases(g):
+            if kind.startswith("moved"):
+                assert _block_fault(g, doctored) is not None, (name, kind)
+                moved += 1
+        pairing = part.matching.pairing
+        inside = sorted(pairing[v] for v in part.failed_searches)
+        for x, y in product(inside, sorted(part.sd_vertices)):
+            if not g.has_edge(x, y):
+                more = build_graph(g.n, g.edges + ((x, y),))
+                assert _block_fault(more, part) == {"edge": (min(x, y), max(x, y))}, name
+                added += 1
+                break
+    assert moved > 100 and added > 30
 
 
 def test_theorem_suite_enumerates_no_sachs_subgraph_when_perm_factors(monkeypatch):
@@ -416,6 +418,17 @@ def test_theorem_suite_enumerates_no_sachs_subgraph_when_perm_factors(monkeypatc
                     monkeypatch.setattr(module, attr, counted)
     for g in (complete_graph(8), posy12(), tangle8(), ladder8()):
         assert run_theorem_suite(g).all_passed
+    # Nor when the permanents do not factor, as in a doctored report,
+    # where the cut verdict used to enumerate them: the block certificate
+    # reads the partition only.
+    from sdke import verification
+
+    def doctored(graph):
+        return replaced(factorization_report(graph), perm_product_ok=False)
+
+    monkeypatch.setattr(verification, "factorization_report", doctored)
+    report = run_theorem_suite(posy12())
+    assert [c.name for c in report.failed()] == ["det_multiplicativity"]
     assert calls == []
 
 
@@ -740,7 +753,7 @@ def test_packed_closure_faults_give_the_oracle_payloads(monkeypatch):
                             got = verification._matching_faults(g, part, iter(matchings))
                             want = oracles.matching_invariance_per_matching(
                                 g, matchings, part)
-                        assert got[:3] == want[:3], (at, v, u)
+                        assert got[:2] == want[:2], (at, v, u)
                         failures += got[0] is not None
                     with monkeypatch.context() as m:
                         _fault_reference_reach(m, part.matching.pairing, v, v)
@@ -748,7 +761,7 @@ def test_packed_closure_faults_give_the_oracle_payloads(monkeypatch):
                         got = verification._matching_faults(g, part, iter(matchings))
                         want = oracles.matching_invariance_per_matching(
                             g, matchings, part)
-                    assert got[:3] == want[:3], v
+                    assert got[:2] == want[:2], v
     assert failures > 100
 
 
@@ -764,10 +777,7 @@ def test_matching_invariance_payloads_name_the_second_matching(monkeypatch):
 
     _fault_packed_reach(monkeypatch, 1, 0, 0)
     part = sd_ke_partition(g, matchings[0])
-    invariance, independence, unmatched, reach = verification._matching_faults(
-        g, part, iter(matchings)
-    )
-    assert unmatched is None
+    invariance, independence, reach = verification._matching_faults(g, part, iter(matchings))
     assert reach == reach_by_state_search(g, matchings[0])
     full = sorted(reach[0])
     assert invariance == {
