@@ -31,7 +31,8 @@ bitset OR per arc of the condensation).  One BFS over D from M(v) gives
 v's reachable set alone, or, stopped as soon as v is reached, its
 shortest closed walk.  The walks at every SD vertex come from bitset
 level sweeps, one per strong component and block of targets, which
-rebuild the same walks without a search per vertex.
+rebuild the same walks without a search per vertex; ``sd_ke_partition``
+runs them on the first read of its witnesses, once.
 """
 
 from __future__ import annotations

@@ -20,6 +20,8 @@ matchings, independent of which perfect matching is used.
 
 from __future__ import annotations
 
+import threading
+
 from .alternating import (
     AlternatingWalk,
     _arcs,
@@ -30,22 +32,31 @@ from .alternating import (
 from .graph import Edge, Graph, _Record, induced_subgraph
 from .matching import Matching, maximum_matching
 
+# One witness build at a time, so that first reads in two threads share one dict.
+_BUILDING = threading.Lock()
+
 
 class SdKePartition(_Record):
     """The SD/KE vertex sets, the induced parts, and the cut between them.
 
     witnesses holds a shortest closed-walk certificate for every SD
-    vertex, the same walk ``semi_jposy_witness`` returns.  failed_searches
-    holds the member of each KE pair that its partner cannot reach in D
-    (the strong-component order picks it, with no search), so it has no
-    mm-closed walk.  Their partners form an independent set of G of size
-    |KE|/2 with no neighbour in SD, as ``verification._block_fault``
-    proves: the certificate that the KE part is Koenig-Egervary, and that
-    no perfect matching or spanning Sachs subgraph uses a cut edge.
+    vertex, the same walk ``semi_jposy_witness`` returns.  A partition
+    from ``sd_ke_partition`` builds them on the first read of the field,
+    once, from the state its split left, and then drops that state; every
+    read returns the same dict.  Equality, repr, pickling and copying read
+    the field, so they build it too.  failed_searches holds the member of
+    each KE pair that its partner cannot reach in D (the strong-component
+    order picks it, with no search), so it has no mm-closed walk.  Their
+    partners form an independent set of G of size |KE|/2 with no
+    neighbour in SD, as ``verification._block_fault`` proves: the
+    certificate that the KE part is Koenig-Egervary, and that no perfect
+    matching or spanning Sachs subgraph uses a cut edge.
     """
 
+    # __sweep, not a field: the arguments of _closed_walks while the
+    # witnesses wait for their first read, else None.
     __slots__ = ("sd_vertices", "ke_vertices", "sd_part", "ke_part", "cut", "matching",
-                 "witnesses", "failed_searches")
+                 "witnesses", "failed_searches", "__sweep")
 
     def __init__(
         self, sd_vertices: frozenset[int], ke_vertices: frozenset[int], sd_part: Graph,
@@ -57,6 +68,33 @@ class SdKePartition(_Record):
         self.sd_part, self.ke_part, self.matching = sd_part, ke_part, matching
         self.witnesses = {} if witnesses is None else witnesses
         self.failed_searches = failed_searches
+        self.__sweep = None
+
+    def _defer(self, *sweep) -> SdKePartition:
+        """Leave witnesses unset, to be built by ``_closed_walks(*sweep)``."""
+        del self.witnesses
+        self.__sweep = sweep
+        return self
+
+    def __getattr__(self, name: str):
+        # Python calls this only when the usual lookup fails: on the first
+        # read of deferred witnesses, or for a name the record lacks.
+        if name == "witnesses":
+            with _BUILDING:
+                sweep = self.__sweep
+                if sweep is not None:
+                    self.witnesses = walks = _closed_walks(*sweep)
+                    self.__sweep = None
+                    return walks
+        # Built by another thread meanwhile, or else the usual AttributeError.
+        return object.__getattribute__(self, name)
+
+    def __delattr__(self, name: str) -> None:
+        # Deleting deferred witnesses drops their sweep, as if they were built.
+        if name == "witnesses" and self.__sweep is not None:
+            self.__sweep = None
+        else:
+            object.__delattr__(self, name)
 
 
 def sd_ke_partition(graph: Graph, matching: Matching | None = None) -> SdKePartition:
@@ -64,8 +102,10 @@ def sd_ke_partition(graph: Graph, matching: Matching | None = None) -> SdKeParti
 
     If no matching is supplied, a maximum matching is computed; either
     way the matching must be perfect.  The split takes one strong-component
-    pass; the witnesses take one bitset level sweep per SD component and
-    block of 512 targets, inside that component.
+    pass.  The witnesses are built on the first read of the field, once:
+    one bitset level sweep per SD component and block of 512 targets,
+    inside that component.  A caller that never reads them never pays
+    for them.
     """
     if matching is None:
         matching = maximum_matching(graph)
@@ -77,7 +117,6 @@ def sd_ke_partition(graph: Graph, matching: Matching | None = None) -> SdKeParti
         for v in ke
         if v < pairing[v]
     )
-    witnesses = _closed_walks(arcs, comp, pairing, sd)
     cut = frozenset(
         e for e in graph.edges if (e[0] in sd) != (e[1] in sd)
     )
@@ -88,9 +127,8 @@ def sd_ke_partition(graph: Graph, matching: Matching | None = None) -> SdKeParti
         ke_part=induced_subgraph(graph, ke),
         cut=cut,
         matching=matching,
-        witnesses=witnesses,
         failed_searches=failed,
-    )
+    )._defer(arcs, comp, pairing, sd)
 
 
 def _split(

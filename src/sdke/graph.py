@@ -29,7 +29,8 @@ def as_edge(u: int, v: int) -> Edge:
 
 class _Record:
     """Base of the result records, whose fields are their ``__slots__`` but
-    ``__dict__`` and ``__weakref__``.  Records of one class are equal when
+    those whose names start with two underscores (``__dict__``,
+    ``__weakref__``, private state).  Records of one class are equal when
     their fields are; only a class made ``frozen=True`` hashes and is immutable.
     """
 

@@ -190,30 +190,33 @@ def _mu_fault(graph, mu_sd, mu_ke):
     return None if mu == mu_sd + mu_ke else {"mu": mu, "mu_sd": mu_sd, "mu_ke": mu_ke}
 
 
-def _ke_fault(part, mu):
+def _ke_fault(part, mu, independent=False):
     """The KE part is Koenig-Egervary, by certificate, in O(n + m).
 
     The part is read in its own ids, its vertex set in sorted order, and
     an empty part passes; ``mu`` is its matching number, shared with the
     additivity check.  As alpha <= n - mu on any graph, the partners of
     ``failed_searches``, if n - mu independent vertices of the part,
-    prove alpha + mu = n.
+    prove alpha + mu = n.  ``independent`` says that ``_block_fault``
+    passed on the graph whose induced part ke_part is: the partners then
+    lie in KE and no edge joins two of them, so only the count is left.
     """
-    ke, pairing = part.ke_part, part.matching.pairing
+    ke = part.ke_part
     if not ke.n:
         return None
-    ids = dict(zip(sorted(part.ke_vertices), range(ke.n)))  # none beyond the part
-    members = sorted(pairing[v] for v in part.failed_searches)
-    outside = [x for x in members if x not in ids]
-    if outside:
-        return {"vertex": outside[0]}
-    inside, names = {ids[x] for x in members}, list(ids)
-    for u, w in ke.edges:
-        if u in inside and w in inside:
-            return {"edge": (names[u], names[w])}
-    if len(members) + mu != ke.n:
-        return {"certificate": len(members), "mu": mu, "n": ke.n}
-    return None
+    if not independent:
+        pairing = part.matching.pairing
+        ids = dict(zip(sorted(part.ke_vertices), range(ke.n)))  # none beyond the part
+        members = sorted(pairing[v] for v in part.failed_searches)
+        outside = [x for x in members if x not in ids]
+        if outside:
+            return {"vertex": outside[0]}
+        inside, names = {ids[x] for x in members}, list(ids)
+        for u, w in ke.edges:
+            if u in inside and w in inside:
+                return {"edge": (names[u], names[w])}
+    size = len(part.failed_searches)
+    return None if size + mu == ke.n else {"certificate": size, "mu": mu, "n": ke.n}
 
 
 def _sd_fault(part, mu):
@@ -360,7 +363,7 @@ def run_theorem_suite(
         ("sd_witnesses_verify", _witness_fault(graph, part)),
         ("cut_edges_unmatched", block),
         ("mu_additivity", _mu_fault(graph, mu_sd, mu_ke)),
-        ("ke_part_is_koenig_egervary", _ke_fault(part, mu_ke)),
+        ("ke_part_is_koenig_egervary", _ke_fault(part, mu_ke, block is None)),
         ("sd_part_not_koenig_egervary", _sd_fault(part, mu_sd)),
         ("full_reachability_when_ke_empty", _reach_fault(graph, part, reach)),
         ("sachs_cut_disjointness", block),

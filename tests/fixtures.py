@@ -148,6 +148,45 @@ def random_graph(n: int, edge_prob: float, seed: int) -> Graph:
     ])
 
 
+def planted_split(n: int, blocks: int, rng: random.Random, extra: float = 0.5):
+    """A matchable graph whose SD set S is known by construction, drawn
+    in O(n + m): (graph, S, the planted perfect matching's pairing).
+
+    S is ``blocks`` disjoint K4s, each matched inside itself.  The other
+    n - 4 * blocks vertices are KE pairs, the matching pairing I to J.
+    Each of the kinds I-J, J-J, S-S and S-J then draws extra times as
+    many random pairs as its first side has vertices, as edges.  Vertices
+    are relabelled at random.
+
+    SD(G) = S: with M fixed, an edge only adds arcs to D, and K4 is SD
+    under any perfect matching, so S stays SD.  I's neighbours all lie in
+    J, so every arc of D from I leads back into I: no J vertex is reached
+    from its partner, and every I-J pair is KE.
+    """
+    if n % 2 or not 0 <= 4 * blocks <= n:
+        raise ValueError(f"no planted split with {blocks} K4 blocks on {n} vertices")
+    ids = list(range(n))
+    rng.shuffle(ids)
+    s = 4 * blocks
+    sd, mine, theirs = ids[:s], ids[s::2], ids[s + 1::2]
+    pairing = [0] * n
+    edges = set()
+    for k in range(0, s, 4):
+        q = sd[k:k + 4]
+        edges.update((min(a, b), max(a, b)) for i, a in enumerate(q) for b in q[i + 1:])
+        pairing[q[0]], pairing[q[1]], pairing[q[2]], pairing[q[3]] = q[1], q[0], q[3], q[2]
+    for i, j in zip(mine, theirs):
+        edges.add((min(i, j), max(i, j)))
+        pairing[i], pairing[j] = j, i
+    for side, other in ((mine, theirs), (theirs, theirs), (sd, sd), (sd, theirs)):
+        if side and other:
+            for _ in range(round(extra * len(side))):
+                u, v = rng.choice(side), rng.choice(other)
+                if u != v:
+                    edges.add((min(u, v), max(u, v)))
+    return build_graph(n, edges), frozenset(sd), tuple(pairing)
+
+
 def path_graph(n: int) -> Graph:
     return build_graph(n, [(i, i + 1) for i in range(n - 1)])
 

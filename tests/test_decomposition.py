@@ -1,22 +1,31 @@
+import copy
+import pickle
 import random
 import sys
+import threading
 from collections import Counter
 
 import pytest
 
 from sdke import (
+    Matching,
     NotMatchableError,
+    SdKePartition,
     build_graph,
     delete_edge,
+    factorization_report,
     iter_perfect_matchings,
     matching_from_edges,
     matching_number,
     random_matchable_graph,
+    run_theorem_suite,
     sd_ke_partition,
     sd_vertices_of,
     semi_jposy_witness,
+    serialize_edge_list,
     verify_walk,
 )
+from sdke.cli import run_cli
 from sdke.decomposition import _sd_vertices
 from conftest import matchable_corpus
 from fixtures import (
@@ -28,7 +37,9 @@ from fixtures import (
     label_ids,
     label_matching,
     ladder8,
+    planted_split,
     posy12,
+    replaced,
     tangle8,
 )
 from oracles import (
@@ -103,9 +114,10 @@ def test_partition_against_per_pair_bfs_oracle():
     assert seen_ke_pair and seen_sd
 
 
-def test_closed_walk_searches_only_sd_vertices(monkeypatch):
-    # Count the one-vertex and the all-vertex witness routines in every
-    # sdke namespace that binds them.
+def _count_witness_routines(monkeypatch):
+    """Log the last argument of every call to the one-vertex and the
+    all-vertex witness routine, patched in every sdke namespace that binds
+    them: the vertex, or the set of targets."""
     from sdke import alternating
 
     calls = {"_closed_walk": [], "_closed_walks": []}
@@ -121,19 +133,132 @@ def test_closed_walk_searches_only_sd_vertices(monkeypatch):
                 for key, value in list(vars(module).items()):
                     if value is original:
                         monkeypatch.setattr(module, key, counted)
+    return calls
+
+
+def test_closed_walk_searches_only_sd_vertices(monkeypatch):
+    calls = _count_witness_routines(monkeypatch)
+    none = {"_closed_walk": [], "_closed_walks": []}
     for seed, g in matchable_corpus(30, max_n=10):
         for m in iter_perfect_matchings(g):
             for log in calls.values():
                 log.clear()
             p = sd_ke_partition(g, m)
-            # One sweep, whose targets are exactly the SD vertices.
+            # The split builds no witness; the first read runs one sweep,
+            # whose targets are exactly the SD vertices, and later reads none.
+            assert calls == none, f"seed {seed}"
+            witnesses = p.witnesses
             assert calls == {"_closed_walk": [], "_closed_walks": [p.sd_vertices]}, f"seed {seed}"
             calls["_closed_walks"].clear()
+            assert p.witnesses is witnesses and calls == none, f"seed {seed}"
             assert sd_vertices_of(g) == p.sd_vertices, f"seed {seed}"
             assert _sd_vertices(g, m) == p.sd_vertices, f"seed {seed}"
-            assert calls == {"_closed_walk": [], "_closed_walks": []}, f"seed {seed}"
+            assert calls == none, f"seed {seed}"
             for v in p.sd_vertices:
                 assert p.witnesses[v] == semi_jposy_witness(g, m, v), f"seed {seed} v {v}"
+
+
+def test_only_callers_that_read_witnesses_build_them(monkeypatch, tmp_path, capsys):
+    # factorization_report, sd_vertices_of and export-dot --decorate read
+    # the split alone.  The theorem suite checks the witness of every SD
+    # vertex, so it runs the sweep once, unless there is none (ladder8).
+    calls = _count_witness_routines(monkeypatch)
+    path = tmp_path / "posy12.edges"
+    path.write_text(serialize_edge_list(posy12()))
+    for name, g in [("posy12", posy12()), ("tangle8", tangle8()), ("ladder8", ladder8())]:
+        r = factorization_report(g)
+        sd_vertices_of(g)
+        assert r.det_product_ok and r.perm_product_ok, name
+        assert calls == {"_closed_walk": [], "_closed_walks": []}, name
+        suite = run_theorem_suite(g)
+        assert all(c.passed for c in suite.checks), name
+        sd = r.partition.sd_vertices
+        assert calls == {"_closed_walk": [], "_closed_walks": [sd] if sd else []}, name
+        calls["_closed_walks"].clear()
+    assert run_cli(["export-dot", str(path), "--decorate"]) == 0
+    assert "fillcolor=gray85" in capsys.readouterr().out
+    assert calls == {"_closed_walk": [], "_closed_walks": []}
+
+
+def test_deferred_witnesses_keep_the_record_contract():
+    # A partition whose witnesses wait for their first read behaves as one
+    # built with the same dict given explicitly.
+    for g in (posy12(), tangle8(), ladder8(), build_graph(0, [])):
+        p = sd_ke_partition(g)
+        given = SdKePartition(*(getattr(p, f) for f in SdKePartition._fields))
+        assert repr(sd_ke_partition(g)) == repr(given)
+        for copied in (
+            sd_ke_partition(g),
+            pickle.loads(pickle.dumps(sd_ke_partition(g))),
+            copy.deepcopy(sd_ke_partition(g)),
+            copy.copy(sd_ke_partition(g)),
+            replaced(sd_ke_partition(g)),
+        ):
+            assert copied == given and given == copied
+    # Given witnesses are kept as the very object.  Assigning them before
+    # or after the first read replaces them, and deleting them leaves the
+    # field unset, as on any record.
+    walks = {}
+    assert SdKePartition(*(getattr(p, f) for f in SdKePartition._fields[:6]), walks).witnesses is walks
+    for read_first in (False, True):
+        p = sd_ke_partition(posy12())
+        if read_first:
+            assert len(p.witnesses) == 10
+        p.witnesses = walks
+        assert p.witnesses is walks
+        p = sd_ke_partition(posy12())
+        if read_first:
+            assert len(p.witnesses) == 10
+        del p.witnesses
+        with pytest.raises(AttributeError):
+            p.witnesses
+    with pytest.raises(AttributeError):
+        p.no_such_field
+
+
+def test_concurrent_first_reads_share_one_build(monkeypatch):
+    # Four threads read the witnesses of one fresh partition at once, with
+    # thread switches forced often: one sweep runs, and all four get its dict.
+    calls = _count_witness_routines(monkeypatch)
+    g = random_matchable_graph(200, 3 / 200, 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            p = sd_ke_partition(g)
+            start = threading.Barrier(4)
+            got = []
+
+            def read():
+                start.wait()
+                got.append(p.witnesses)
+
+            threads = [threading.Thread(target=read) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert len(got) == 4 and all(w is p.witnesses for w in got)
+            assert calls["_closed_walks"] == [p.sd_vertices] and p.sd_vertices
+            calls["_closed_walks"].clear()
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_planted_split_against_per_pair_bfs_oracle():
+    # fixtures.planted_split knows its SD set by construction.  The split,
+    # under the library's matching and under the planted one, and the
+    # per-pair search under the planted one all find it.
+    shapes = set()
+    for seed in range(200):
+        rng = random.Random(seed)
+        n = rng.randrange(2, 13, 2)
+        g, sd, pairing = planted_split(n, rng.randint(0, n // 4), rng, rng.choice((0.5, 1, 2)))
+        assert sd_ke_partition(g).sd_vertices == sd == sd_split_per_pair_bfs(g, pairing), seed
+        assert sd_ke_partition(g, Matching(pairing)).sd_vertices == sd, seed
+        shapes.add((bool(sd), len(sd) < n))
+    assert shapes == {(False, True), (True, True), (True, False)}
 
 
 def _assert_shortest_witnesses(name, g, p, shortest=None):

@@ -12,9 +12,9 @@ import random
 import pytest
 
 import sdke
-from sdke import configurations, verification
+from sdke import alternating, configurations, decomposition, verification
 from sdke.determinantal import _frontier_plan, _perm_frontier, _perm_glynn
-from fixtures import doctored_splits, ke_status_cases, random_graph
+from fixtures import doctored_splits, ke_status_cases, planted_split, random_graph
 import oracles
 from oracles import (
     ke_status_by_alpha,
@@ -43,6 +43,22 @@ def test_matching_scale():
             edges.add((min(u, v), max(u, v)))
     g = sdke.build_graph(n, sorted(edges))
     assert sdke.maximum_matching(g).is_perfect
+
+
+def test_planted_split_scale(monkeypatch):
+    # fixtures.planted_split at n = 10^5, half of it in K4 blocks: the
+    # split returns the planted SD set and passes its block certificate,
+    # and no witness is built, since none is read.  About 3-4 s on a
+    # 2-core VM with Python 3.11; building the witnesses would add about 7 s.
+    def refuse(*args):
+        raise AssertionError("a witness sweep ran")
+
+    monkeypatch.setattr(alternating, "_closed_walks", refuse)
+    monkeypatch.setattr(decomposition, "_closed_walks", refuse)
+    g, sd, _ = planted_split(100_000, 12_500, random.Random(17))
+    part = sdke.sd_ke_partition(g)
+    assert part.sd_vertices == sd and len(part.ke_vertices) == 50_000
+    assert verification._block_fault(g, part) is None
 
 
 def test_permanent_engines():

@@ -83,20 +83,63 @@ def _ke_status(part):
     return _ke_fault(part, mu_ke), _sd_fault(part, mu_sd)
 
 
+def _ke_corpus():
+    """(name, graph) of seeded matchable graphs with n <= 20."""
+    graphs = [(f"seed {seed}", g) for seed, g in matchable_corpus(40, max_n=12)]
+    graphs += [((n, prob, seed), random_matchable_graph(n, prob, seed))
+               for n in range(4, 21, 2) for prob in (0.1, 0.2, 0.3) for seed in range(12)]
+    return graphs
+
+
 def test_parts_ke_status_on_corpus():
     # The certificates give the verdicts the independence numbers give, on
     # seeded matchable graphs with n <= 20: on each partition, with its
     # parts swapped, and with each SD component moved into KE.
-    graphs = [(f"seed {seed}", g) for seed, g in matchable_corpus(40, max_n=12)]
-    graphs += [((n, prob, seed), random_matchable_graph(n, prob, seed))
-               for n in range(4, 21, 2) for prob in (0.1, 0.2, 0.3) for seed in range(12)]
     verdicts = []
-    for name, g in graphs:
+    for name, g in _ke_corpus():
         for kind, part in ke_status_cases(g):
             got = [fault is None for fault in _ke_status(part)]
             assert got == ke_status_by_alpha(part), (name, kind)
             verdicts += got
     assert verdicts.count(False) > 100 and verdicts.count(True) > 100
+
+
+def test_ke_check_after_block_certificate_equals_full_route():
+    # The suite hands the block verdict to the KE check, which then counts
+    # the certificate alone.  On the true and doctored splits of the KE
+    # corpus, at the part's matching number and one above it, that gives
+    # the verdict and payload of the full route.
+    import random
+
+    rng = random.Random(27)
+    shortened = failed = 0
+    for name, g in _ke_corpus():
+        for kind, part in [("true", sd_ke_partition(g)), *doctored_splits(g, rng)]:
+            independent = _block_fault(g, part) is None
+            failed += not independent
+            for mu in (matching_number(part.ke_part), matching_number(part.ke_part) + 1):
+                full = _ke_fault(part, mu)
+                assert _ke_fault(part, mu, independent) == full, (name, kind, mu)
+                shortened += independent and full is not None
+    assert shortened > 100 and failed > 100
+
+
+def test_theorem_suite_hands_the_block_verdict_to_the_ke_check(monkeypatch):
+    # On its own partition the block certificate passes, so the suite asks
+    # the KE check for its count alone.
+    from sdke import verification
+
+    seen = []
+    original = verification._ke_fault
+
+    def recorded(part, mu, independent=False):
+        seen.append(independent)
+        return original(part, mu, independent)
+
+    monkeypatch.setattr(verification, "_ke_fault", recorded)
+    for g in (posy12(), ladder8(), tangle8()):
+        assert run_theorem_suite(g).all_passed
+    assert seen == [True, True, True]
 
 
 def test_theorem_suite_fixtures():
