@@ -59,7 +59,7 @@ the search stops after its first matching.
 from __future__ import annotations
 
 from .alternating import _bit_indices, _component_reach
-from .errors import BoundExceededError
+from .errors import _check_order
 from .graph import Graph, connected_components
 from .matching import iter_maximum_matchings
 
@@ -110,13 +110,10 @@ def sd_vertices_bruteforce(
     graph without odd cycles stops after one matching, with the empty
     set.
     """
-    if graph.n > max_order:
-        raise BoundExceededError(
-            f"graph order {graph.n} exceeds configuration-search bound {max_order}"
-        )
+    _check_order(graph.n, max_order, "configuration-search")
     covered = 0
     ceiling = None
-    for m in iter_maximum_matchings(graph, max_order=max_order):
+    for m in iter_maximum_matchings(graph, max_order=graph.n):  # its order checked above
         covered |= _walk_cover(graph, m.pairing)
         if ceiling is None:
             ceiling = 0

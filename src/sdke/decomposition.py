@@ -150,7 +150,7 @@ def sd_vertices_of(graph: Graph) -> frozenset[int]:
     return _sd_vertices(graph, maximum_matching(graph))
 
 
-def _sd_vertices(graph: Graph, matching: Matching, **bounds) -> frozenset[int]:
+def _sd_vertices(graph: Graph, matching: Matching) -> frozenset[int]:
     """SD vertex set of graph, given one of its maximum matchings."""
     if matching.is_perfect:
         return _split(graph, _perfect_pairing(graph, matching))[2]
@@ -159,4 +159,4 @@ def _sd_vertices(graph: Graph, matching: Matching, **bounds) -> frozenset[int]:
     # caller may patch to count its calls.
     from . import configurations
 
-    return configurations.sd_vertices_bruteforce(graph, **bounds)
+    return configurations.sd_vertices_bruteforce(graph)

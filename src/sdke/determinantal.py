@@ -21,7 +21,7 @@ from __future__ import annotations
 from math import comb, prod
 from typing import Iterator
 
-from .errors import BoundExceededError
+from .errors import _check_order
 from .graph import Edge, Graph, _Record, _setattr
 from .decomposition import SdKePartition, sd_ke_partition
 
@@ -82,10 +82,7 @@ def enumerate_sachs(graph: Graph) -> Iterator[SachsSubgraph]:
     orientation is canonicalized (second vertex below last), so no cover
     is produced twice.
     """
-    if graph.n > DEFAULT_SACHS_ORDER:
-        raise BoundExceededError(
-            f"graph order {graph.n} exceeds Sachs enumeration bound {DEFAULT_SACHS_ORDER}"
-        )
+    _check_order(graph.n, DEFAULT_SACHS_ORDER, "Sachs enumeration")
     n = graph.n
     adj = graph.adjacency
     covered = [False] * n
@@ -200,10 +197,7 @@ def perm_adjacency(graph: Graph) -> int:
     ``sdke perm --method ryser`` selects.
     """
     n = graph.n
-    if n > DEFAULT_PERMANENT_ORDER:
-        raise BoundExceededError(
-            f"graph order {n} exceeds permanent bound {DEFAULT_PERMANENT_ORDER}"
-        )
+    _check_order(n, DEFAULT_PERMANENT_ORDER, "permanent")
     if n == 0:
         return 1
     if not all(graph.adjacency):

@@ -95,14 +95,18 @@ class Graph(_Record, frozen=True):
             raise GraphError(f"vertex count must be nonnegative, got {n}")
         seen: set[Edge] = set()
         canonical: list[Edge] = []
-        for u, v in edges:
-            e = as_edge(u, v)
-            if e[0] < 0 or e[1] >= n:
-                raise GraphError(f"edge ({u},{v}) has endpoint outside 0..{n - 1}")
-            if e in seen:
-                raise GraphError(f"duplicate edge ({e[0]},{e[1]})")
-            seen.add(e)
-            canonical.append(e)
+        try:
+            for u, v in edges:
+                e = as_edge(u, v)
+                if e[0] < 0 or e[1] >= n:
+                    raise GraphError(f"edge ({u},{v}) has endpoint outside 0..{n - 1}")
+                if e in seen:
+                    raise GraphError(f"duplicate edge ({e[0]},{e[1]})")
+                seen.add(e)
+                canonical.append(e)
+        except (TypeError, ValueError) as exc:  # not iterable, or an item not a pair
+            bad = GraphError("edges are not an iterable of (u, v) pairs")
+            raise exc if isinstance(exc, GraphError) else bad from None
         ordered = tuple(sorted(canonical))
         labels = tuple(labels) or tuple(range(n))
         if len(labels) != n:
@@ -185,7 +189,11 @@ def induced_subgraph(graph: Graph, vertices: Iterable[int]) -> Graph:
 
 def delete_edge(graph: Graph, e: tuple[int, int]) -> Graph:
     """Same vertex set, one edge removed.  The edge must exist."""
-    e = as_edge(*e)
+    try:
+        u, v = e
+    except (TypeError, ValueError):
+        raise GraphError(f"edge {e!r} is not a (u, v) pair") from None
+    e = as_edge(u, v)
     if e not in graph.edge_set:
         raise GraphError(f"edge ({e[0]},{e[1]}) not in graph")
     return _derived(graph.n, tuple(x for x in graph.edges if x != e), graph.labels)
@@ -287,8 +295,9 @@ def export_dot(graph: Graph, partition=None, matching=None) -> str:
         sd = frozenset(partition.sd_vertices)
         ke = frozenset(partition.ke_vertices)
         for v in sd | ke:
-            if not (0 <= v < graph.n):
-                raise GraphError(f"partition references unknown vertex {v}")
+            if type(v) is not int or not 0 <= v < graph.n:
+                raise GraphError(
+                    f"partition references unknown vertex {v!r}, not an int in 0..{graph.n - 1}")
     matched: set[Edge] = set()
     if matching is not None:
         matching.validate(graph)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .errors import BoundExceededError, MatchingError
+from .errors import MatchingError, _check_order
 from .graph import Edge, Graph, _Record, _setattr
 
 DEFAULT_ENUMERATION_ORDER = 16
@@ -82,14 +82,18 @@ def matching_from_edges(n: int, pairs: Iterable[tuple[int, int]]) -> Matching:
     if type(n) is not int:
         raise MatchingError(f"vertex count {n!r} is not an int")
     pairing = list(range(n))
-    for u, v in pairs:
-        if type(u) is not int or type(v) is not int:
-            raise MatchingError(f"pair ({u!r},{v!r}) has a vertex that is not an int")
-        if not (0 <= u < n) or not (0 <= v < n) or u == v:
-            raise MatchingError(f"bad pair ({u},{v})")
-        if pairing[u] != u or pairing[v] != v:
-            raise MatchingError(f"pair ({u},{v}) reuses a matched vertex")
-        pairing[u], pairing[v] = v, u
+    try:
+        for u, v in pairs:
+            if type(u) is not int or type(v) is not int:
+                raise MatchingError(f"pair ({u!r},{v!r}) has a vertex that is not an int")
+            if not (0 <= u < n) or not (0 <= v < n) or u == v:
+                raise MatchingError(f"bad pair ({u},{v})")
+            if pairing[u] != u or pairing[v] != v:
+                raise MatchingError(f"pair ({u},{v}) reuses a matched vertex")
+            pairing[u], pairing[v] = v, u
+    except (TypeError, ValueError) as exc:  # not iterable, or an item not a pair
+        bad = MatchingError("pairs are not an iterable of (u, v) pairs")
+        raise exc if isinstance(exc, MatchingError) else bad from None
     return Matching(tuple(pairing))
 
 
@@ -236,13 +240,6 @@ def is_matchable(graph: Graph) -> bool:
     return graph.n % 2 == 0 and matching_number(graph) * 2 == graph.n
 
 
-def _check_order(graph: Graph, max_order: int) -> None:
-    if graph.n > max_order:
-        raise BoundExceededError(
-            f"graph order {graph.n} exceeds enumeration bound {max_order}"
-        )
-
-
 def _matchings(graph: Graph, size: int) -> Iterator[Matching]:
     """Every matching with ``size`` edges, given that none has more.
 
@@ -279,20 +276,16 @@ def _matchings(graph: Graph, size: int) -> Iterator[Matching]:
 def iter_perfect_matchings(
     graph: Graph, *, max_order: int = DEFAULT_ENUMERATION_ORDER
 ) -> Iterator[Matching]:
-    """Perfect matchings one at a time, in deterministic order.
-
-    The order bound is checked at the call, before any matching is built.
-    """
-    _check_order(graph, max_order)
+    """Perfect matchings one at a time, in deterministic order; the order
+    bound is checked at the call, before any matching is built."""
+    _check_order(graph.n, max_order, "enumeration")
     return iter(()) if graph.n % 2 else _matchings(graph, graph.n // 2)
 
 
 def iter_maximum_matchings(
     graph: Graph, *, max_order: int = DEFAULT_ENUMERATION_ORDER
 ) -> Iterator[Matching]:
-    """Matchings of maximum cardinality one at a time, in deterministic order.
-
-    The order bound is checked at the call, before any matching is built.
-    """
-    _check_order(graph, max_order)
+    """Maximum matchings one at a time, in deterministic order; the order
+    bound is checked at the call, before any matching is built."""
+    _check_order(graph.n, max_order, "enumeration")
     return _matchings(graph, matching_number(graph))

@@ -18,9 +18,9 @@ R(M(v))).  The matching numbers of the parts serve both the additivity
 and the Koenig-Egervary checks.  Those checks, and the two cut claims,
 verify the partition's own certificates on G's edges in linear time; no
 Sachs subgraph is enumerated.  One matching of G serves the stability
-check of every KE edge, and the exhaustive SD search runs only on G - e
-for an unavoidable e of a graph with SD vertices.  A check that hits a
-work bound does not pass: it fails with the skipped work listed.
+check of every KE edge: G - e is split when it is matchable, and
+otherwise the SD witnesses certify SD(G) <= SD(G - e), so no exhaustive
+SD search runs.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Any
 from .alternating import AlternatingWalk, _arcs, _bit_indices, _component_reach, _walk_holds
 from .decomposition import _sd_vertices
 from .determinantal import FactorizationReport, factorization_report
-from .errors import BoundExceededError, GraphError, SdkeError
+from .errors import BoundExceededError, GraphError, SdkeError, _check_order
 from .graph import Graph, _Record, build_graph, connected_components, delete_edge
 from .matching import iter_perfect_matchings, matching_number, maximum_matching
 
@@ -165,22 +165,19 @@ def _matching_faults(graph, part, found):
     return invariance, independence, reach
 
 
+def _closed_at(graph, pairing, v, walk):
+    """walk is an mm-closed walk at v in graph under pairing; None is not."""
+    vs = () if walk is None else walk.vertices
+    return vs[:1] == vs[-1:] == (v,) and walk.kind == "mm" and _walk_holds(graph, pairing, walk)
+
+
 def _witness_fault(graph, part):
-    pairing = part.matching.pairing
     try:
         part.matching.validate(graph)
-    except ValueError:
-        pairing = None
+    except ValueError:  # no witness holds
+        return {"vertex": min(part.sd_vertices)} if part.sd_vertices else None
     for v in sorted(part.sd_vertices):
-        w = part.witnesses.get(v)
-        if (
-            pairing is None
-            or w is None
-            or not w.is_closed
-            or w.vertices[0] != v
-            or w.kind != "mm"
-            or not _walk_holds(graph, pairing, w)
-        ):
+        if not _closed_at(graph, part.matching.pairing, v, part.witnesses.get(v)):
             return {"vertex": v}
     return None
 
@@ -238,10 +235,10 @@ def _sd_fault(part, mu):
     pairs = [ids.get(pairing[x], -1) for x in ids]
 
     def closed_at(x):
-        # A closed mm walk at x; _walk_holds fails a vertex outside the part.
+        # In the part's ids; _walk_holds fails a vertex outside the part.
         w = part.witnesses.get(x)
-        return (w is not None and w.kind == "mm" and w.vertices[:1] == w.vertices[-1:] == (x,)
-                and _walk_holds(sd, pairs, AlternatingWalk(map(ids.get, w.vertices), "mm")))
+        return w is not None and _closed_at(
+            sd, pairs, ids[x], AlternatingWalk(map(ids.get, w.vertices), w.kind))
 
     v = min(ids, default=None)
     if (len(pairs) == sd.n and all(sd.has_edge(i, w) for i, w in enumerate(pairs))
@@ -305,35 +302,38 @@ def _product_fault(r: FactorizationReport):
     return None
 
 
-def _stability_fault(graph, part, max_order):
-    """Delete each KE edge e and compare SD(G - e) with SD(G).
+def _stability_fault(graph, part):
+    """Deleting a KE edge e = xy never shrinks SD(G), and keeps it when mu
+    does not drop.
 
-    The partition's matching M of G serves every edge; only an e in M costs
-    a matching of G - e.
-    If e is unavoidable and SD(G) is empty, SD(G) <= SD(G - e) holds for any
-    answer and nothing is computed.  An edge that hits a work bound is listed
-    under "skipped" and fails the check, unless a real failure comes first.
+    The partition's matching M of G serves every edge; only an e in M
+    costs a matching of G - e.  If that one is perfect, SD(G - e) comes
+    from its split.  If not, M - e is a maximum matching of G - e, and
+    each SD vertex's witness must still be an mm-closed walk under it,
+    with x and y unmatched: a walk in G - x - y, where M - e is perfect.
+    So each SD pair is SD in G - x - y by the split, on a posy of M - e
+    that is one in G - e too (the argument of ``configurations`` for its
+    posy half), and SD(G) lies in SD(G - e) with no SD set of G - e
+    computed.  The split passes: a witness has only SD vertices, not x, y.
+
+    A failure returns {"edge", "avoidable", "sd_before", "sd_after"}, or,
+    for an unavoidable edge, {"edge", "avoidable", "vertex"} with the first
+    SD vertex whose witness fails.
     """
-    matching, sd_before = part.matching, part.sd_vertices
-    skipped = []
-    for e in graph.edges:
-        if e[0] not in part.ke_vertices or e[1] not in part.ke_vertices:
-            continue
+    matching, sd_before, ke = part.matching, part.sd_vertices, part.ke_vertices
+    for e in [e for e in graph.edges if e[0] in ke and e[1] in ke]:
         smaller = delete_edge(graph, e)
         after = maximum_matching(smaller) if matching.contains_edge(e) else matching
-        avoidable = after.size == matching.size
-        if not (avoidable or sd_before):
-            continue
-        try:
-            sd_after = _sd_vertices(smaller, after, max_order=max_order)
-        except BoundExceededError as exc:
-            skipped.append({"edge": e, "bound": str(exc)})
-            continue
-        if sd_before <= sd_after and (sd_before == sd_after or not avoidable):
-            continue
-        return {"edge": e, "avoidable": avoidable,
-                "sd_before": sorted(sd_before), "sd_after": sorted(sd_after)}
-    return {"skipped": skipped} if skipped else None
+        if after.size < matching.size:
+            pairing = list(matching.pairing)
+            pairing[e[0]], pairing[e[1]] = e  # x and y unmatched
+            for v in sorted(sd_before):
+                if not _closed_at(smaller, pairing, v, part.witnesses.get(v)):
+                    return {"edge": e, "avoidable": False, "vertex": v}
+        elif sd_before != (sd_after := _sd_vertices(smaller, after)):
+            return {"edge": e, "avoidable": True,
+                    "sd_before": sorted(sd_before), "sd_after": sorted(sd_after)}
+    return None
 
 
 def run_theorem_suite(
@@ -346,10 +346,7 @@ def run_theorem_suite(
     The factorization report comes first, so a graph that it refuses is
     refused before any perfect matching is drawn.
     """
-    if graph.n > max_order:
-        raise BoundExceededError(
-            f"graph order {graph.n} exceeds theorem-suite bound {max_order}"
-        )
+    _check_order(graph.n, max_order, "theorem-suite")
     factorization = factorization_report(graph)
     part = factorization.partition
     found = iter_perfect_matchings(graph, max_order=max_order)
@@ -368,7 +365,7 @@ def run_theorem_suite(
         ("full_reachability_when_ke_empty", _reach_fault(graph, part, reach)),
         ("sachs_cut_disjointness", block),
         ("det_multiplicativity", _product_fault(factorization)),
-        ("stability_under_deletion", _stability_fault(graph, part, max_order)),
+        ("stability_under_deletion", _stability_fault(graph, part)),
     )
     checks = [CheckResult(name, fault is None, fault) for name, fault in table]
     return TheoremReport(factorization, checks)

@@ -254,7 +254,7 @@ def k10_pendant() -> Graph:
 
     Ground truth: SD = {0..9}, KE = {10,11}.  The only KE edge is 10-11,
     and deleting it leaves vertex 11 isolated, so the stability check
-    takes the exhaustive route on G - e, where SD = {0..10}.  K10 has more
+    reads the SD witnesses in G - e, where SD = {0..10}.  K10 has more
     simple odd cycles than the oracles' cap of 200000, so their
     cycle-listing search raises BoundExceededError there.
     """

@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -115,9 +116,11 @@ def _k2():
     return sdke.build_graph(2, [(0, 1)])
 
 
-# Each of these routines takes a vertex id, an edge or an order, and checks
-# that it is an int as build_graph does: a float or a string is a domain
-# error, not a TypeError or, for a float equal to an int, accepted.
+# Each of these routines takes a vertex id, an edge, an order or an order
+# bound, and checks that it is an int as build_graph does: a float or a
+# string is a domain error, not a TypeError or, for a float equal to an
+# int, accepted.  An edge or pair that is not a (u, v) pair is one too;
+# its row gives the message it must match.
 NON_INT_CALLS = {
     "matching_from_edges": (MatchingError, lambda: sdke.matching_from_edges(2, [(0.0, 1)])),
     "matching_from_edges n": (MatchingError, lambda: sdke.matching_from_edges(2.0, [])),
@@ -139,12 +142,25 @@ NON_INT_CALLS = {
     "as_edge": (GraphError, lambda: sdke.as_edge(0.5, 1)),
     "build_graph n": (GraphError, lambda: sdke.build_graph(2.0, [])),
     "as_edge bool": (GraphError, lambda: sdke.as_edge(False, True)),
+    "export_dot partition": (GraphError, lambda: sdke.export_dot(
+        _k2(), SimpleNamespace(sd_vertices={"a"}, ke_vertices={0, 1}))),
+    "run_theorem_suite bound": (SdkeError, lambda: sdke.run_theorem_suite(_k2(), max_order=None)),
+    "iter_perfect_matchings bound": (SdkeError, lambda: sdke.iter_perfect_matchings(
+        _k2(), max_order="x")),
+    "iter_maximum_matchings bound": (SdkeError, lambda: sdke.iter_maximum_matchings(
+        _k2(), max_order=2.0)),
+    "sd_vertices_bruteforce bound": (SdkeError, lambda: sdke.sd_vertices_bruteforce(
+        _k2(), max_order="x")),
+    "matching_from_edges triple": (MatchingError, lambda: sdke.matching_from_edges(
+        4, [(0, 1, 2)]), r"not an iterable of \(u, v\) pairs"),
+    "delete_edge short": (GraphError, lambda: sdke.delete_edge(_k2(), (0,)),
+                          r"not a \(u, v\) pair"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(NON_INT_CALLS))
 def test_non_int_ids_are_domain_errors(name):
-    error, call = NON_INT_CALLS[name]
+    error, call, *match = NON_INT_CALLS[name]
     assert issubclass(error, SdkeError)
-    with pytest.raises(error, match="not an int"):
+    with pytest.raises(error, match=match[0] if match else "not an int"):
         call()

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 
 from sdke import (
     AlternatingWalk,
-    BoundExceededError,
     iter_maximum_matchings,
     iter_perfect_matchings,
     parse_edge_list,
@@ -200,28 +199,26 @@ def test_verify_not_matchable_is_domain_error(files, capsys):
     }
 
 
-def test_verify_fails_when_stability_skips_an_edge(tmp_path, capsys, monkeypatch):
-    # The only KE edge of this fixture sends G - e to the exhaustive
-    # search.  When that search hits a work bound, the check may not pass
-    # what it did not check, so verify exits 1; unbounded, it passes.
-    from sdke import configurations
+def test_verify_fails_when_a_witness_fails_stability(tmp_path, capsys, monkeypatch):
+    # The only KE edge of this fixture, 10-11, is unavoidable, so the
+    # stability check asks every SD witness to survive its deletion.  With
+    # the witness of 9 dropped, both checks that read it fail, and verify
+    # exits 1; as built, every check passes.
+    from sdke import decomposition
 
     path = tmp_path / "k10_pendant.edges"
     path.write_text(serialize_edge_list(k10_pendant()))
     code, data = run_json(capsys, ["verify", str(path)])
     assert code == 0 and all(c["pass"] for c in data["checks"])
 
-    def bounded(graph, **bounds):
-        raise BoundExceededError("work bound")
-
-    monkeypatch.setattr(configurations, "sd_vertices_bruteforce", bounded)
+    walks = decomposition._closed_walks
+    monkeypatch.setattr(decomposition, "_closed_walks", lambda *a: {
+        v: w for v, w in walks(*a).items() if v != 9})
     code, data = run_json(capsys, ["verify", str(path)])
     assert code == 1
     failed = [c for c in data["checks"] if not c["pass"]]
-    assert [c["name"] for c in failed] == ["stability_under_deletion"]
-    assert failed[0]["counterexample"] == {
-        "skipped": [{"edge": [10, 11], "bound": "work bound"}]
-    }
+    assert [c["name"] for c in failed] == ["sd_witnesses_verify", "stability_under_deletion"]
+    assert failed[1]["counterexample"] == {"edge": [10, 11], "avoidable": False, "vertex": 9}
 
 
 def test_sachs_count_and_list(files, capsys):
@@ -415,7 +412,7 @@ GOLDEN_SHA256 = {
     ("flower9", "matchings --maximum"):
         "8c886e6777c5093869311b9c298c5af3e4155c8525ed102d2e6f3cd23dce9334",
     # Deleting some KE edge leaves no perfect matching, so the stability
-    # check takes the exhaustive route on G - e.
+    # check asks the SD witnesses to survive the deletion.
     ("random12a", "verify"):
         "5c41f018bacc10a9920a45514db1f79af35988d2b69a54cf0e2b3b8c940200f3",
     ("random12b", "verify"):
@@ -547,8 +544,9 @@ def test_import_does_not_load_numpy():
 
 def test_each_command_loads_only_the_modules_it_runs(files):
     # decompose needs neither the determinantal layer nor the theorem suite,
-    # and on a matchable graph not the exhaustive configuration search;
-    # the package binds its names on first use, so it loads none of them.
+    # and on a matchable graph not the exhaustive configuration search,
+    # which verify needs neither; the package binds its names on first
+    # use, so it loads none of them.
     # A star import still binds exactly the pinned public names.
     src = Path(__file__).resolve().parent.parent / "src"
     script = f"""
@@ -558,6 +556,9 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert run_cli(["decompose", {files["posy12"]!r}]) == 0
 lazy = ("sdke.determinantal", "sdke.verification", "sdke.configurations")
 assert not [m for m in lazy if m in sys.modules], sorted(sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert run_cli(["verify", {files["posy12"]!r}]) == 0
+assert "sdke.configurations" not in sys.modules, sorted(sys.modules)
 names = {{}}
 exec("from sdke import *", names)
 print(json.dumps(sorted(set(names) - {{"__builtins__"}})))

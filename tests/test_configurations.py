@@ -21,6 +21,7 @@ from fixtures import (
     cycle_graph,
     disjoint_union,
     flower9,
+    k10_pendant,
     label_ids,
     label_matching,
     ladder8,
@@ -256,10 +257,20 @@ def test_miss11_every_vertex_sd():
     assert sd_vertices_of(g) == frozenset(range(11))
 
 
+def test_k10_pendant_deletion_every_vertex_but_11_sd():
+    # Derived by hand: G - e is K10 with the pendant 10 on 0, and an
+    # isolated 11.  Under a matching that leaves 10 exposed, the stem
+    # 10-0-M(0) grows a flower into the triangle of M(0) and any other
+    # matched pair, so every vertex but 11 is SD.  K10 has more simple odd
+    # cycles than the oracles' cap, so no cycle-listing search checks it.
+    g = k10_pendant()
+    assert sd_vertices_bruteforce(delete_edge(g, (10, 11))) == frozenset(range(11))
+
+
 def test_ceiling_stop_matches_full_stop_oracle():
     # Stopping at the odd-component ceiling gives the same set as running
     # until every vertex is covered, on arbitrary graphs, on the
-    # non-matchable deletions the stability check feeds the search, and
+    # non-matchable deletions G - e of matchable graphs, and
     # on fixtures with a component that has no odd cycle or several odd
     # components.
     graphs = [g for _, g in mixed_corpus(300, max_n=12)]

@@ -73,6 +73,8 @@ def test_build_rejects_a_wrong_label_count():
     ((2, [(0.0, 1)]), {}, "not an int"),
     ((2.0, []), {}, "not an int"),
     ((-1, []), {}, "nonnegative"),
+    ((2, [(0, 1, 2)]), {}, r"not an iterable of \(u, v\) pairs"),
+    ((2, None), {}, r"not an iterable of \(u, v\) pairs"),
 ])
 def test_graph_constructor_checks_as_build_graph_does(args, kwargs, match):
     # Graph(3, [(0, 5)]) and a label short used to build.

@@ -169,7 +169,7 @@ def test_stability_sweep():
             for s in range(60):
                 g = sdke.random_matchable_graph(n, p, s)
                 part = sdke.sd_ke_partition(g)
-                got = verification._stability_fault(g, part, 12)
+                got = verification._stability_fault(g, part)
                 name = f"random_matchable_graph({n}, {p}, {s})"
                 assert got == stability_per_edge(g, 12), name
 

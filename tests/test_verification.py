@@ -531,51 +531,6 @@ def test_product_check_names_the_product_that_fails():
     assert _product_fault(replaced(r, perm_product_ok=None))["perm"] == r.perm_g
 
 
-def test_stability_check_fails_on_a_skipped_edge(monkeypatch):
-    # The only KE edge of k10_pendant is unavoidable and G - e is not
-    # matchable, so the check runs the exhaustive search once.  A search
-    # that hits a work bound lists the edge as skipped and fails the check.
-    from sdke import configurations
-    from sdke.verification import _stability_fault
-
-    def bounded(graph, **bounds):
-        raise BoundExceededError("work bound")
-
-    g = k10_pendant()
-    part = sd_ke_partition(g)
-    with monkeypatch.context() as patch:
-        patch.setattr(configurations, "sd_vertices_bruteforce", bounded)
-        fault = _stability_fault(g, part, 12)
-    assert fault == {"skipped": [{"edge": (10, 11), "bound": "work bound"}]}
-    # Unpatched, the search lists no cycles and checks the edge: G - e is
-    # K10 with the pendant 10 on 0, and an isolated 11.  Under a matching
-    # that leaves 10 exposed, the stem 10-0-M(0) grows a flower into the
-    # triangle of M(0) and any other matched pair, so every vertex but 11
-    # is SD.
-    assert configurations.sd_vertices_bruteforce(delete_edge(g, (10, 11))) == frozenset(range(11))
-    assert _stability_fault(g, part, 12) is None
-
-
-def test_stability_check_reports_a_real_failure_before_skips(monkeypatch):
-    from sdke import verification
-
-    g = ladder8()
-    first, second = g.edges[:2]
-
-    def fake(graph, matching, **bounds):
-        (e,) = g.edge_set - graph.edge_set
-        if e == first:
-            raise BoundExceededError("work bound")
-        if e == second:
-            return frozenset({0})
-        return frozenset()
-
-    monkeypatch.setattr(verification, "_sd_vertices", fake)
-    assert verification._stability_fault(g, sd_ke_partition(g), 12) == {
-        "edge": second, "avoidable": True, "sd_before": [], "sd_after": [0]
-    }
-
-
 def _stability_graphs():
     graphs = [g for _, g in matchable_corpus(200, max_n=12)]
     return graphs + [ladder8(), tangle8(), posy12(), k10_pendant(), complete_graph(6),
@@ -584,8 +539,8 @@ def _stability_graphs():
 
 def test_stability_loop_equals_per_edge_oracle():
     # The oracle's search lists simple odd cycles, and on k10_pendant's one
-    # KE edge it stops at its cycle cap, where the loop, which lists none,
-    # checks the edge and passes.  Elsewhere the two agree.
+    # KE edge it stops at its cycle cap, where the loop, which computes no
+    # SD set of G - e, checks the edge and passes.  Elsewhere the two agree.
     from sdke.verification import _stability_fault
 
     for i, g in enumerate(_stability_graphs()):
@@ -595,29 +550,26 @@ def test_stability_loop_equals_per_edge_oracle():
             assert want == {
                 "skipped": [{"edge": (10, 11), "bound": "more than 200000 simple cycles"}]
             }
-            assert _stability_fault(g, part, 12) is None
+            assert _stability_fault(g, part) is None
             continue
-        assert _stability_fault(g, part, 12) == want, f"graph {i}"
+        assert _stability_fault(g, part) == want, f"graph {i}"
 
 
 def test_stability_faults_make_the_loop_differ_from_the_oracle(monkeypatch):
-    # A fault in the exhaustive route (one vertex of SD(G) dropped) or in
-    # the split route on G - e (one vertex added) must fail the loop, while
-    # the per-edge oracle, which calls neither route, still passes.
-    from sdke import configurations, decomposition
+    # A fault in the split route on G - e (one vertex added) or in the
+    # certificate of an unavoidable edge (one SD witness dropped) must fail
+    # the loop, while the per-edge oracle, which reads neither, still passes.
+    from sdke import decomposition
     from sdke.verification import _stability_fault
 
-    search, split = configurations.sd_vertices_bruteforce, decomposition._split
+    split = decomposition._split
     graphs = [g for g in _stability_graphs() if g.n <= 10 or g == posy12()]
-    failed = {"exhaustive": 0, "split": 0}
+    failed, witnessed = 0, []
     for g in graphs:
         part = sd_ke_partition(g)
         sd, size = part.sd_vertices, g.num_edges
         want = stability_per_edge(g, 12)
-        assert want == _stability_fault(g, part, 12), g.edges
-
-        def drop(graph, **bounds):
-            return search(graph, **bounds) - {min(sd)}
+        assert want == _stability_fault(g, part), g.edges
 
         def add(graph, pairing):
             arcs, comp, got = split(graph, pairing)
@@ -625,20 +577,37 @@ def test_stability_faults_make_the_loop_differ_from_the_oracle(monkeypatch):
                 return arcs, comp, got
             return arcs, comp, got | {min(set(range(graph.n)) - got)}
 
-        for route, attr, module, fault in (
-            ("exhaustive", "sd_vertices_bruteforce", configurations, drop),
-            ("split", "_split", decomposition, add),
-        ):
-            if route == "exhaustive" and not sd:
-                continue
-            with monkeypatch.context() as patch:
-                patch.setattr(module, attr, fault)
-                got = _stability_fault(g, part, 12)
-                assert stability_per_edge(g, 12) == want, (route, g.edges)
-            if got is not None:
-                assert got != want, (route, g.edges)
-                failed[route] += 1
-    assert failed["exhaustive"] >= 5 and failed["split"] >= 50, failed
+        with monkeypatch.context() as patch:
+            patch.setattr(decomposition, "_split", add)
+            got = _stability_fault(g, part)
+            assert stability_per_edge(g, 12) == want, g.edges
+        if got is not None:
+            assert got != want, g.edges
+            failed += 1
+
+        unavoidable = [e for e in g.edges if set(e) <= part.ke_vertices
+                       and not exists_max_matching_avoiding(g, e)]
+        if sd and unavoidable:
+            v = min(sd)
+            dropped = replaced(part, witnesses={u: w for u, w in part.witnesses.items() if u != v})
+            assert _stability_fault(g, dropped) == {
+                "edge": unavoidable[0], "avoidable": False, "vertex": v}, g.edges
+            assert want is None
+            witnessed.append(g)
+    assert failed >= 50 and len(witnessed) >= 5 and posy12() in witnessed, failed
+
+
+def test_stability_witnesses_are_checked_without_the_deleted_edge():
+    # Two triangles joined by 2-3, which every perfect matching uses: every
+    # vertex is SD, and 0's witness 0-1-2-3-4-5-3-2-1-0 runs through 2-3.
+    # A split that calls 2 and 3 KE makes 2-3 an unavoidable KE edge, and
+    # that witness, read in G - e, no longer certifies SD(G) <= SD(G - e).
+    from sdke.verification import _stability_fault
+
+    g = build_graph(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)])
+    assert sd_ke_partition(g).sd_vertices == set(range(6))
+    assert _stability_fault(g, split_at(g, {0, 1, 4, 5})) == {
+        "edge": (2, 3), "avoidable": False, "vertex": 0}
 
 
 def test_stability_reuses_the_matching_of_g(monkeypatch):
@@ -655,40 +624,25 @@ def test_stability_reuses_the_matching_of_g(monkeypatch):
     for g in (ladder8(), posy12(), path_graph(4)):
         part = sd_ke_partition(g)
         found.clear()
-        verification._stability_fault(g, part, 12)
+        verification._stability_fault(g, part)
         assert found == [
             delete_edge(g, e) for e in g.edges
             if part.matching.contains_edge(e) and set(e) <= part.ke_vertices
         ]
 
 
-def test_exhaustive_search_runs_only_where_the_verdict_depends_on_it(monkeypatch):
-    # P4 has no SD vertices, so its two unavoidable end edges need no
-    # search; posy12 has SD vertices and runs one search per unavoidable
-    # KE edge.
+def test_suite_runs_no_exhaustive_sd_search(monkeypatch):
+    # An unavoidable KE edge is checked by the SD witnesses, and an
+    # avoidable one by the split of G - e, so the suite never calls the
+    # exhaustive search, not even on posy12 and k10_pendant, whose KE edges
+    # include unavoidable ones beside SD vertices.
     from sdke import configurations
-    from sdke.verification import _stability_fault
 
-    search = configurations.sd_vertices_bruteforce
     calls = []
-
-    def counted(graph, **bounds):
-        calls.append(graph)
-        return search(graph, **bounds)
-
-    monkeypatch.setattr(configurations, "sd_vertices_bruteforce", counted)
-    p4 = path_graph(4)
-    assert _stability_fault(p4, sd_ke_partition(p4), 12) is None
+    monkeypatch.setattr(configurations, "sd_vertices_bruteforce", lambda *a, **k: calls.append(a))
+    for g in _stability_graphs():
+        assert run_theorem_suite(g).all_passed
     assert calls == []
-    g = posy12()
-    part = sd_ke_partition(g)
-    unavoidable = [
-        e for e in g.edges
-        if set(e) <= part.ke_vertices and not exists_max_matching_avoiding(g, e)
-    ]
-    calls.clear()
-    assert _stability_fault(g, part, 12) is None
-    assert unavoidable and calls == [delete_edge(g, e) for e in unavoidable]
 
 
 def _fault_packed_reach(monkeypatch, at, v, u):
