@@ -40,7 +40,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable
 
-from .errors import GraphError, NotMatchableError
+from .errors import GraphError, MatchingError, NotMatchableError
 from .graph import Graph, _Record, _setattr
 from .matching import Matching
 
@@ -111,8 +111,11 @@ def _perfect_pairing(graph: Graph, matching: Matching) -> tuple[int, ...]:
     One pass asks of each vertex u with partner v that v < u, or that
     v > u and uv is an edge.  Only a matching that fails it is handed to
     ``Matching.validate``, so a matched non-edge is still reported as a
-    MatchingError before a missing partner.
+    MatchingError before a missing partner.  A matching that is not a
+    ``Matching`` is a MatchingError too.
     """
+    if not isinstance(matching, Matching):
+        raise MatchingError(f"matching {matching!r} is not a Matching")
     pairing = matching.pairing
     edges = graph.edge_set
     if matching.n == graph.n:

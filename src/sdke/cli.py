@@ -21,13 +21,7 @@ from .alternating import AlternatingWalk
 from .decomposition import SdKePartition, sd_ke_partition
 from .errors import SdkeError
 from .graph import Graph, export_dot, graph_hash, parse_edge_list, serialize_edge_list
-from .matching import (
-    Matching,
-    iter_maximum_matchings,
-    iter_perfect_matchings,
-    maximum_matching,
-    parse_matching,
-)
+from .matching import iter_maximum_matchings, iter_perfect_matchings, parse_matching
 
 # determinantal and verification are imported by the commands that run
 # them, so decompose, matchings and export-dot start without either.
@@ -126,16 +120,12 @@ def _emit(payload: dict[str, Any]) -> None:
     print(_json_text(payload))
 
 
-def _resolve_matching(graph: Graph, source: str) -> Matching:
-    if source == "auto":
-        return maximum_matching(graph)
-    return parse_matching(_read_text(source), graph.n)
-
-
 def _cmd_decompose(args) -> int:
     graph = _load_graph(args.input)
-    matching = _resolve_matching(graph, args.matching)
-    part = sd_ke_partition(graph, matching)
+    # With --matching auto the split computes its own, part.matching.
+    given = None if args.matching == "auto" else parse_matching(_read_text(args.matching), graph.n)
+    part = sd_ke_partition(graph, given)
+    matching = part.matching
     if args.dot:
         try:
             Path(args.dot).write_text(export_dot(graph, partition=part, matching=matching))
@@ -255,9 +245,8 @@ def _cmd_gen(args) -> int:
 def _cmd_export_dot(args) -> int:
     graph = _load_graph(args.input)
     if args.decorate:
-        matching = maximum_matching(graph)
-        part = sd_ke_partition(graph, matching)
-        sys.stdout.write(export_dot(graph, partition=part, matching=matching))
+        part = sd_ke_partition(graph)
+        sys.stdout.write(export_dot(graph, partition=part, matching=part.matching))
     else:
         sys.stdout.write(export_dot(graph))
     return 0

@@ -29,34 +29,57 @@ from .alternating import (
     _perfect_pairing,
     _strong_components,
 )
-from .graph import Edge, Graph, _Record, induced_subgraph
+from .graph import Edge, Graph, _Record, _setattr, induced_subgraph
 from .matching import Matching, maximum_matching
 
-# One witness build at a time, so that first reads in two threads share one dict.
+# One deferred build at a time, so that first reads in two threads share
+# one build.
 _BUILDING = threading.Lock()
+
+
+def _parts(graph, arcs, comp, pairing, sd, ke) -> dict:
+    return {
+        "sd_part": induced_subgraph(graph, sd),
+        "ke_part": induced_subgraph(graph, ke),
+        "cut": frozenset(e for e in graph.edges if (e[0] in sd) != (e[1] in sd)),
+    }
+
+
+def _witnesses(graph, arcs, comp, pairing, sd, ke) -> dict:
+    return {"witnesses": _closed_walks(arcs, comp, pairing, sd)}
+
+
+# Each deferred field and the builder of its group, which takes the state
+# the split left and returns every field of the group: the first read of
+# any of them builds them all.
+_DEFERRED = {"sd_part": _parts, "ke_part": _parts, "cut": _parts, "witnesses": _witnesses}
 
 
 class SdKePartition(_Record):
     """The SD/KE vertex sets, the induced parts, and the cut between them.
 
     witnesses holds a shortest closed-walk certificate for every SD
-    vertex, the same walk ``semi_jposy_witness`` returns.  A partition
-    from ``sd_ke_partition`` builds them on the first read of the field,
-    once, from the state its split left, and then drops that state; every
-    read returns the same dict.  Equality, repr, pickling and copying read
-    the field, so they build it too.  failed_searches holds the member of
-    each KE pair that its partner cannot reach in D (the strong-component
-    order picks it, with no search), so it has no mm-closed walk.  Their
-    partners form an independent set of G of size |KE|/2 with no
-    neighbour in SD, as ``verification._block_fault`` proves: the
-    certificate that the KE part is Koenig-Egervary, and that no perfect
-    matching or spanning Sachs subgraph uses a cut edge.
+    vertex, the same walk ``semi_jposy_witness`` returns.  failed_searches
+    holds the member of each KE pair that its partner cannot reach in D
+    (the strong-component order picks it, with no search), so it has no
+    mm-closed walk.  Their partners form an independent set of G of size
+    |KE|/2 with no neighbour in SD, as ``verification._block_fault``
+    proves: the certificate that the KE part is Koenig-Egervary, and that
+    no perfect matching or spanning Sachs subgraph uses a cut edge.
+
+    A partition from ``sd_ke_partition`` defers two groups of fields to
+    their first read: sd_part, ke_part and cut, built together, and
+    witnesses.  Each group is built once, from the state the split left,
+    and every later read returns the same object; the state is dropped
+    once every deferred field has been built, assigned or deleted.
+    Equality, repr, pickling and copying read every field, so they build
+    both groups.  A field given to the constructor is kept as given.
     """
 
-    # __sweep, not a field: the arguments of _closed_walks while the
-    # witnesses wait for their first read, else None.
+    # Not fields: __split, the state the deferred fields are built from,
+    # and __pending, the deferred fields not yet built, assigned or deleted.
     __slots__ = ("sd_vertices", "ke_vertices", "sd_part", "ke_part", "cut", "matching",
-                 "witnesses", "failed_searches", "__sweep")
+                 "witnesses", "failed_searches", "__split", "__pending")
 
     def __init__(
         self, sd_vertices: frozenset[int], ke_vertices: frozenset[int], sd_part: Graph,
@@ -64,52 +87,81 @@ class SdKePartition(_Record):
         witnesses: dict[int, AlternatingWalk] | None = None,
         failed_searches: frozenset[int] = frozenset(),
     ) -> None:
-        self.sd_vertices, self.ke_vertices, self.cut = sd_vertices, ke_vertices, cut
-        self.sd_part, self.ke_part, self.matching = sd_part, ke_part, matching
-        self.witnesses = {} if witnesses is None else witnesses
-        self.failed_searches = failed_searches
-        self.__sweep = None
+        witnesses = {} if witnesses is None else witnesses
+        values = sd_vertices, ke_vertices, sd_part, ke_part, cut, matching, witnesses, failed_searches
+        # Set directly: nothing of a new record waits for a build.
+        for field, value in zip(self._fields, values):
+            _setattr(self, field, value)
+        self.__pending = set()
+        self.__split = None
 
-    def _defer(self, *sweep) -> SdKePartition:
-        """Leave witnesses unset, to be built by ``_closed_walks(*sweep)``."""
-        del self.witnesses
-        self.__sweep = sweep
+    def _defer(self, *split) -> SdKePartition:
+        """Leave every deferred field unset, to be built from split."""
+        for name in _DEFERRED:
+            object.__delattr__(self, name)
+        self.__pending = set(_DEFERRED)
+        self.__split = split
         return self
+
+    def __settle(self, name: str) -> None:
+        # Under _BUILDING: name waits for no build, and the split's state
+        # goes with the last field that did.
+        self.__pending.discard(name)
+        if not self.__pending:
+            self.__split = None
 
     def __getattr__(self, name: str):
         # Python calls this only when the usual lookup fails: on the first
-        # read of deferred witnesses, or for a name the record lacks.
-        if name == "witnesses":
+        # read of a deferred field, or for a name the record lacks.
+        build = _DEFERRED.get(name)
+        if build is not None:
             with _BUILDING:
-                sweep = self.__sweep
-                if sweep is not None:
-                    self.witnesses = walks = _closed_walks(*sweep)
-                    self.__sweep = None
-                    return walks
+                if name in self.__pending:
+                    for field, value in build(*self.__split).items():
+                        if field in self.__pending:
+                            _setattr(self, field, value)
+                            self.__settle(field)
         # Built by another thread meanwhile, or else the usual AttributeError.
         return object.__getattribute__(self, name)
 
-    def __delattr__(self, name: str) -> None:
-        # Deleting deferred witnesses drops their sweep, as if they were built.
-        if name == "witnesses" and self.__sweep is not None:
-            self.__sweep = None
+    def __setattr__(self, name: str, value: object) -> None:
+        # Assigning a deferred field settles it, as a build would.
+        if name in _DEFERRED:
+            with _BUILDING:
+                _setattr(self, name, value)
+                self.__settle(name)
         else:
-            object.__delattr__(self, name)
+            _setattr(self, name, value)
+
+    def __delattr__(self, name: str) -> None:
+        # Deleting a deferred field that waits for its build settles it
+        # unset, as deleting a built one leaves it.
+        with _BUILDING:
+            if name in _DEFERRED and name in self.__pending:
+                self.__settle(name)
+            else:
+                object.__delattr__(self, name)
 
 
 def sd_ke_partition(graph: Graph, matching: Matching | None = None) -> SdKePartition:
     """Split a matchable graph into its SD and KE parts.
 
     If no matching is supplied, a maximum matching is computed; either
-    way the matching must be perfect.  The split takes one strong-component
-    pass.  The witnesses are built on the first read of the field, once:
-    one bitset level sweep per SD component and block of 512 targets,
-    inside that component.  A caller that never reads them never pays
-    for them.
+    way the matching must be perfect.  A maximum matching computed here
+    is a matching of the graph by construction, so only its size is
+    tested; a supplied one is checked in full.  The split takes one
+    strong-component pass.  The rest is built on first read, once per
+    group: sd_part, ke_part and cut by two ``induced_subgraph`` calls and
+    one pass over the edges, and the witnesses by one bitset level sweep
+    per SD component and block of 512 targets, inside that component.  A
+    caller that never reads a group never pays for it.
     """
-    if matching is None:
+    own = matching is None
+    if own:
         matching = maximum_matching(graph)
-    pairing = _perfect_pairing(graph, matching)
+    # A matching of the graph's own that is not perfect goes through the
+    # full check too, which raises the same NotMatchableError.
+    pairing = matching.pairing if own and matching.is_perfect else _perfect_pairing(graph, matching)
     arcs, comp, sd = _split(graph, pairing)
     ke = frozenset(range(graph.n)) - sd
     failed = frozenset(
@@ -117,18 +169,8 @@ def sd_ke_partition(graph: Graph, matching: Matching | None = None) -> SdKeParti
         for v in ke
         if v < pairing[v]
     )
-    cut = frozenset(
-        e for e in graph.edges if (e[0] in sd) != (e[1] in sd)
-    )
-    return SdKePartition(
-        sd_vertices=sd,
-        ke_vertices=ke,
-        sd_part=induced_subgraph(graph, sd),
-        ke_part=induced_subgraph(graph, ke),
-        cut=cut,
-        matching=matching,
-        failed_searches=failed,
-    )._defer(arcs, comp, pairing, sd)
+    return SdKePartition(sd, ke, None, None, None, matching, None, failed)._defer(
+        graph, arcs, comp, pairing, sd, ke)
 
 
 def _split(

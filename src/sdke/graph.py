@@ -77,6 +77,11 @@ class Graph(_Record, frozen=True):
     labels : tuple
         labels[i] is the external name of internal vertex i.  Defaults to
         the identity 0..n-1.
+
+    Every graph holds its edges canonical and sorted: the constructor
+    sorts them, and ``_derived``'s callers keep their order.  So each
+    vertex meets its neighbours in increasing order along the edge list,
+    and ``adjacency`` needs no per-vertex sort.
     """
 
     __slots__ = ("n", "edges", "labels", "__dict__")  # __dict__ caches adjacency, edge_set
@@ -117,12 +122,16 @@ class Graph(_Record, frozen=True):
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Per-vertex sorted neighbor tuples."""
+        """Per-vertex sorted neighbor tuples.
+
+        The edges are sorted, so x's lower neighbours u, from the edges
+        (u, x), come first and in increasing order, then its higher ones.
+        """
         neigh: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
             neigh[u].append(v)
             neigh[v].append(u)
-        return tuple(tuple(sorted(ns)) for ns in neigh)
+        return tuple(map(tuple, neigh))
 
     @cached_property
     def edge_set(self) -> frozenset[Edge]:
@@ -133,15 +142,26 @@ class Graph(_Record, frozen=True):
         return len(self.edges)
 
     def has_edge(self, u: int, v: int) -> bool:
-        if u == v:
+        """Whether uv is an edge.  An id that is not an int, a bool
+        included, names no edge, as an id out of range names none."""
+        if u == v or not (type(u) is type(v) is int):
             return False
         return (min(u, v), max(u, v)) in self.edge_set
 
     def labels_of(self, vs: Iterable[int]) -> list[Hashable]:
-        return [self.labels[v] for v in vs]
+        """The labels of the ids vs, in their order; an id that is not an
+        int in 0..n-1 is a GraphError."""
+        labels, n = self.labels, self.n
+        # One pass: a bad id falls through to _no_vertex, which raises.
+        return [labels[v] for v in vs if type(v) is int and 0 <= v < n or _no_vertex(v, n)]
 
     def __repr__(self) -> str:  # keep reprs short for test failures
         return f"Graph(n={self.n}, m={self.num_edges})"
+
+
+def _no_vertex(v: object, n: int) -> bool:
+    """Raise the GraphError of an id v that names no vertex of an n-vertex graph."""
+    raise GraphError(f"vertex {v!r} is not an int in 0..{n - 1}")
 
 
 def build_graph(
@@ -175,7 +195,7 @@ def induced_subgraph(graph: Graph, vertices: Iterable[int]) -> Graph:
     chosen = set(vertices)
     for v in chosen:
         if type(v) is not int or not 0 <= v < graph.n:
-            raise GraphError(f"vertex {v!r} is not an int in 0..{graph.n - 1}")
+            _no_vertex(v, graph.n)
     selected = sorted(chosen)
     index = {v: i for i, v in enumerate(selected)}
     # The remap is monotone, so the edges of a valid graph stay canonical
@@ -232,13 +252,11 @@ def parse_edge_list(text: str) -> Graph:
     the input's length in characters by at most 65,536, since the text
     can name fewer vertices than it has characters and the rest are
     isolated; a larger n raises GraphError before anything of size n is
-    built.
+    built.  Input that is not a str raises GraphError.
     """
-    lines = [
-        ln.strip()
-        for ln in text.splitlines()
-        if ln.strip() and not ln.lstrip().startswith("#")
-    ]
+    if not isinstance(text, str):
+        raise GraphError(f"edge-list input is {type(text).__name__}, not a str")
+    lines = [ln for ln in map(str.strip, text.splitlines()) if ln and ln[0] != "#"]
     if not lines:
         raise GraphError("empty input: missing 'n m' header")
     head = lines[0].split()

@@ -60,8 +60,9 @@ class Matching(_Record, frozen=True):
         return [(v, u) for v, u in enumerate(self.pairing) if v < u]
 
     def contains_edge(self, e: tuple[int, int]) -> bool:
+        """Whether e is a matched pair; ids that are not ints match nothing."""
         u, v = e
-        return u != v and 0 <= u < self.n and self.pairing[u] == v
+        return u != v and type(u) is type(v) is int and 0 <= u < self.n and self.pairing[u] == v
 
     def validate(self, graph: Graph) -> None:
         """Raise MatchingError unless every matched pair is an edge of graph."""
@@ -75,6 +76,14 @@ class Matching(_Record, frozen=True):
 
     def __repr__(self) -> str:
         return f"Matching({self.edge_pairs()})"
+
+
+def _unchecked(pairing: tuple[int, ...]) -> Matching:
+    # A matching the library built as an involution of ints: none of the
+    # constructor's checks runs, as ``graph._derived`` does for graphs.
+    matching = object.__new__(Matching)
+    _setattr(matching, "pairing", pairing)
+    return matching
 
 
 def matching_from_edges(n: int, pairs: Iterable[tuple[int, int]]) -> Matching:
@@ -131,6 +140,9 @@ def maximum_matching(graph: Graph) -> Matching:
     its newly even vertices to the queue in increasing id order, the order
     the classic relabel loop over all n vertices gives, so each search
     visits vertices in the same order and flips the same augmenting path.
+
+    The result is an involution by construction, so it is built without
+    the ``Matching`` constructor's checks.
     """
     n = graph.n
     adj = graph.adjacency
@@ -228,7 +240,7 @@ def maximum_matching(graph: Graph) -> Matching:
                 break
         else:
             augment_from(v)
-    return Matching(tuple(v if m == -1 else m for v, m in enumerate(match)))
+    return _unchecked(tuple(v if m == -1 else m for v, m in enumerate(match)))
 
 
 def matching_number(graph: Graph) -> int:
@@ -257,7 +269,7 @@ def _matchings(graph: Graph, size: int) -> Iterator[Matching]:
         while lowest < n and not free[lowest]:
             lowest += 1
         if lowest == n:
-            yield Matching(tuple(pairing))
+            yield _unchecked(tuple(pairing))
             return
         v = lowest
         for w in graph.adjacency[v]:

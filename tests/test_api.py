@@ -155,6 +155,15 @@ NON_INT_CALLS = {
         4, [(0, 1, 2)]), r"not an iterable of \(u, v\) pairs"),
     "delete_edge short": (GraphError, lambda: sdke.delete_edge(_k2(), (0,)),
                           r"not a \(u, v\) pair"),
+    "sd_ke_partition matching": (MatchingError, lambda: sdke.sd_ke_partition(_k2(), "x"),
+                                 "'x' is not a Matching"),
+    "labels_of out of range": (GraphError, lambda: _k2().labels_of([9]), r"9 is not an int in 0\.\.1"),
+    "labels_of negative": (GraphError, lambda: _k2().labels_of([0, -1])),
+    "labels_of str": (GraphError, lambda: _k2().labels_of(["a"])),
+    "parse_edge_list None": (GraphError, lambda: sdke.parse_edge_list(None),
+                             "NoneType, not a str"),
+    "parse_edge_list bytes": (GraphError, lambda: sdke.parse_edge_list(b"2 1\n0 1\n"),
+                              "bytes, not a str"),
 }
 
 
@@ -164,3 +173,24 @@ def test_non_int_ids_are_domain_errors(name):
     assert issubclass(error, SdkeError)
     with pytest.raises(error, match=match[0] if match else "not an int"):
         call()
+
+
+# Predicates asked about ids that are not ints answer False, as they do for
+# ids out of range, rather than raise or take a float or bool for an int.
+NON_INT_PREDICATES = {
+    "has_edge str": lambda: _k2().has_edge("a", 1),
+    "has_edge None": lambda: _k2().has_edge(None, 1),
+    "has_edge float": lambda: _k2().has_edge(1.0, 0),
+    "has_edge bool": lambda: _k2().has_edge(True, 0),
+    "has_edge out of range": lambda: _k2().has_edge(0, 2),
+    "contains_edge str": lambda: sdke.maximum_matching(_k2()).contains_edge(("a", 1)),
+    "contains_edge float": lambda: sdke.maximum_matching(_k2()).contains_edge((0, 1.0)),
+    "contains_edge bool": lambda: sdke.maximum_matching(_k2()).contains_edge((False, 1)),
+    "contains_edge out of range": lambda: sdke.maximum_matching(_k2()).contains_edge((2, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_INT_PREDICATES))
+def test_predicates_answer_false_for_non_int_ids(name):
+    assert _k2().has_edge(0, 1) and sdke.maximum_matching(_k2()).contains_edge((1, 0))
+    assert NON_INT_PREDICATES[name]() is False

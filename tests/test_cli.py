@@ -199,6 +199,20 @@ def test_verify_not_matchable_is_domain_error(files, capsys):
     }
 
 
+def test_split_commands_on_a_graph_without_perfect_matching(files, tmp_path, capsys):
+    # decompose and export-dot --decorate let the split compute its own
+    # matching; without a perfect one they report the error the split
+    # gave when the command computed it, as does a given matching.
+    matching = tmp_path / "c5.matching"
+    matching.write_text("0 1\n2 3\n")
+    error = {"error": {"type": "NotMatchableError",
+                       "message": "SD-KE separation requires a graph with a perfect matching"}}
+    for argv in (["decompose", files["c5"]], ["decompose", files["c5"], "--text"],
+                 ["decompose", files["c5"], "--matching", str(matching)],
+                 ["export-dot", files["c5"], "--decorate"]):
+        assert run_json(capsys, argv) == (1, error), argv
+
+
 def test_verify_fails_when_a_witness_fails_stability(tmp_path, capsys, monkeypatch):
     # The only KE edge of this fixture, 10-11, is unavoidable, so the
     # stability check asks every SD witness to survive its deletion.  With

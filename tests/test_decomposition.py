@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+import sdke
 from sdke import (
     Matching,
     NotMatchableError,
@@ -14,6 +15,7 @@ from sdke import (
     build_graph,
     delete_edge,
     factorization_report,
+    induced_subgraph,
     iter_perfect_matchings,
     matching_from_edges,
     matching_number,
@@ -180,9 +182,12 @@ def test_only_callers_that_read_witnesses_build_them(monkeypatch, tmp_path, caps
     assert calls == {"_closed_walk": [], "_closed_walks": []}
 
 
+DEFERRED = ("sd_part", "ke_part", "cut", "witnesses")
+
+
 def test_deferred_witnesses_keep_the_record_contract():
-    # A partition whose witnesses wait for their first read behaves as one
-    # built with the same dict given explicitly.
+    # A partition whose parts, cut and witnesses wait for their first read
+    # behaves as one built with the same values given explicitly.
     for g in (posy12(), tangle8(), ladder8(), build_graph(0, [])):
         p = sd_ke_partition(g)
         given = SdKePartition(*(getattr(p, f) for f in SdKePartition._fields))
@@ -195,43 +200,125 @@ def test_deferred_witnesses_keep_the_record_contract():
             replaced(sd_ke_partition(g)),
         ):
             assert copied == given and given == copied
-    # Given witnesses are kept as the very object.  Assigning them before
-    # or after the first read replaces them, and deleting them leaves the
-    # field unset, as on any record.
-    walks = {}
-    assert SdKePartition(*(getattr(p, f) for f in SdKePartition._fields[:6]), walks).witnesses is walks
-    for read_first in (False, True):
-        p = sd_ke_partition(posy12())
-        if read_first:
-            assert len(p.witnesses) == 10
-        p.witnesses = walks
-        assert p.witnesses is walks
-        p = sd_ke_partition(posy12())
-        if read_first:
-            assert len(p.witnesses) == 10
-        del p.witnesses
-        with pytest.raises(AttributeError):
-            p.witnesses
+    # Given values are kept as the very objects.
+    p = sd_ke_partition(posy12())
+    values = [getattr(p, f) for f in SdKePartition._fields]
+    given = SdKePartition(*values)
+    assert all(getattr(given, f) is v for f, v in zip(SdKePartition._fields, values))
+    # Assigning a deferred field before or after the first read replaces
+    # it, and deleting it leaves the field unset, as on any record.  The
+    # other fields of its group are still built from the split.
+    full = sd_ke_partition(posy12())
+    sd_part, ke_part, cut = full.sd_part, full.ke_part, full.cut
+    for name in DEFERRED:
+        for read_first in (False, True):
+            mine = object()
+            p = sd_ke_partition(posy12())
+            if read_first:
+                getattr(p, name)
+            setattr(p, name, mine)
+            assert getattr(p, name) is mine
+            assert (p.sd_part, p.ke_part, p.cut) == tuple(
+                mine if f == name else v for f, v in zip(DEFERRED, (sd_part, ke_part, cut)))
+            p = sd_ke_partition(posy12())
+            if read_first:
+                getattr(p, name)
+            delattr(p, name)
+            with pytest.raises(AttributeError):
+                getattr(p, name)
+            with pytest.raises(AttributeError):
+                delattr(p, name)
+            assert all(getattr(p, f) == getattr(full, f) for f in DEFERRED if f != name)
     with pytest.raises(AttributeError):
         p.no_such_field
 
 
+def test_split_state_is_dropped_once_every_deferred_field_settles():
+    # The graph, D's arcs and components stay with the partition only
+    # while some deferred field may still be built from them.
+    def state(p):
+        return p._SdKePartition__split
+
+    for settle in (getattr, delattr, lambda p, f: setattr(p, f, None)):
+        p = sd_ke_partition(posy12())
+        for f in DEFERRED:
+            assert state(p) is not None
+            settle(p, f)
+        assert state(p) is None
+    assert state(SdKePartition(*(getattr(p, f) for f in SdKePartition._fields[:6]))) is None
+
+
+def _count_induced_subgraph(monkeypatch):
+    from sdke import decomposition, graph
+
+    calls = []
+
+    def counted(*args, _original=graph.induced_subgraph):
+        calls.append(args[1])
+        return _original(*args)
+
+    monkeypatch.setattr(decomposition, "induced_subgraph", counted)
+    return calls
+
+
+def test_parts_and_cut_wait_for_their_first_read(monkeypatch):
+    # The split calls induced_subgraph for neither part; the first read of
+    # a part or of the cut calls it twice, and later reads not at all.
+    calls = _count_induced_subgraph(monkeypatch)
+    for g in (posy12(), tangle8(), ladder8()):
+        for first in ("sd_part", "ke_part", "cut"):
+            p = sd_ke_partition(g)
+            assert p.witnesses is not None and calls == []
+            getattr(p, first)
+            assert calls == [p.sd_vertices, p.ke_vertices]
+            calls.clear()
+            p.sd_part, p.ke_part, p.cut
+            assert calls == []
+
+
+def test_deferred_parts_and_cut_equal_their_definitions():
+    # Under the library's own matching and under each given perfect
+    # matching, the parts are the induced subgraphs of the split's sides
+    # and the cut is the set of crossing edges.
+    for seed, g in matchable_corpus(60):
+        own = sd_ke_partition(g)
+        for p in (own, sd_ke_partition(g, own.matching),
+                  *(sd_ke_partition(g, m) for m in iter_perfect_matchings(g))):
+            sd = p.sd_vertices
+            assert p.sd_part == induced_subgraph(g, sd), seed
+            assert p.ke_part == induced_subgraph(g, p.ke_vertices), seed
+            assert p.cut == frozenset(e for e in g.edges if (e[0] in sd) != (e[1] in sd)), seed
+
+
+def test_not_matchable_graphs_raise_as_before():
+    # The split's own maximum matching is tested for size alone; one that
+    # is not perfect, or a given one, raises the same error.
+    message = "SD-KE separation requires a graph with a perfect matching"
+    for g in (cycle_graph(5), build_graph(4, [(0, 1), (0, 2), (0, 3)]), build_graph(2, [])):
+        for m in (None, sdke.maximum_matching(g)):
+            with pytest.raises(NotMatchableError) as raised:
+                sd_ke_partition(g, m)
+            assert type(raised.value) is NotMatchableError and str(raised.value) == message
+
+
 def test_concurrent_first_reads_share_one_build(monkeypatch):
-    # Four threads read the witnesses of one fresh partition at once, with
-    # thread switches forced often: one sweep runs, and all four get its dict.
+    # Four threads read the witnesses, or the cut, of one fresh partition
+    # at once, with thread switches forced often: one build runs, and all
+    # four get its object.
     calls = _count_witness_routines(monkeypatch)
+    parts = _count_induced_subgraph(monkeypatch)
     g = random_matchable_graph(200, 3 / 200, 1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(20):
+        for name in ("witnesses", "cut") * 10:
             p = sd_ke_partition(g)
             start = threading.Barrier(4)
             got = []
 
             def read():
                 start.wait()
-                got.append(p.witnesses)
+                got.append(getattr(p, name))
 
             threads = [threading.Thread(target=read) for _ in range(4)]
             for t in threads:
@@ -239,9 +326,15 @@ def test_concurrent_first_reads_share_one_build(monkeypatch):
             for t in threads:
                 t.join(timeout=30)
             assert not any(t.is_alive() for t in threads)
-            assert len(got) == 4 and all(w is p.witnesses for w in got)
-            assert calls["_closed_walks"] == [p.sd_vertices] and p.sd_vertices
+            assert len(got) == 4 and all(x is getattr(p, name) for x in got)
+            if name == "witnesses":
+                assert calls["_closed_walks"] == [p.sd_vertices] and p.sd_vertices
+                assert parts == []
+            else:
+                assert parts == [p.sd_vertices, p.ke_vertices] and p.cut
+                assert calls["_closed_walks"] == []
             calls["_closed_walks"].clear()
+            parts.clear()
     finally:
         sys.setswitchinterval(interval)
 

@@ -19,6 +19,7 @@ from fixtures import (
     label_matching,
     ladder8,
     path_graph,
+    planted_split,
     posy12,
 )
 
@@ -95,6 +96,41 @@ def test_graph_constructor_stores_edges_canonically():
     edges = ((0, 1), (1, 2))
     assert Graph(3, edges).edges is edges
     assert Graph(3, [(1, 2), (0, 1)]).edges == edges
+
+
+def test_adjacency_is_sorted_without_a_sort():
+    # Every graph holds sorted canonical edges, so adjacency, which
+    # appends neighbours in edge order, lists each vertex's neighbours in
+    # increasing order, however the graph was made.
+    import pickle
+    import random
+
+    from sdke import sd_ke_partition
+
+    def sorted_neighbours(g):
+        neigh = [set() for _ in range(g.n)]
+        for u, v in g.edges:
+            neigh[u].add(v)
+            neigh[v].add(u)
+        return tuple(tuple(sorted(ns)) for ns in neigh)
+
+    rng = random.Random(5)
+    graphs = [posy12(), ladder8(), build_graph(0, [])]
+    for n in (2, 7, 20, 41):
+        edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
+        rng.shuffle(edges)
+        graphs += [Graph(n, [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]),
+                   Graph(n, [(v, u) for u, v in reversed(sorted(edges))])]
+    for g in list(graphs):
+        graphs += [induced_subgraph(g, range(0, g.n, 2)), pickle.loads(pickle.dumps(g))]
+        if g.edges:
+            graphs.append(delete_edge(g, g.edges[len(g.edges) // 2]))
+    for g in (posy12(), planted_split(40, 4, rng)[0]):
+        part = sd_ke_partition(g)
+        assert part.sd_part.edges and part.ke_part.edges
+        graphs += [part.sd_part, part.ke_part]
+    for g in graphs:
+        assert g.adjacency == sorted_neighbours(g), g
 
 
 def test_derived_graphs_skip_the_constructor_checks(monkeypatch):

@@ -260,6 +260,21 @@ def test_maximum_matching_always_valid(case):
     assert m.size >= (1 if edges else 0)  # an edge exists, so can a pair
 
 
+def test_library_matchings_equal_their_checked_construction():
+    # maximum_matching and the enumerators build their matchings without
+    # the constructor's checks; each is an involution the checked
+    # constructor accepts as the same matching.
+    for seed, g in matchable_corpus(60, max_n=10):
+        found = [maximum_matching(g), *iter_perfect_matchings(g), *iter_maximum_matchings(g)]
+        for m in found:
+            checked = Matching(m.pairing)
+            assert type(m) is Matching and checked == m and checked.pairing == m.pairing, seed
+            m.validate(g)
+    for seed, g in mixed_corpus(60):
+        m = maximum_matching(g)
+        assert Matching(m.pairing) == m, seed
+
+
 def test_matching_text_roundtrip():
     g = ladder8()
     m = maximum_matching(g)

@@ -47,18 +47,29 @@ def test_matching_scale():
 
 def test_planted_split_scale(monkeypatch):
     # fixtures.planted_split at n = 10^5, half of it in K4 blocks: the
-    # split returns the planted SD set and passes its block certificate,
-    # and no witness is built, since none is read.  About 3-4 s on a
-    # 2-core VM with Python 3.11; building the witnesses would add about 7 s.
+    # split returns the planted SD set and passes its block certificate.
+    # No witness is built, since none is read, and neither part is built
+    # before the certificate reads the cut, which builds both.  About
+    # 3 s on a 2-core VM with Python 3.11; building the witnesses would
+    # add about 7 s.
     def refuse(*args):
         raise AssertionError("a witness sweep ran")
 
+    parts = []
+
+    def induced(graph, vertices, _original=decomposition.induced_subgraph):
+        parts.append(len(vertices))
+        return _original(graph, vertices)
+
     monkeypatch.setattr(alternating, "_closed_walks", refuse)
     monkeypatch.setattr(decomposition, "_closed_walks", refuse)
+    monkeypatch.setattr(decomposition, "induced_subgraph", induced)
     g, sd, _ = planted_split(100_000, 12_500, random.Random(17))
     part = sdke.sd_ke_partition(g)
     assert part.sd_vertices == sd and len(part.ke_vertices) == 50_000
+    assert parts == []
     assert verification._block_fault(g, part) is None
+    assert parts == [50_000, 50_000]
 
 
 def test_permanent_engines():
