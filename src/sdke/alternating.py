@@ -29,10 +29,10 @@ the reach of each successor already complete, and a component reaches
 its own members plus the reach of every component its arcs enter (a
 bitset OR per arc of the condensation).  One BFS over D from M(v) gives
 v's reachable set alone, or, stopped as soon as v is reached, its
-shortest closed walk.  The walks at every SD vertex come from bitset
-level sweeps, one per strong component and block of targets, which
-rebuild the same walks without a search per vertex; ``sd_ke_partition``
-runs them on the first read of its witnesses, once.
+shortest closed walk.  The walks at every SD vertex come from two BFS
+over D per strong component, from a root r and from M(r), which D's skew
+symmetry turns into a walk through r for every member;
+``sd_ke_partition`` builds them on the first read of its witnesses, once.
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable
 
-from .errors import GraphError, MatchingError, NotMatchableError
+from .errors import GraphError, NotMatchableError
 from .graph import Graph, _Record, _setattr
-from .matching import Matching
+from .matching import Matching, _require_matching
 
 WALK_KINDS = ("mm", "nn", "mn", "nm")
 
@@ -79,7 +79,9 @@ def verify_walk(graph: Graph, matching: Matching, walk: AlternatingWalk) -> bool
     The matching is one of the graph, the kind tag is known, and the walk
     has an edge, int vertices in range, consecutive vertices adjacent,
     strictly alternating matching membership, and end edges as tagged.
+    A matching that is not a ``Matching`` raises MatchingError.
     """
+    _require_matching(matching)
     try:
         matching.validate(graph)
     except ValueError:
@@ -114,8 +116,7 @@ def _perfect_pairing(graph: Graph, matching: Matching) -> tuple[int, ...]:
     MatchingError before a missing partner.  A matching that is not a
     ``Matching`` is a MatchingError too.
     """
-    if not isinstance(matching, Matching):
-        raise MatchingError(f"matching {matching!r} is not a Matching")
+    _require_matching(matching)
     pairing = matching.pairing
     edges = graph.edge_set
     if matching.n == graph.n:
@@ -265,102 +266,53 @@ def _bfs(arcs: list[list[int]], start: int, stop: int = -1) -> dict[int, int]:
     return parent
 
 
-def _closed_walk(
-    arcs: list[list[int]], pairing: tuple[int, ...], v: int
-) -> AlternatingWalk | None:
+def _closed_walk(arcs: list[list[int]], pairing: tuple[int, ...], v: int) -> AlternatingWalk | None:
     """Shortest mm-closed walk at v by BFS over D from M(v), or None.
 
-    The search stops as soon as v is reached.  Each tree arc x -> z
-    expands to the walk steps x, M(z), z (a non-matching edge, then a
-    matching one).  Of all shortest M(v) -> v paths, the BFS tree holds
-    the one whose sequence of arc positions is lexicographically smallest:
-    by induction on depth, the queue holds each level in that order, and
-    a vertex's parent is the first vertex of the level above with an arc
-    to it.  ``_closed_walks`` rebuilds exactly this path.
+    The search stops as soon as v is reached; the walk is the matched edge
+    v, M(v), then the tree path M(v) -> v.
     """
-    start = pairing[v]
-    parent = _bfs(arcs, start, v)
+    parent = _bfs(arcs, pairing[v], v)
     if v not in parent:
         return None
-    chain = [v]
-    z = v
-    while z != start:
-        chain += (pairing[z], parent[z])
-        z = parent[z]
-    chain.append(v)  # the initial matched edge v -> M(v)
-    chain.reverse()
-    return AlternatingWalk(vertices=tuple(chain), kind="mm")
+    return AlternatingWalk((v, pairing[v], *_steps(parent, pairing, v)), "mm")
 
 
-_BLOCK = 512  # target bits per sweep; bounds each stored row to 64 bytes
-_DEPTH = 64  # levels per block sweep; deeper targets take the one-vertex BFS
+def _steps(parent: dict[int, int], pairing: tuple[int, ...], v: int) -> list[int]:
+    """The walk in G after the root of a BFS tree of D, along the path to v.
 
-
-def _closed_walks(
-    arcs: list[list[int]],
-    comp: list[int],
-    pairing: tuple[int, ...],
-    sd: frozenset[int],
-) -> dict[int, AlternatingWalk]:
-    """The ``_closed_walk`` of every vertex of sd, by bitset level sweeps.
-
-    sd must be a union of strong components, each holding its members'
-    partners.  Every M(v) -> v path stays inside v's component, so each
-    component is handled alone, on local indices, with its targets in
-    blocks of at most ``_BLOCK`` bits.  Level k holds, for every member x,
-    the bits of the block's targets within k arcs of x: level 0 is x's own
-    bit, and level k ORs x's row of level k - 1 with the rows its arcs
-    enter.  d(v) is the first level at which M(v)'s row holds v.  The walk
-    then starts at M(v) and, with r arcs left, takes the first arc whose
-    target has v within r - 1 arcs; that is the lexicographically
-    smallest shortest path, the one ``_closed_walk`` returns.  A block
-    keeps at most ``_DEPTH`` levels, each a row per member: deeper levels
-    would save little over a BFS per target while their memory kept
-    growing, so the targets still unreached then take ``_closed_walk``.
+    Each arc x -> z expands to the steps M(z), z: a non-matching edge,
+    then a matching one.
     """
-    order = sorted(sd)
-    members: dict[int, list[int]] = {}
-    for v in order:
-        members.setdefault(comp[v], []).append(v)
-    pos = [0] * len(arcs)
-    walks: dict[int, AlternatingWalk] = {}
-    for c, xs in members.items():
-        for i, x in enumerate(xs):
-            pos[x] = i
-        local = [[pos[z] for z in arcs[x] if comp[z] == c] for x in xs]
-        for lo in range(0, len(xs), _BLOCK):
-            targets = xs[lo:lo + _BLOCK]
-            level = [0] * len(xs)
-            for j in range(len(targets)):
-                level[lo + j] = 1 << j
-            levels = [level]
-            starts = [pos[pairing[v]] for v in targets]
-            dist = [0] * len(targets)
-            pending = range(len(targets))
-            while pending and len(levels) <= _DEPTH:
-                prev = level
-                level = []
-                for row, out in zip(prev, local):
-                    for z in out:
-                        row |= prev[z]
-                    level.append(row)
-                levels.append(level)
-                for j in pending:
-                    if level[starts[j]] >> j & 1:
-                        dist[j] = len(levels) - 1
-                pending = [j for j in pending if not dist[j]]
-            for j, v in enumerate(targets):
-                if not dist[j]:
-                    walks[v] = _closed_walk(arcs, pairing, v)
-                    continue
-                x = starts[j]
-                chain = [v, pairing[v]]
-                for r in range(dist[j] - 1, -1, -1):
-                    row = levels[r]
-                    for z in local[x]:
-                        if row[z] >> j & 1:
-                            break
-                    x = z
-                    chain += (pairing[xs[x]], xs[x])
-                walks[v] = AlternatingWalk(vertices=tuple(chain), kind="mm")
-    return {v: walks[v] for v in order}
+    steps = []
+    while parent[v] != v:
+        steps += (v, pairing[v])
+        v = parent[v]
+    return steps[::-1]
+
+
+def _tree_walks(
+    arcs: list[list[int]], comp: list[int], pairing: tuple[int, ...], sd: frozenset[int]
+) -> dict[int, AlternatingWalk]:
+    """An mm-closed walk at every vertex of sd, a union of strong components
+    of D that each hold their members' partners, in O(n + m) plus the walks.
+
+    In a component C with smallest member r, one BFS over C's own arcs
+    from M(r) gives a walk in G from M(r) to each member v, and one from r
+    a walk from r to v.  The first, reversed, runs v, M(v) ... M(r): the
+    mirror of its D path under M, as D is skew-symmetric (x -> z iff
+    M(z) -> M(x)).  v's walk is that, the matched edge to r, and the
+    second.  Both searches keep to C's arcs and C holds its members'
+    partners, so every vertex of the walk lies in C, and so in sd.  The
+    walks are not the shortest.
+    """
+    inner = [[z for z in out if comp[z] == comp[x]] for x, out in enumerate(arcs)]
+    trees: dict[int, tuple[int, dict[int, int], dict[int, int]]] = {}
+    walks = {}
+    for v in sorted(sd):
+        if comp[v] not in trees:
+            trees[comp[v]] = v, _bfs(inner, pairing[v]), _bfs(inner, v)
+        r, up, down = trees[comp[v]]
+        walk = _steps(up, pairing, v)[::-1] + [pairing[r], r] + _steps(down, pairing, v)
+        walks[v] = AlternatingWalk(walk, "mm")
+    return walks

@@ -25,9 +25,9 @@ import threading
 from .alternating import (
     AlternatingWalk,
     _arcs,
-    _closed_walks,
     _perfect_pairing,
     _strong_components,
+    _tree_walks,
 )
 from .graph import Edge, Graph, _Record, _setattr, induced_subgraph
 from .matching import Matching, maximum_matching
@@ -46,7 +46,7 @@ def _parts(graph, arcs, comp, pairing, sd, ke) -> dict:
 
 
 def _witnesses(graph, arcs, comp, pairing, sd, ke) -> dict:
-    return {"witnesses": _closed_walks(arcs, comp, pairing, sd)}
+    return {"witnesses": _tree_walks(arcs, comp, pairing, sd)}
 
 
 # Each deferred field and the builder of its group, which takes the state
@@ -58,8 +58,8 @@ _DEFERRED = {"sd_part": _parts, "ke_part": _parts, "cut": _parts, "witnesses": _
 class SdKePartition(_Record):
     """The SD/KE vertex sets, the induced parts, and the cut between them.
 
-    witnesses holds a shortest closed-walk certificate for every SD
-    vertex, the same walk ``semi_jposy_witness`` returns.  failed_searches
+    witnesses holds a closed-walk certificate for every SD vertex, made
+    of vertices of its strong component of D alone.  failed_searches
     holds the member of each KE pair that its partner cannot reach in D
     (the strong-component order picks it, with no search), so it has no
     mm-closed walk.  Their partners form an independent set of G of size
@@ -152,9 +152,9 @@ def sd_ke_partition(graph: Graph, matching: Matching | None = None) -> SdKeParti
     tested; a supplied one is checked in full.  The split takes one
     strong-component pass.  The rest is built on first read, once per
     group: sd_part, ke_part and cut by two ``induced_subgraph`` calls and
-    one pass over the edges, and the witnesses by one bitset level sweep
-    per SD component and block of 512 targets, inside that component.  A
-    caller that never reads a group never pays for it.
+    one pass over the edges, and the witnesses by two BFS per SD
+    component, inside that component.  A caller that never reads a group
+    never pays for it.
     """
     own = matching is None
     if own:

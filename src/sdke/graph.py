@@ -304,20 +304,27 @@ def export_dot(graph: Graph, partition=None, matching=None) -> str:
 
     Labels are quoted, with backslashes and double quotes escaped.
     Matching edges, if a matching is given, are drawn bold red; a matching
-    that is not one of this graph raises MatchingError.  If a partition
-    is given, its SD vertices are filled gray and KE vertices light blue.
+    that is not a ``Matching`` of this graph raises MatchingError.  If a
+    partition is given, its SD vertices are filled gray and KE vertices
+    light blue; one without them raises GraphError.
     """
     sd: frozenset[int] = frozenset()
     ke: frozenset[int] = frozenset()
     if partition is not None:
-        sd = frozenset(partition.sd_vertices)
-        ke = frozenset(partition.ke_vertices)
+        try:
+            sd = frozenset(partition.sd_vertices)
+            ke = frozenset(partition.ke_vertices)
+        except AttributeError:
+            raise GraphError(f"partition {partition!r} has no SD and KE vertex sets") from None
         for v in sd | ke:
             if type(v) is not int or not 0 <= v < graph.n:
                 raise GraphError(
                     f"partition references unknown vertex {v!r}, not an int in 0..{graph.n - 1}")
     matched: set[Edge] = set()
     if matching is not None:
+        from .matching import _require_matching  # matching imports this module
+
+        _require_matching(matching)
         matching.validate(graph)
         matched.update(matching.edge_pairs())
     lines = ["graph G {", "  node [shape=circle];"]

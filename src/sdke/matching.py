@@ -78,6 +78,12 @@ class Matching(_Record, frozen=True):
         return f"Matching({self.edge_pairs()})"
 
 
+def _require_matching(matching: object) -> None:
+    """Raise MatchingError unless matching is a ``Matching``."""
+    if not isinstance(matching, Matching):
+        raise MatchingError(f"matching {matching!r} is not a Matching")
+
+
 def _unchecked(pairing: tuple[int, ...]) -> Matching:
     # A matching the library built as an involution of ints: none of the
     # constructor's checks runs, as ``graph._derived`` does for graphs.

@@ -119,8 +119,9 @@ def _k2():
 # Each of these routines takes a vertex id, an edge, an order or an order
 # bound, and checks that it is an int as build_graph does: a float or a
 # string is a domain error, not a TypeError or, for a float equal to an
-# int, accepted.  An edge or pair that is not a (u, v) pair is one too;
-# its row gives the message it must match.
+# int, accepted.  An edge or pair that is not a (u, v) pair is one too,
+# as is a matching that is not a Matching or a partition without vertex
+# sets; each such row gives the message it must match.
 NON_INT_CALLS = {
     "matching_from_edges": (MatchingError, lambda: sdke.matching_from_edges(2, [(0.0, 1)])),
     "matching_from_edges n": (MatchingError, lambda: sdke.matching_from_edges(2.0, [])),
@@ -164,6 +165,12 @@ NON_INT_CALLS = {
                              "NoneType, not a str"),
     "parse_edge_list bytes": (GraphError, lambda: sdke.parse_edge_list(b"2 1\n0 1\n"),
                               "bytes, not a str"),
+    "verify_walk matching": (MatchingError, lambda: sdke.verify_walk(
+        _k2(), "x", sdke.AlternatingWalk((0, 1), "mm")), "'x' is not a Matching"),
+    "export_dot matching": (MatchingError, lambda: sdke.export_dot(_k2(), matching="x"),
+                            "'x' is not a Matching"),
+    "export_dot partition type": (GraphError, lambda: sdke.export_dot(_k2(), "x"),
+                                  "'x' has no SD and KE vertex sets"),
 }
 
 

@@ -225,8 +225,8 @@ def test_verify_fails_when_a_witness_fails_stability(tmp_path, capsys, monkeypat
     code, data = run_json(capsys, ["verify", str(path)])
     assert code == 0 and all(c["pass"] for c in data["checks"])
 
-    walks = decomposition._closed_walks
-    monkeypatch.setattr(decomposition, "_closed_walks", lambda *a: {
+    walks = decomposition._tree_walks
+    monkeypatch.setattr(decomposition, "_tree_walks", lambda *a: {
         v: w for v, w in walks(*a).items() if v != 9})
     code, data = run_json(capsys, ["verify", str(path)])
     assert code == 1
@@ -373,23 +373,24 @@ def test_output_is_byte_stable(files, capsys):
     assert runs[0] == runs[1]
 
 
-# SHA-256 of the CLI output, pinned so a change to any byte shows.
+# SHA-256 of the CLI output, pinned so a change to any byte shows.  The
+# decompose rows print the witnesses of ``alternating._tree_walks``.
 GOLDEN_SHA256 = {
     ("posy12", "decompose"):
-        "a94b11b5b5761adaaf84f56e657bc5cdb338a505670a1f275fdc3f641c97c18c",
+        "cf15b2150c0d5f6283977632bd3998aba5a63091b6810cadcef81b8803ac4d84",
     ("posy12", "export-dot --decorate"):
         "280bf5566397cce9385f200196d70fcc8178d8dc564f5fbd96a93680dcc0bb86",
     ("tangle8", "decompose"):
-        "6b35a8003003bba3ebc190dcfa64c153f52422aaa681292f7b21747b3ee533a4",
+        "eec8533e2c99ddd6b68c1ec27f269440f6f0382e66f60dd2303ab70df5b843cd",
     ("tangle8", "export-dot --decorate"):
         "bde7812fde82929521e22728e8fcb78a9fba93f1fd1ab65e08cd02adf46b3e09",
     ("mixed32", "decompose"):
-        "b11d9e826ee227f05185ecd4c676340ed6ac24d3bef62a3c083c0beb6890fca9",
+        "aa4d9f15770e75a0a342a634783b97afcdf3ca830368b864fe54cf19c6ef515d",
     ("mixed32", "export-dot --decorate"):
         "a2bf34d368c6e189b543d64a56f8f05b1d79b19816ce76fdfe2f3757edf4d98a",
     # 60 vertices, 93 edges: 34 SD, 26 KE, 21 cut edges.
     ("sparse60", "decompose"):
-        "8a64a38d9ebf79393d835aa30625020390bc0045b1b6fe1df080dbc8c119d481",
+        "30afce77a9d0c3932213a4af618cfac3c822f057e731d2406732c0c013e86e8d",
     ("sparse60", "export-dot --decorate"):
         "a4ee93a1da42899e9e586dce1aba1ad641d8c5a08d763fd5a6a6b10f2d82e06c",
     # The matching enumerator, perfect and maximum, and the theorem suite.

@@ -23,7 +23,6 @@ from sdke import (
     run_theorem_suite,
     sd_ke_partition,
     sd_vertices_of,
-    semi_jposy_witness,
     serialize_edge_list,
     verify_walk,
 )
@@ -42,6 +41,7 @@ from fixtures import (
     planted_split,
     posy12,
     replaced,
+    sd_components,
     tangle8,
 )
 from oracles import (
@@ -106,14 +106,22 @@ def test_partition_against_per_pair_bfs_oracle():
         for v in p.failed_searches:
             assert v in p.ke_vertices and pairing[v] not in p.failed_searches, name
             assert shortest[v] is None, f"{name} v {v}"
-        assert set(p.witnesses) == p.sd_vertices, name
-        for v, w in p.witnesses.items():
-            assert verify_walk(g, p.matching, w) and w.vertices[0] == v, f"{name} v {v}"
-            assert w.is_closed and w.num_edges == shortest[v], f"{name} v {v}"
+        _assert_witnesses_hold(name, g, p)
         seen_ke_pair |= any(shortest[v] is not None for v in p.ke_vertices)
         seen_sd |= bool(p.sd_vertices)
     # The corpus holds one-sided KE pairs and SD vertices, so both paths ran.
     assert seen_ke_pair and seen_sd
+
+
+def _assert_witnesses_hold(name, g, p):
+    """Every SD vertex v, and no other, has a walk that passes verify_walk,
+    starts and ends at v, and lies in v's connected component of G[SD]."""
+    assert set(p.witnesses) == p.sd_vertices, name
+    component = {v: c for c in sd_components(p) for v in c}
+    for v, w in p.witnesses.items():
+        assert verify_walk(g, p.matching, w), f"{name} v {v}"
+        assert w.vertices[0] == w.vertices[-1] == v, f"{name} v {v}"
+        assert component[v].issuperset(w.vertices), f"{name} v {v}"
 
 
 def _count_witness_routines(monkeypatch):
@@ -122,7 +130,7 @@ def _count_witness_routines(monkeypatch):
     them: the vertex, or the set of targets."""
     from sdke import alternating
 
-    calls = {"_closed_walk": [], "_closed_walks": []}
+    calls = {"_closed_walk": [], "_tree_walks": []}
     for attr, log in calls.items():
         original = getattr(alternating, attr)
 
@@ -140,30 +148,29 @@ def _count_witness_routines(monkeypatch):
 
 def test_closed_walk_searches_only_sd_vertices(monkeypatch):
     calls = _count_witness_routines(monkeypatch)
-    none = {"_closed_walk": [], "_closed_walks": []}
+    none = {"_closed_walk": [], "_tree_walks": []}
     for seed, g in matchable_corpus(30, max_n=10):
         for m in iter_perfect_matchings(g):
             for log in calls.values():
                 log.clear()
             p = sd_ke_partition(g, m)
-            # The split builds no witness; the first read runs one sweep,
+            # The split builds no witness; the first read runs one build,
             # whose targets are exactly the SD vertices, and later reads none.
             assert calls == none, f"seed {seed}"
             witnesses = p.witnesses
-            assert calls == {"_closed_walk": [], "_closed_walks": [p.sd_vertices]}, f"seed {seed}"
-            calls["_closed_walks"].clear()
+            assert calls == {"_closed_walk": [], "_tree_walks": [p.sd_vertices]}, f"seed {seed}"
+            calls["_tree_walks"].clear()
             assert p.witnesses is witnesses and calls == none, f"seed {seed}"
             assert sd_vertices_of(g) == p.sd_vertices, f"seed {seed}"
             assert _sd_vertices(g, m) == p.sd_vertices, f"seed {seed}"
             assert calls == none, f"seed {seed}"
-            for v in p.sd_vertices:
-                assert p.witnesses[v] == semi_jposy_witness(g, m, v), f"seed {seed} v {v}"
+            _assert_witnesses_hold(f"seed {seed}", g, p)
 
 
 def test_only_callers_that_read_witnesses_build_them(monkeypatch, tmp_path, capsys):
     # factorization_report, sd_vertices_of and export-dot --decorate read
     # the split alone.  The theorem suite checks the witness of every SD
-    # vertex, so it runs the sweep once, unless there is none (ladder8).
+    # vertex, so it builds them once, unless there is none (ladder8).
     calls = _count_witness_routines(monkeypatch)
     path = tmp_path / "posy12.edges"
     path.write_text(serialize_edge_list(posy12()))
@@ -171,15 +178,15 @@ def test_only_callers_that_read_witnesses_build_them(monkeypatch, tmp_path, caps
         r = factorization_report(g)
         sd_vertices_of(g)
         assert r.det_product_ok and r.perm_product_ok, name
-        assert calls == {"_closed_walk": [], "_closed_walks": []}, name
+        assert calls == {"_closed_walk": [], "_tree_walks": []}, name
         suite = run_theorem_suite(g)
         assert all(c.passed for c in suite.checks), name
         sd = r.partition.sd_vertices
-        assert calls == {"_closed_walk": [], "_closed_walks": [sd] if sd else []}, name
-        calls["_closed_walks"].clear()
+        assert calls == {"_closed_walk": [], "_tree_walks": [sd] if sd else []}, name
+        calls["_tree_walks"].clear()
     assert run_cli(["export-dot", str(path), "--decorate"]) == 0
     assert "fillcolor=gray85" in capsys.readouterr().out
-    assert calls == {"_closed_walk": [], "_closed_walks": []}
+    assert calls == {"_closed_walk": [], "_tree_walks": []}
 
 
 DEFERRED = ("sd_part", "ke_part", "cut", "witnesses")
@@ -328,12 +335,12 @@ def test_concurrent_first_reads_share_one_build(monkeypatch):
             assert not any(t.is_alive() for t in threads)
             assert len(got) == 4 and all(x is getattr(p, name) for x in got)
             if name == "witnesses":
-                assert calls["_closed_walks"] == [p.sd_vertices] and p.sd_vertices
+                assert calls["_tree_walks"] == [p.sd_vertices] and p.sd_vertices
                 assert parts == []
             else:
                 assert parts == [p.sd_vertices, p.ke_vertices] and p.cut
-                assert calls["_closed_walks"] == []
-            calls["_closed_walks"].clear()
+                assert calls["_tree_walks"] == []
+            calls["_tree_walks"].clear()
             parts.clear()
     finally:
         sys.setswitchinterval(interval)
@@ -354,45 +361,46 @@ def test_planted_split_against_per_pair_bfs_oracle():
     assert shapes == {(False, True), (True, True), (True, False)}
 
 
-def _assert_shortest_witnesses(name, g, p, shortest=None):
-    for v, w in p.witnesses.items():
-        assert w == semi_jposy_witness(g, p.matching, v), f"{name} v {v}"
-        if shortest is not None:
-            assert w.num_edges == shortest[v], f"{name} v {v}"
+def test_witnesses_on_wide_and_deep_components():
+    # Each walk runs through one root of its strong component C of D, so
+    # it has at most 4|C| - 3 edges: one matched edge, then two per arc of
+    # the two BFS trees, each at most |C| - 1 deep.  C lies in the walk's
+    # component of G[SD], whose size bounds it here.  A 700-vertex graph
+    # whose largest SD component holds hundreds of vertices, and an even
+    # cycle with chords 0-2 and 1-3, one SD component whose walks grow to
+    # about n arcs of D.
+    wide = random_matchable_graph(700, 3 / 700, 0)
+    deep = build_graph(200, [(i, (i + 1) % 200) for i in range(200)] + [(0, 2), (1, 3)])
+    for name, g, longest in (("wide", wide, 10), ("deep", deep, 128)):
+        p = sd_ke_partition(g)
+        _assert_witnesses_hold(name, g, p)
+        sizes = {v: len(c) for c in sd_components(p) for v in c}
+        assert max(sizes.values()) > 100, name
+        for v, w in p.witnesses.items():
+            assert w.num_edges <= 4 * sizes[v] - 3, f"{name} v {v}"
+        assert max(w.num_edges for w in p.witnesses.values()) > longest, name
 
 
-def test_witnesses_across_block_and_depth_boundaries(monkeypatch):
+def test_witness_searches_keep_to_their_component(monkeypatch):
+    # The two searches per strong component take only its own arcs, so
+    # together they reach each SD vertex exactly twice, and nothing else,
+    # although an SD component can reach outside itself (posy12's SD side
+    # reaches its pendant KE pair).
     from sdke import alternating
 
-    cases = []
-    for name, g in _oracle_cases():
-        pairing = sd_ke_partition(g).matching.pairing
-        cases.append((name, g, [shortest_mm_closed_walk_bfs(g, pairing, v) for v in range(g.n)]))
-    for block, depth in ((1, 64), (2, 64), (3, 64), (7, 64), (7, 1), (3, 2)):
-        monkeypatch.setattr(alternating, "_BLOCK", block)
-        monkeypatch.setattr(alternating, "_DEPTH", depth)
-        for name, g, shortest in cases:
-            name = f"{name} block={block} depth={depth}"
-            _assert_shortest_witnesses(name, g, sd_ke_partition(g), shortest)
-    monkeypatch.undo()
-    # At the default constants: an SD component over two blocks wide, and
-    # one whose walks run deeper than the sweep goes.
-    wide = random_matchable_graph(700, 3 / 700, 0)
-    p = sd_ke_partition(wide)
-    pairing = p.matching.pairing
-    arcs = alternating._arcs(wide, pairing)  # semi_jposy_witness, built once
-    comp = alternating._strong_components(arcs)
-    assert max(Counter(comp[v] for v in p.sd_vertices).values()) > alternating._BLOCK
-    for v, w in p.witnesses.items():
-        assert w == alternating._closed_walk(arcs, pairing, v), f"wide v {v}"
-    for v in sorted(p.sd_vertices)[::50]:
-        assert p.witnesses[v].num_edges == shortest_mm_closed_walk_bfs(wide, pairing, v)
-    # An even cycle with chords 0-2 and 1-3 is one SD component whose
-    # walks grow to about n arcs of D.
-    deep = build_graph(200, [(i, (i + 1) % 200) for i in range(200)] + [(0, 2), (1, 3)])
-    p = sd_ke_partition(deep)
-    assert max(w.num_edges for w in p.witnesses.values()) > 2 * alternating._DEPTH
-    _assert_shortest_witnesses("deep", deep, p)
+    reached = []
+
+    def bfs(*args, _original=alternating._bfs):
+        parent = _original(*args)
+        reached.extend(parent)
+        return parent
+
+    monkeypatch.setattr(alternating, "_bfs", bfs)
+    for name, g in [("posy12", posy12()), *_oracle_cases()]:
+        p = sd_ke_partition(g)
+        reached.clear()
+        assert set(p.witnesses) == p.sd_vertices, name
+        assert Counter(reached) == Counter(dict.fromkeys(p.sd_vertices, 2)), name
 
 
 def test_empty_graph_partition():

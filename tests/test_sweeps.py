@@ -7,14 +7,16 @@ limit, for example
     PYTHONPATH=src timeout 120 python -m pytest -q -m slow -k matching_scale
 """
 
+import math
 import random
+import time
 
 import pytest
 
 import sdke
 from sdke import alternating, configurations, decomposition, verification
 from sdke.determinantal import _frontier_plan, _perm_frontier, _perm_glynn
-from fixtures import doctored_splits, ke_status_cases, planted_split, random_graph
+from fixtures import doctored_splits, ke_status_cases, planted_split, random_graph, sd_components
 import oracles
 from oracles import (
     ke_status_by_alpha,
@@ -48,28 +50,62 @@ def test_matching_scale():
 def test_planted_split_scale(monkeypatch):
     # fixtures.planted_split at n = 10^5, half of it in K4 blocks: the
     # split returns the planted SD set and passes its block certificate.
-    # No witness is built, since none is read, and neither part is built
-    # before the certificate reads the cut, which builds both.  About
-    # 3 s on a 2-core VM with Python 3.11; building the witnesses would
-    # add about 7 s.
-    def refuse(*args):
-        raise AssertionError("a witness sweep ran")
-
-    parts = []
+    # No witness is built before the first read, and neither part before
+    # the certificate reads the cut, which builds both.  The first read
+    # of the witnesses then builds one for each planted SD vertex, and
+    # every one passes the walk checker and lies in its own connected
+    # component of G[SD].  About 7 s on a 2-core VM with Python 3.11:
+    # 0.9 s to build the witnesses, 2.7 s to check them.
+    parts, walks = [], []
 
     def induced(graph, vertices, _original=decomposition.induced_subgraph):
         parts.append(len(vertices))
         return _original(graph, vertices)
 
-    monkeypatch.setattr(alternating, "_closed_walks", refuse)
-    monkeypatch.setattr(decomposition, "_closed_walks", refuse)
+    def tree_walks(*args, _original=decomposition._tree_walks):
+        walks.append(len(args[-1]))
+        return _original(*args)
+
     monkeypatch.setattr(decomposition, "induced_subgraph", induced)
+    monkeypatch.setattr(decomposition, "_tree_walks", tree_walks)
     g, sd, _ = planted_split(100_000, 12_500, random.Random(17))
     part = sdke.sd_ke_partition(g)
     assert part.sd_vertices == sd and len(part.ke_vertices) == 50_000
     assert parts == []
     assert verification._block_fault(g, part) is None
-    assert parts == [50_000, 50_000]
+    assert parts == [50_000, 50_000] and walks == []
+    assert set(part.witnesses) == sd and walks == [50_000]
+    pairing = part.matching.pairing
+    component = {v: c for c in sd_components(part) for v in c}
+    for v, w in part.witnesses.items():
+        assert alternating._walk_holds(g, pairing, w), v
+        assert w.vertices[0] == w.vertices[-1] == v and component[v].issuperset(w.vertices), v
+
+
+def test_witness_build_scales_linearly():
+    # The witness builder costs O(n + m) plus the length of the walks it
+    # returns.  On planted splits at n = 2.5 * 10^4 and 10^5, its best-of-3
+    # time per unit of n + m + walk edges must grow less than twofold.
+    # On a 2-core VM with Python 3.11 it read 0.22 -> 0.31 us per unit
+    # (x1.3 to x1.6 over four runs), where a quadratic builder, a bitset
+    # level sweep per block of targets, read 3.8 -> 18.4 us (x4.9).  A
+    # ratio of two runs in one process, not an absolute time, so that a
+    # shared or slow machine does not decide it.
+    per_unit = []
+    for n in (25_000, 100_000):
+        g, sd, _ = planted_split(n, n // 8, random.Random(17))
+        pairing = sdke.sd_ke_partition(g).matching.pairing
+        arcs, comp, split_sd = decomposition._split(g, pairing)
+        assert split_sd == sd
+        best = math.inf
+        for _ in range(3):
+            walks = None  # the last build's walks are freed before the next
+            start = time.perf_counter()
+            walks = alternating._tree_walks(arcs, comp, pairing, sd)
+            best = min(best, time.perf_counter() - start)
+        assert set(walks) == sd
+        per_unit.append(best / (n + len(g.edges) + sum(w.num_edges for w in walks.values())))
+    assert per_unit[1] < 2 * per_unit[0], per_unit
 
 
 def test_permanent_engines():
