@@ -32,7 +32,7 @@ v's reachable set alone, or, stopped as soon as v is reached, its
 shortest closed walk.  The walks at every SD vertex come from two BFS
 over D per strong component, from a root r and from M(r), which D's skew
 symmetry turns into a walk through r for every member;
-``sd_ke_partition`` builds them on the first read of its witnesses, once.
+``sd_ke_partition`` builds them on the first read of its witnesses.
 """
 
 from __future__ import annotations

@@ -29,30 +29,21 @@ from .alternating import (
     _strong_components,
     _tree_walks,
 )
-from .graph import Edge, Graph, _Record, _setattr, induced_subgraph
+from .graph import Edge, Graph, _Record, induced_subgraph
 from .matching import Matching, maximum_matching
 
 # One deferred build at a time, so that first reads in two threads share
 # one build.
 _BUILDING = threading.Lock()
 
-
-def _parts(graph, arcs, comp, pairing, sd, ke) -> dict:
-    return {
-        "sd_part": induced_subgraph(graph, sd),
-        "ke_part": induced_subgraph(graph, ke),
-        "cut": frozenset(e for e in graph.edges if (e[0] in sd) != (e[1] in sd)),
-    }
-
-
-def _witnesses(graph, arcs, comp, pairing, sd, ke) -> dict:
-    return {"witnesses": _tree_walks(arcs, comp, pairing, sd)}
-
-
-# Each deferred field and the builder of its group, which takes the state
-# the split left and returns every field of the group: the first read of
-# any of them builds them all.
-_DEFERRED = {"sd_part": _parts, "ke_part": _parts, "cut": _parts, "witnesses": _witnesses}
+# Each deferred field and its builder, from the state the split left.
+_DEFERRED = {
+    "sd_part": lambda graph, arcs, comp, pairing, sd, ke: induced_subgraph(graph, sd),
+    "ke_part": lambda graph, arcs, comp, pairing, sd, ke: induced_subgraph(graph, ke),
+    "cut": lambda graph, arcs, comp, pairing, sd, ke: frozenset(
+        e for e in graph.edges if (e[0] in sd) != (e[1] in sd)),
+    "witnesses": lambda graph, arcs, comp, pairing, sd, ke: _tree_walks(arcs, comp, pairing, sd),
+}
 
 
 class SdKePartition(_Record):
@@ -67,19 +58,18 @@ class SdKePartition(_Record):
     proves: the certificate that the KE part is Koenig-Egervary, and that
     no perfect matching or spanning Sachs subgraph uses a cut edge.
 
-    A partition from ``sd_ke_partition`` defers two groups of fields to
-    their first read: sd_part, ke_part and cut, built together, and
-    witnesses.  Each group is built once, from the state the split left,
-    and every later read returns the same object; the state is dropped
-    once every deferred field has been built, assigned or deleted.
-    Equality, repr, pickling and copying read every field, so they build
-    both groups.  A field given to the constructor is kept as given.
+    A partition from ``sd_ke_partition`` builds sd_part, ke_part, cut and
+    witnesses as ``functools.cached_property`` does: each on its own
+    first read, from the state the split left.  Equality, repr, pickling
+    and copying read every field, so they build them all.  A partition
+    made by the constructor keeps every field as given, and one deleted
+    from it stays unset.
     """
 
-    # Not fields: __split, the state the deferred fields are built from,
-    # and __pending, the deferred fields not yet built, assigned or deleted.
+    # Not a field: __split, the state the deferred fields are built from,
+    # or None in a partition made by the constructor.
     __slots__ = ("sd_vertices", "ke_vertices", "sd_part", "ke_part", "cut", "matching",
-                 "witnesses", "failed_searches", "__split", "__pending")
+                 "witnesses", "failed_searches", "__split")
 
     def __init__(
         self, sd_vertices: frozenset[int], ke_vertices: frozenset[int], sd_part: Graph,
@@ -89,58 +79,27 @@ class SdKePartition(_Record):
     ) -> None:
         witnesses = {} if witnesses is None else witnesses
         values = sd_vertices, ke_vertices, sd_part, ke_part, cut, matching, witnesses, failed_searches
-        # Set directly: nothing of a new record waits for a build.
         for field, value in zip(self._fields, values):
-            _setattr(self, field, value)
-        self.__pending = set()
+            setattr(self, field, value)
         self.__split = None
 
     def _defer(self, *split) -> SdKePartition:
-        """Leave every deferred field unset, to be built from split."""
-        for name in _DEFERRED:
-            object.__delattr__(self, name)
-        self.__pending = set(_DEFERRED)
+        """Build each deferred field that is unset from split, on its first read."""
         self.__split = split
         return self
 
-    def __settle(self, name: str) -> None:
-        # Under _BUILDING: name waits for no build, and the split's state
-        # goes with the last field that did.
-        self.__pending.discard(name)
-        if not self.__pending:
-            self.__split = None
-
     def __getattr__(self, name: str):
-        # Python calls this only when the usual lookup fails: on the first
-        # read of a deferred field, or for a name the record lacks.
+        # Python calls this only when the usual lookup fails: on a read of
+        # a deferred field that is unset, or for a name the record lacks.
         build = _DEFERRED.get(name)
-        if build is not None:
+        if build is not None and self.__split is not None:
             with _BUILDING:
-                if name in self.__pending:
-                    for field, value in build(*self.__split).items():
-                        if field in self.__pending:
-                            _setattr(self, field, value)
-                            self.__settle(field)
-        # Built by another thread meanwhile, or else the usual AttributeError.
+                try:  # built by another thread meanwhile
+                    return object.__getattribute__(self, name)
+                except AttributeError:
+                    setattr(self, name, build(*self.__split))
+        # The field just built, or else the usual AttributeError.
         return object.__getattribute__(self, name)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        # Assigning a deferred field settles it, as a build would.
-        if name in _DEFERRED:
-            with _BUILDING:
-                _setattr(self, name, value)
-                self.__settle(name)
-        else:
-            _setattr(self, name, value)
-
-    def __delattr__(self, name: str) -> None:
-        # Deleting a deferred field that waits for its build settles it
-        # unset, as deleting a built one leaves it.
-        with _BUILDING:
-            if name in _DEFERRED and name in self.__pending:
-                self.__settle(name)
-            else:
-                object.__delattr__(self, name)
 
 
 def sd_ke_partition(graph: Graph, matching: Matching | None = None) -> SdKePartition:
@@ -150,11 +109,9 @@ def sd_ke_partition(graph: Graph, matching: Matching | None = None) -> SdKeParti
     way the matching must be perfect.  A maximum matching computed here
     is a matching of the graph by construction, so only its size is
     tested; a supplied one is checked in full.  The split takes one
-    strong-component pass.  The rest is built on first read, once per
-    group: sd_part, ke_part and cut by two ``induced_subgraph`` calls and
-    one pass over the edges, and the witnesses by two BFS per SD
-    component, inside that component.  A caller that never reads a group
-    never pays for it.
+    strong-component pass; each other field is built on its first read:
+    a part by one ``induced_subgraph`` call, the cut by one pass over the
+    edges, the witnesses by two BFS per SD component, inside it.
     """
     own = matching is None
     if own:
@@ -169,8 +126,11 @@ def sd_ke_partition(graph: Graph, matching: Matching | None = None) -> SdKeParti
         for v in ke
         if v < pairing[v]
     )
-    return SdKePartition(sd, ke, None, None, None, matching, None, failed)._defer(
-        graph, arcs, comp, pairing, sd, ke)
+    # Not made by the constructor, which sets every field: the deferred
+    # ones stay unset until their first read.
+    part = SdKePartition.__new__(SdKePartition)
+    part.sd_vertices, part.ke_vertices, part.matching, part.failed_searches = sd, ke, matching, failed
+    return part._defer(graph, arcs, comp, pairing, sd, ke)
 
 
 def _split(

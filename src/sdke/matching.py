@@ -60,8 +60,11 @@ class Matching(_Record, frozen=True):
         return [(v, u) for v, u in enumerate(self.pairing) if v < u]
 
     def contains_edge(self, e: tuple[int, int]) -> bool:
-        """Whether e is a matched pair; ids that are not ints match nothing."""
-        u, v = e
+        """Whether e is a matched pair; anything but a pair of int ids matches nothing."""
+        try:
+            u, v = e
+        except (TypeError, ValueError):  # not a pair
+            return False
         return u != v and type(u) is type(v) is int and 0 <= u < self.n and self.pairing[u] == v
 
     def validate(self, graph: Graph) -> None:
@@ -96,6 +99,8 @@ def matching_from_edges(n: int, pairs: Iterable[tuple[int, int]]) -> Matching:
     """Build a Matching over n vertices from disjoint pairs of int ids."""
     if type(n) is not int:
         raise MatchingError(f"vertex count {n!r} is not an int")
+    if n < 0:
+        raise MatchingError(f"vertex count must be nonnegative, got {n}")
     pairing = list(range(n))
     try:
         for u, v in pairs:

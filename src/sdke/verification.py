@@ -382,8 +382,8 @@ def random_matchable_graph(n: int, extra_edge_prob: float, seed: int) -> Graph:
         raise GraphError(f"order {n!r} is not an int")
     if n % 2 == 1:
         raise SdkeError(f"matchable graphs have even order, got {n}")
-    if not 0.0 <= extra_edge_prob <= 1.0:
-        raise SdkeError(f"probability out of range: {extra_edge_prob}")
+    if not isinstance(extra_edge_prob, (int, float)) or not 0.0 <= extra_edge_prob <= 1.0:
+        raise SdkeError(f"probability {extra_edge_prob!r} is not a number in [0, 1]")
     if n > _MAX_RANDOM_ORDER:
         raise BoundExceededError(f"order {n} exceeds generator bound {_MAX_RANDOM_ORDER}")
     rng = random.Random(seed)

@@ -125,6 +125,10 @@ def _k2():
 NON_INT_CALLS = {
     "matching_from_edges": (MatchingError, lambda: sdke.matching_from_edges(2, [(0.0, 1)])),
     "matching_from_edges n": (MatchingError, lambda: sdke.matching_from_edges(2.0, [])),
+    "matching_from_edges negative n": (MatchingError, lambda: sdke.matching_from_edges(-3, []),
+                                       "nonnegative, got -3"),
+    "parse_matching negative n": (MatchingError, lambda: sdke.parse_matching("", -1),
+                                  "nonnegative, got -1"),
     "parse_matching": (MatchingError, lambda: sdke.parse_matching("0 1", 2.5)),
     "Matching float": (MatchingError, lambda: sdke.Matching([1.0, 0])),
     "Matching str": (MatchingError, lambda: sdke.Matching(["a"])),
@@ -139,6 +143,10 @@ NON_INT_CALLS = {
     "induced_subgraph": (GraphError, lambda: sdke.induced_subgraph(_k2(), [0.0])),
     "induced_subgraph mixed": (GraphError, lambda: sdke.induced_subgraph(_k2(), ["a", 0])),
     "random_matchable_graph": (GraphError, lambda: sdke.random_matchable_graph(4.0, 0.1, 1)),
+    "random_matchable_graph p None": (SdkeError, lambda: sdke.random_matchable_graph(4, None, 1),
+                                      r"None is not a number in \[0, 1\]"),
+    "random_matchable_graph p str": (SdkeError, lambda: sdke.random_matchable_graph(4, "x", 1),
+                                     r"'x' is not a number in \[0, 1\]"),
     "delete_edge": (GraphError, lambda: sdke.delete_edge(_k2(), (0.0, 1))),
     "as_edge": (GraphError, lambda: sdke.as_edge(0.5, 1)),
     "build_graph n": (GraphError, lambda: sdke.build_graph(2.0, [])),
@@ -194,6 +202,9 @@ NON_INT_PREDICATES = {
     "contains_edge float": lambda: sdke.maximum_matching(_k2()).contains_edge((0, 1.0)),
     "contains_edge bool": lambda: sdke.maximum_matching(_k2()).contains_edge((False, 1)),
     "contains_edge out of range": lambda: sdke.maximum_matching(_k2()).contains_edge((2, 1)),
+    "contains_edge int": lambda: sdke.maximum_matching(_k2()).contains_edge(5),
+    "contains_edge None": lambda: sdke.maximum_matching(_k2()).contains_edge(None),
+    "contains_edge triple": lambda: sdke.maximum_matching(_k2()).contains_edge((0, 1, 2)),
 }
 
 

@@ -167,32 +167,59 @@ def test_closed_walk_searches_only_sd_vertices(monkeypatch):
             _assert_witnesses_hold(f"seed {seed}", g, p)
 
 
+def _count_builds(monkeypatch):
+    """Log the field of every deferred build, in the order they run."""
+    from sdke import decomposition
+
+    built = []
+    for field, build in list(decomposition._DEFERRED.items()):
+
+        def counted(*split, _build=build, _field=field):
+            built.append(_field)
+            return _build(*split)
+
+        monkeypatch.setitem(decomposition._DEFERRED, field, counted)
+    return built
+
+
 def test_only_callers_that_read_witnesses_build_them(monkeypatch, tmp_path, capsys):
-    # factorization_report, sd_vertices_of and export-dot --decorate read
-    # the split alone.  The theorem suite checks the witness of every SD
-    # vertex, so it builds them once, unless there is none (ladder8).
+    # Each caller builds the deferred fields it reads, and no other.
+    # factorization_report reads the two parts, sd_vertices_of builds no
+    # partition, decompose --text reads the cut and export-dot --decorate
+    # the split alone.  The theorem suite reads every field once; it
+    # checks no witness where there is no SD vertex (ladder8).
     calls = _count_witness_routines(monkeypatch)
+    built = _count_builds(monkeypatch)
     path = tmp_path / "posy12.edges"
     path.write_text(serialize_edge_list(posy12()))
     for name, g in [("posy12", posy12()), ("tangle8", tangle8()), ("ladder8", ladder8())]:
         r = factorization_report(g)
         sd_vertices_of(g)
         assert r.det_product_ok and r.perm_product_ok, name
+        assert sorted(built) == ["ke_part", "sd_part"], name
         assert calls == {"_closed_walk": [], "_tree_walks": []}, name
+        built.clear()
         suite = run_theorem_suite(g)
         assert all(c.passed for c in suite.checks), name
         sd = r.partition.sd_vertices
+        fields = DEFERRED if sd else tuple(f for f in DEFERRED if f != "witnesses")
+        assert sorted(built) == sorted(fields), name
         assert calls == {"_closed_walk": [], "_tree_walks": [sd] if sd else []}, name
         calls["_tree_walks"].clear()
+        built.clear()
+    assert run_cli(["decompose", str(path), "--text"]) == 0
+    assert "cut:" in capsys.readouterr().out
+    assert built == ["cut"]
+    built.clear()
     assert run_cli(["export-dot", str(path), "--decorate"]) == 0
     assert "fillcolor=gray85" in capsys.readouterr().out
-    assert calls == {"_closed_walk": [], "_tree_walks": []}
+    assert calls == {"_closed_walk": [], "_tree_walks": []} and built == []
 
 
 DEFERRED = ("sd_part", "ke_part", "cut", "witnesses")
 
 
-def test_deferred_witnesses_keep_the_record_contract():
+def test_deferred_witnesses_keep_the_record_contract(monkeypatch):
     # A partition whose parts, cut and witnesses wait for their first read
     # behaves as one built with the same values given explicitly.
     for g in (posy12(), tangle8(), ladder8(), build_graph(0, [])):
@@ -207,16 +234,23 @@ def test_deferred_witnesses_keep_the_record_contract():
             replaced(sd_ke_partition(g)),
         ):
             assert copied == given and given == copied
-    # Given values are kept as the very objects.
+    # Given values are kept as the very objects, and a field deleted from
+    # a partition made by the constructor stays unset.
     p = sd_ke_partition(posy12())
     values = [getattr(p, f) for f in SdKePartition._fields]
     given = SdKePartition(*values)
     assert all(getattr(given, f) is v for f, v in zip(SdKePartition._fields, values))
-    # Assigning a deferred field before or after the first read replaces
-    # it, and deleting it leaves the field unset, as on any record.  The
-    # other fields of its group are still built from the split.
+    for name in DEFERRED:
+        delattr(given, name)
+        with pytest.raises(AttributeError):
+            getattr(given, name)
+    # Each deferred field acts as a functools.cached_property: assigning
+    # it before or after its first read replaces it; deleting it once
+    # built makes the next read build it again, and deleting it unread
+    # raises.  No other field is built by any of this.
     full = sd_ke_partition(posy12())
-    sd_part, ke_part, cut = full.sd_part, full.ke_part, full.cut
+    expected = {f: getattr(full, f) for f in DEFERRED}
+    built = _count_builds(monkeypatch)
     for name in DEFERRED:
         for read_first in (False, True):
             mine = object()
@@ -225,33 +259,37 @@ def test_deferred_witnesses_keep_the_record_contract():
                 getattr(p, name)
             setattr(p, name, mine)
             assert getattr(p, name) is mine
-            assert (p.sd_part, p.ke_part, p.cut) == tuple(
-                mine if f == name else v for f, v in zip(DEFERRED, (sd_part, ke_part, cut)))
+            assert built == ([name] if read_first else []), name
+            built.clear()
             p = sd_ke_partition(posy12())
             if read_first:
-                getattr(p, name)
-            delattr(p, name)
-            with pytest.raises(AttributeError):
-                getattr(p, name)
-            with pytest.raises(AttributeError):
+                first = getattr(p, name)
                 delattr(p, name)
-            assert all(getattr(p, f) == getattr(full, f) for f in DEFERRED if f != name)
+                again = getattr(p, name)
+                assert again is not first and again == first == expected[name]
+                assert getattr(p, name) is again and built == [name, name], name
+            else:
+                with pytest.raises(AttributeError):
+                    delattr(p, name)
+                assert built == [], name
+            built.clear()
     with pytest.raises(AttributeError):
         p.no_such_field
 
 
-def test_split_state_is_dropped_once_every_deferred_field_settles():
-    # The graph, D's arcs and components stay with the partition only
-    # while some deferred field may still be built from them.
+def test_split_state_lives_as_long_as_the_partition():
+    # The graph, D's arcs and components stay with a deferred partition
+    # whatever is done to its fields, so that a deleted field can be built
+    # again; a partition made by the constructor holds none.
     def state(p):
         return p._SdKePartition__split
 
-    for settle in (getattr, delattr, lambda p, f: setattr(p, f, None)):
+    for act in (getattr, delattr, lambda p, f: setattr(p, f, None)):
         p = sd_ke_partition(posy12())
         for f in DEFERRED:
+            getattr(p, f)
+            act(p, f)
             assert state(p) is not None
-            settle(p, f)
-        assert state(p) is None
     assert state(SdKePartition(*(getattr(p, f) for f in SdKePartition._fields[:6]))) is None
 
 
@@ -269,15 +307,20 @@ def _count_induced_subgraph(monkeypatch):
 
 
 def test_parts_and_cut_wait_for_their_first_read(monkeypatch):
-    # The split calls induced_subgraph for neither part; the first read of
-    # a part or of the cut calls it twice, and later reads not at all.
+    # The split calls induced_subgraph for neither part.  The first read
+    # of a part calls it once, for that part alone; reading the cut or
+    # the witnesses calls it not at all, and later reads never.
     calls = _count_induced_subgraph(monkeypatch)
     for g in (posy12(), tangle8(), ladder8()):
-        for first in ("sd_part", "ke_part", "cut"):
+        p = sd_ke_partition(g)
+        assert p.witnesses is not None and p.cut is not None and calls == []
+        for first, second in (("sd_part", "ke_part"), ("ke_part", "sd_part")):
             p = sd_ke_partition(g)
-            assert p.witnesses is not None and calls == []
             getattr(p, first)
-            assert calls == [p.sd_vertices, p.ke_vertices]
+            sides = {"sd_part": p.sd_vertices, "ke_part": p.ke_vertices}
+            assert calls == [sides[first]]
+            getattr(p, second)
+            assert calls == [sides[first], sides[second]]
             calls.clear()
             p.sd_part, p.ke_part, p.cut
             assert calls == []
@@ -310,10 +353,11 @@ def test_not_matchable_graphs_raise_as_before():
 
 def test_concurrent_first_reads_share_one_build(monkeypatch):
     # Four threads read the witnesses, or the cut, of one fresh partition
-    # at once, with thread switches forced often: one build runs, and all
-    # four get its object.
+    # at once, with thread switches forced often: one build of that field
+    # runs, and all four get its object.
     calls = _count_witness_routines(monkeypatch)
     parts = _count_induced_subgraph(monkeypatch)
+    built = _count_builds(monkeypatch)
     g = random_matchable_graph(200, 3 / 200, 1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -334,14 +378,13 @@ def test_concurrent_first_reads_share_one_build(monkeypatch):
                 t.join(timeout=30)
             assert not any(t.is_alive() for t in threads)
             assert len(got) == 4 and all(x is getattr(p, name) for x in got)
+            assert built == [name] and parts == []
             if name == "witnesses":
                 assert calls["_tree_walks"] == [p.sd_vertices] and p.sd_vertices
-                assert parts == []
             else:
-                assert parts == [p.sd_vertices, p.ke_vertices] and p.cut
-                assert calls["_tree_walks"] == []
+                assert p.cut and calls["_tree_walks"] == []
             calls["_tree_walks"].clear()
-            parts.clear()
+            built.clear()
     finally:
         sys.setswitchinterval(interval)
 

@@ -50,9 +50,10 @@ def test_matching_scale():
 def test_planted_split_scale(monkeypatch):
     # fixtures.planted_split at n = 10^5, half of it in K4 blocks: the
     # split returns the planted SD set and passes its block certificate.
-    # No witness is built before the first read, and neither part before
-    # the certificate reads the cut, which builds both.  The first read
-    # of the witnesses then builds one for each planted SD vertex, and
+    # No witness or part is built before its first read: the certificate
+    # reads the cut, which builds neither part, and the first read of
+    # each part makes one induced_subgraph call.  The first read of the
+    # witnesses then builds one for each planted SD vertex, and
     # every one passes the walk checker and lies in its own connected
     # component of G[SD].  About 7 s on a 2-core VM with Python 3.11:
     # 0.9 s to build the witnesses, 2.7 s to check them.
@@ -73,7 +74,9 @@ def test_planted_split_scale(monkeypatch):
     assert part.sd_vertices == sd and len(part.ke_vertices) == 50_000
     assert parts == []
     assert verification._block_fault(g, part) is None
-    assert parts == [50_000, 50_000] and walks == []
+    assert parts == [] and walks == []
+    assert part.sd_part.n == 50_000 and parts == [50_000]
+    assert part.ke_part.n == 50_000 and parts == [50_000, 50_000] and walks == []
     assert set(part.witnesses) == sd and walks == [50_000]
     pairing = part.matching.pairing
     component = {v: c for c in sd_components(part) for v in c}
